@@ -5,7 +5,7 @@ GO ?= go
 # different file: `make bench-json BENCH_SNAPSHOT=BENCH_LOCAL.json`.
 BENCH_SNAPSHOT ?= BENCH_PR10.json
 
-.PHONY: all build vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check ci
+.PHONY: all build vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
 
 all: build
 
@@ -134,6 +134,12 @@ paper-tables:
 paper-tables-check:
 	$(GO) run ./cmd/paperbench -check
 
+# The end-to-end benchmark (perfbench/) is its own module, so `go test
+# ./...` from the root never reaches its tests: vet and test it here.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # bench-gate subsumes bench-json-smoke: it runs the same pipeline and then
 # holds the result against the committed snapshot.
-ci: vet staticcheck build race test-server test-diff test-sat cover-sat bench-smoke bench-gate paper-tables-check
+ci: vet staticcheck build race test-server test-diff test-sat cover-sat bench-smoke bench-gate paper-tables-check perfbench-test

@@ -3,7 +3,10 @@
 // kernel benchmark got worse.
 //
 //	go test -run '^$' -bench Kernel -benchmem ./... | benchjson |
-//	    benchdiff -baseline BENCH_PR7.json -current - -mode smoke
+//	    benchdiff -baseline <snapshot> -current - -mode smoke
+//
+// where <snapshot> is the committed file the Makefile's BENCH_SNAPSHOT
+// names (`make bench-gate` runs exactly this pipeline).
 //
 // Two modes share one rule — every baseline benchmark must be present in
 // the current run (a silently dropped metric is itself a regression) — and

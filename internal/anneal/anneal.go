@@ -125,6 +125,12 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, Stats, error) {
 	// temperature point" is the per-symbol multiplier.
 	movesPerTemp := swaps * n
 	temp := t0
+	// Fewer than two symbols admit no swap (drawing a second symbol would
+	// never end) and no move that changes the cost, so the identity
+	// assignment is final and no random number is drawn.
+	if n < 2 {
+		temps = 0
+	}
 	for t := 0; t < temps; t++ {
 		for mv := 0; mv < movesPerTemp; mv++ {
 			stats.Moves++

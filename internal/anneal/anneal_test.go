@@ -1,7 +1,9 @@
 package anneal
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/cost"
@@ -103,5 +105,28 @@ func TestTooManySymbols(t *testing.T) {
 	cs := constraint.MustParse("symbols a b c\nface a b\n")
 	if _, _, err := Encode(cs, Options{Bits: 1}); err == nil {
 		t.Fatal("3 symbols cannot fit in 1 bit")
+	}
+}
+
+// A one-symbol set has no swap to make: Encode must return the identity
+// assignment instead of drawing a second symbol forever.
+func TestSingleSymbol(t *testing.T) {
+	for _, opts := range []Options{{}, {Bits: 2, UseCache: true}} {
+		done := make(chan error, 1)
+		go func() {
+			enc, stats, err := Encode(constraint.MustParse("symbols a\n"), opts)
+			if err == nil && (len(enc.Codes) != 1 || enc.Codes[0] != 0 || stats.Moves != 0) {
+				err = fmt.Errorf("got codes %v after %d moves, want [0] after none", enc.Codes, stats.Moves)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%+v: Encode did not return on a one-symbol set", opts)
+		}
 	}
 }

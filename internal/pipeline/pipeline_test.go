@@ -131,3 +131,44 @@ func TestRunDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOneStateMachine runs machines with a single state, given or left by
+// state minimization, through every strategy: each must return promptly
+// with a netlist that replays. The annealer used to spin forever on a
+// one-symbol set.
+func TestOneStateMachine(t *testing.T) {
+	cases := []struct {
+		name, kiss string
+		minimize   bool
+	}{
+		{"one state", ".i 1\n.o 1\n- a a 1\n", false},
+		{"minimized to one", ".i 1\n.o 1\n- a b 1\n- b a 1\n", true},
+	}
+	for _, tc := range cases {
+		for _, strat := range Strategies {
+			t.Run(tc.name+"/"+string(strat), func(t *testing.T) {
+				type result struct {
+					rep *Report
+					err error
+				}
+				done := make(chan result, 1)
+				go func() {
+					rep, err := RunKISS(context.Background(), strings.NewReader(tc.kiss), "one",
+						Options{Strategy: strat, MinimizeStates: tc.minimize})
+					done <- result{rep, err}
+				}()
+				select {
+				case r := <-done:
+					if r.err != nil {
+						t.Fatal(r.err)
+					}
+					if r.rep.EncodedStates != 1 || !r.rep.Replay.OK {
+						t.Fatalf("encoded states %d, replay %+v; want 1 state replaying ok", r.rep.EncodedStates, r.rep.Replay)
+					}
+				case <-time.After(time.Minute):
+					t.Fatal("pipeline did not return")
+				}
+			})
+		}
+	}
+}

@@ -222,16 +222,18 @@ func compatibility(seeds []dichotomy.D, opts Options) []bitset.Set {
 			}
 		}
 	})
-	// Symmetrize: adj[i] = upper[i] ∪ {j < i : i ∈ upper[j]}. Again one
-	// writer per row, reading only the now-frozen upper triangle.
+	// Symmetrize: adj[i] = upper[i] ∪ {j < i : i ∈ upper[j]}, in place.
+	// This pass stays sequential: adj[i] shares upper[i]'s words, so a
+	// parallel pass would write row i while other rows' readers load the
+	// same words — a data race, though on bits those readers never test.
 	adj := make([]bitset.Set, n)
-	forEachRow(n, workers, func(i int) {
+	for i := range adj {
 		adj[i] = upper[i]
 		for j := 0; j < i; j++ {
 			if upper[j].Has(i) {
 				adj[i].Add(j)
 			}
 		}
-	})
+	}
 	return adj
 }

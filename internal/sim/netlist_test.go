@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -208,4 +210,66 @@ func corruptOutputTable(text string) (string, bool) {
 		return strings.Join(lines, "\n"), true
 	}
 	return text, false
+}
+
+// A walk step — one machine step and one netlist cycle — allocates
+// nothing: a whole 64-step walk is measured.
+func TestReplayWalkAllocationFree(t *testing.T) {
+	fm, text := replayFixture(t)
+	r, err := newReplay(fm, mustNetlist(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := r.walk(rng, 0, 64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a 64-step replay walk allocates %v times, want 0", allocs)
+	}
+}
+
+// An output may be a latch output itself. Replay samples it before the
+// clock edge, so a Moore machine whose output is its state bit replays,
+// and the same netlist started in the other state diverges at once.
+func TestReplayLatchDrivenOutput(t *testing.T) {
+	m, err := kiss.ParseString(".i 1\n.o 1\n0 off off 0\n1 off on 0\n0 on on 1\n1 on off 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const moore = ".model moore\n.inputs in0\n.outputs out0\n.latch ns0 out0 %d\n.names in0 out0 ns0\n10 1\n01 1\n.end\n"
+	if err := ReplayNetlist(m, mustNetlist(t, fmt.Sprintf(moore, 0)), 8, 32, 1); err != nil {
+		t.Fatal(err)
+	}
+	err = ReplayNetlist(m, mustNetlist(t, fmt.Sprintf(moore, 1)), 8, 32, 1)
+	if err == nil || !strings.Contains(err.Error(), "sequence 0 step 0") {
+		t.Fatalf("wrong initial state: got %v, want a divergence at sequence 0 step 0", err)
+	}
+}
+
+// Netlists built in memory rather than parsed can carry cubes the parser
+// would reject: a cube narrower or wider than its table is an error, and a
+// zero-input table with an (empty) cube is the constant 1.
+func TestNetlistSimInMemoryTables(t *testing.T) {
+	bad := &blif.Netlist{
+		Inputs:  []string{"a", "b"},
+		Outputs: []string{"y"},
+		Tables:  []blif.Table{{Inputs: []string{"a", "b"}, Output: "y", Cubes: []string{"1"}}},
+	}
+	if _, err := NewNetlistSim(bad); err == nil || !strings.Contains(err.Error(), "width 1, want 2") {
+		t.Fatalf("narrow cube: got %v", err)
+	}
+	one := &blif.Netlist{
+		Outputs: []string{"y", "z"},
+		Tables:  []blif.Table{{Output: "y", Cubes: []string{""}}, {Output: "z"}},
+	}
+	s, err := NewNetlistSim(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs := s.Step(nil); !outs["y"] || outs["z"] {
+		t.Fatalf("constant tables: got %v, want y=1 z=0", outs)
+	}
 }
