@@ -28,9 +28,10 @@ staticcheck:
 test:
 	$(GO) test ./...
 
-# -timeout headroom: the corpus-replay sat rows scale their deadlines
-# under the detector's ~15x slowdown and can push the pipeline package
-# past go test's default 10-minute cap on a loaded machine.
+# -timeout headroom: internal/paperbench's SAT cross-check of the exact
+# column (TestSATBackendMatchesExactColumn) solves syn10 and syn12
+# through the SAT backend, ~35 s clean and ~6.5 min under the detector
+# on a 2-CPU machine, close to go test's default 10-minute cap.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/cover"
 	"repro/internal/dichotomy"
 	"repro/internal/fsm"
 	"repro/internal/heuristic"
@@ -214,7 +213,7 @@ func BenchmarkDistance2(b *testing.B) {
 		dist2 a b
 	`)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExactEncodeExtendedCtx(context.Background(), cs, core.ExactOptions{}); err != nil {
+		if _, err := core.ExactEncodeCtx(context.Background(), cs, core.ExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +229,7 @@ func BenchmarkNonFace(b *testing.B) {
 		nonface a b e
 	`)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExactEncodeExtendedCtx(context.Background(), cs, core.ExactOptions{}); err != nil {
+		if _, err := core.ExactEncodeCtx(context.Background(), cs, core.ExactOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +336,7 @@ func BenchmarkBinateCover(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := tab.SolveCtx(context.Background(), cover.Options{}); err != nil {
+		if _, err := tab.SolveCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -78,7 +78,7 @@ func main() {
 	jobs := flag.Int("j", 1, "instances checked concurrently")
 	mode := flag.String("mode", "all", "family to run: all|feasible|unrestricted|extended|multicomponent|fsm|gpi")
 	noAnneal := flag.Bool("no-anneal", false, "skip the annealing comparator")
-	backendFlag := flag.String("backend", "", "primary covering backend for the exact solves: bb (default) or sat; the matrix always re-solves with the other one")
+	backendFlag := flag.String("backend", "", "primary unate covering backend for the exact solves: bb (default) or sat; the matrix always re-solves with the other one")
 	verbose := flag.Bool("v", false, "print one line per instance")
 	flag.Parse()
 	backend, ok := core.ParseBackend(*backendFlag)

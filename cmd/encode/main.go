@@ -43,7 +43,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print pipeline details")
 	traceFlag := flag.Bool("trace", false, "print a per-stage time table to stderr after solving")
 	decompose := flag.Bool("decompose", false, "solve the exact problem by connected-component decomposition")
-	backendFlag := flag.String("backend", "", "exact-mode covering backend: bb (branch-and-bound, default) or sat")
+	backendFlag := flag.String("backend", "", "exact-mode unate covering backend: bb (branch-and-bound, default) or sat")
 	remote := flag.String("remote", "", "solve via a running served instance at this base URL (e.g. http://localhost:8080)")
 	async := flag.Bool("async", false, "with -remote: submit as an async job and long-poll for the result")
 	apiKey := flag.String("api-key", "", "with -remote: tenant credential sent as the bearer token")
@@ -136,38 +136,17 @@ func main() {
 		return
 	}
 
-	exactOpts := core.ExactOptions{
+	res, err := encodingapi.ExactEncode(ctx, cs, core.ExactOptions{
 		Prime:       prime.Options{Limit: *primeLimit},
 		Parallelism: par.Parallelism{Workers: *jobs, TimeLimit: *timeout},
 		Backend:     backend,
+		Decompose:   *decompose,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	var res *core.ExactResult
-	switch {
-	case *decompose:
-		exactOpts.Decompose = true
-		var err error
-		if res, err = encodingapi.ExactEncode(ctx, cs, exactOpts); err != nil {
-			fatal(err)
-		}
-		if *verbose {
-			fmt.Printf("# components=%d\n", encodingapi.DecompCount(cs))
-		}
-	case len(cs.Chains) > 0:
-		enc, err := core.SolveWithChains(cs, cs.N())
-		if err != nil {
-			fatal(err)
-		}
-		res = &core.ExactResult{Encoding: enc}
-	case cs.HasExtensionConstraints():
-		var err error
-		if res, err = core.ExactEncodeExtendedCtx(ctx, cs, exactOpts); err != nil {
-			fatal(err)
-		}
-	default:
-		var err error
-		if res, err = core.ExactEncodeCtx(ctx, cs, exactOpts); err != nil {
-			fatal(err)
-		}
+	if *decompose && *verbose {
+		fmt.Printf("# components=%d\n", encodingapi.DecompCount(cs))
 	}
 	if *verbose {
 		fmt.Printf("# seeds=%d raised=%d primes=%d optimal=%v\n",

@@ -50,9 +50,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "pool workers: concurrent solves (0 = all CPUs)")
-	solveWorkers := flag.Int("solve-workers", 1, "engine workers per solve (0 = all CPUs); results are identical for any value")
 	queue := flag.Int("queue", server.DefaultQueueDepth, "pending-solve queue depth before shedding load with 429")
-	cacheEntries := flag.Int("cache", server.DefaultCacheEntries, "result-cache entries (0 disables caching)")
+	cacheEntries := flag.Int("cache", server.DefaultCacheEntries, "result-cache entries (0 = default, negative disables caching)")
 	timeout := flag.Duration("timeout", server.DefaultTimeout, "default solve budget per request")
 	maxTimeout := flag.Duration("max-timeout", server.DefaultMaxTimeout, "ceiling on client-requested solve budgets")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
@@ -66,7 +65,7 @@ func main() {
 	tenantActive := flag.Int("tenant-active", 0, "concurrent solves per tenant before shedding with 429 (0 = unlimited)")
 	tenantJobs := flag.Int("tenant-jobs", 0, "live jobs per tenant before submits shed with 429 (0 = unlimited)")
 	decompose := flag.Bool("decompose", false, "solve exact requests by connected-component decomposition (per-component caching)")
-	backend := flag.String("backend", "", "default exact-mode covering backend: bb (branch-and-bound) or sat")
+	backend := flag.String("backend", "", "default exact-mode unate covering backend: bb (branch-and-bound) or sat")
 	flag.Parse()
 	if _, ok := encodingapi.ParseBackend(*backend); !ok {
 		fatal(fmt.Errorf("unknown backend %q (want bb or sat)", *backend))
@@ -75,7 +74,6 @@ func main() {
 	srv := server.New(server.Config{
 		Addr:               *addr,
 		Workers:            *workers,
-		SolveWorkers:       *solveWorkers,
 		QueueDepth:         *queue,
 		CacheEntries:       *cacheEntries,
 		DefaultTimeout:     *timeout,

@@ -9,11 +9,12 @@
 //   - P-1, feasibility: CheckFeasible / Feasible decide in polynomial time
 //     whether a mixed input/output constraint set admits any encoding
 //     (Theorem 6.1).
-//   - P-2, exact minimum-length encoding: ExactEncode (and
-//     ExactEncodeExtended for the Section-8 distance-2/non-face
-//     extensions, SolveWithChains for chains) runs the Figure-7 pipeline —
-//     initial dichotomies, maximal raising, prime generation, exact unate
-//     covering.
+//   - P-2, exact minimum-length encoding: ExactEncode runs the Figure-7
+//     pipeline — initial dichotomies, maximal raising, prime generation,
+//     exact covering — for every constraint class. The covering is unate
+//     for input/output constraints and binate once the Section-8
+//     distance-2/non-face extensions are present; chain constraints go to
+//     a direct search.
 //   - P-3, bounded-length encoding: HeuristicEncode runs the Section-7.1
 //     split/merge/select heuristic under a chosen cost metric.
 //
@@ -89,7 +90,7 @@ type (
 	// PrimeOptions tunes maximal-compatible generation inside
 	// ExactOptions.
 	PrimeOptions = prime.Options
-	// Backend selects the exact encoder's covering engine inside
+	// Backend selects the exact encoder's unate covering engine inside
 	// ExactOptions: branch-and-bound (default) or the CNF/SAT backend.
 	Backend = core.Backend
 	// CoverOptions tunes the covering solvers inside ExactOptions.
@@ -131,10 +132,10 @@ const (
 	// BackendBranchBound is the hand-rolled covering branch-and-bound
 	// (the default).
 	BackendBranchBound = core.BackendBranchBound
-	// BackendSAT compiles the covering problem to CNF and solves it with
-	// the embedded DPLL solver (internal/sat). Agrees with branch-and-bound
-	// on feasibility, code length and optimality; the concrete codes may
-	// differ when several minimum covers exist.
+	// BackendSAT compiles the unate covering problem to CNF and solves it
+	// with the embedded DPLL solver (internal/sat). Agrees with
+	// branch-and-bound on feasibility, code length and optimality; the
+	// concrete codes may differ when several minimum covers exist.
 	BackendSAT = core.BackendSAT
 )
 
@@ -148,8 +149,8 @@ const (
 	Literals = cost.Literals
 )
 
-// ErrInfeasible is returned by ExactEncode and ExactEncodeExtended when the
-// constraints admit no encoding.
+// ErrInfeasible is returned by ExactEncode when the constraints admit no
+// encoding.
 var ErrInfeasible = core.ErrInfeasible
 
 // InfeasibleError is the typed infeasibility report the exact solvers
@@ -234,12 +235,13 @@ func CheckFeasibleCtx(ctx context.Context, cs *Set) Feasibility {
 // Feasible is CheckFeasible reduced to its verdict.
 func Feasible(cs *Set) bool { return core.CheckFeasible(cs).Feasible }
 
-// ExactEncode solves P-2: minimum-length codes satisfying all input and
-// output constraints, or ErrInfeasible. The context cancels the exponential
-// stages cooperatively; see core.ExactEncodeCtx for the exact contract.
-// With opts.Decompose set, the set is split into the connected components
-// of its symbol graph and the components solve independently (see
-// internal/decomp); any infeasibility is reported in global terms.
+// ExactEncode solves P-2: minimum-length codes satisfying every constraint
+// of the set, extensions included, or ErrInfeasible. The context cancels
+// the exponential stages cooperatively; see core.ExactEncodeCtx for the
+// exact contract. With opts.Decompose set, the set is split into the
+// connected components of its symbol graph and the components solve
+// independently (see internal/decomp; sets with chain or non-face
+// constraints solve whole); any infeasibility is reported in global terms.
 func ExactEncode(ctx context.Context, cs *Set, opts ExactOptions) (*ExactResult, error) {
 	if opts.Decompose {
 		return decomp.ExactEncodeCtx(ctx, cs, opts)
@@ -247,28 +249,10 @@ func ExactEncode(ctx context.Context, cs *Set, opts ExactOptions) (*ExactResult,
 	return core.ExactEncodeCtx(ctx, cs, opts)
 }
 
-// ExactEncodeExtended solves P-2 in the presence of the Section-8
-// distance-2 and non-face extension constraints. opts.Decompose routes
-// through connected-component decomposition exactly as in ExactEncode
-// (non-face and chain sets fall back to the monolithic path internally).
-func ExactEncodeExtended(ctx context.Context, cs *Set, opts ExactOptions) (*ExactResult, error) {
-	if opts.Decompose {
-		return decomp.ExactEncodeCtx(ctx, cs, opts)
-	}
-	return core.ExactEncodeExtendedCtx(ctx, cs, opts)
-}
-
 // DecompCount reports the number of connected components of cs's symbol
 // graph (1 for sets the decomposer cannot split: chains or non-faces
 // present). Useful for reporting and capacity planning.
 func DecompCount(cs *Set) int { return decomp.Count(cs) }
-
-// SolveWithChains searches directly for codes satisfying a set that
-// includes chain constraints; exponential, limited to small symbol counts
-// (the paper's Section-8.4 open problem).
-func SolveWithChains(cs *Set, maxBits int) (*Encoding, error) {
-	return core.SolveWithChains(cs, maxBits)
-}
 
 // HeuristicEncode solves P-3: a bounded-length encoding minimizing the
 // chosen cost metric via the split/merge/select heuristic. Output
@@ -283,13 +267,7 @@ func HeuristicEncode(ctx context.Context, cs *Set, opts HeuristicOptions) (*Heur
 // uniqueness).
 func Verify(cs *Set, e *Encoding) []Violation { return core.Verify(cs, e) }
 
-// HashSet returns the canonical 128-bit content hash of a constraint set;
-// see core.HashSet for what "canonical" covers. Constraint order and
-// symbol-interning order are significant; use CanonicalHashSet to key
-// caches that must treat reordered-but-equal sets as one problem.
-func HashSet(cs *Set) Hash128 { return core.HashSet(cs) }
-
-// CanonicalHashSet is HashSet made invariant under constraint reordering
-// and symbol-interning order; see core.CanonicalHashSet for the exact
-// equivalence it quotients by.
+// CanonicalHashSet returns the 128-bit content hash of a constraint set,
+// invariant under constraint reordering and symbol-interning order; see
+// core.CanonicalHashSet for the exact equivalence it quotients by.
 func CanonicalHashSet(cs *Set) Hash128 { return core.CanonicalHashSet(cs) }

@@ -65,8 +65,8 @@ func TestFacadeInfeasible(t *testing.T) {
 }
 
 func TestFacadeHashAndMetrics(t *testing.T) {
-	a := encodingapi.HashSet(encodingapi.MustParse("face a b\n"))
-	b := encodingapi.HashSet(encodingapi.MustParse("face  a , b\n"))
+	a := encodingapi.CanonicalHashSet(encodingapi.MustParse("face a b\n"))
+	b := encodingapi.CanonicalHashSet(encodingapi.MustParse("face  a , b\n"))
 	if a != b || a.IsZero() {
 		t.Fatalf("hash not canonical over formatting: %v vs %v", a, b)
 	}

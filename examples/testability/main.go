@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := core.ExactEncodeExtendedCtx(context.Background(), cs, core.ExactOptions{})
+	res, err := core.ExactEncodeCtx(context.Background(), cs, core.ExactOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

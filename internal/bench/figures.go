@@ -8,7 +8,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/cover"
 	"repro/internal/dichotomy"
 	"repro/internal/prime"
 )
@@ -30,7 +29,7 @@ func Figure1() (string, error) {
 	b.WriteString("Figure 1: satisfaction of constraints as binate covering\n")
 	b.WriteString("constraints: (a,b), b > c, b = a | c\n\n")
 	b.WriteString(tab.Render())
-	pats, err := tab.SolveCtx(context.Background(), cover.Options{})
+	pats, err := tab.SolveCtx(context.Background())
 	if err != nil {
 		return "", err
 	}

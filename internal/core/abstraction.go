@@ -6,8 +6,9 @@ import (
 	"strings"
 
 	"repro/internal/constraint"
-	"repro/internal/cover"
 	"repro/internal/dichotomy"
+	"repro/internal/hypercube"
+	"repro/internal/sat"
 )
 
 // BinateTable is the Section-4 abstraction of encoding-constraint
@@ -109,24 +110,27 @@ func dichotomyOfPattern(pat uint64, n int) dichotomy.D {
 }
 
 // SolveCtx finds a minimum set of encoding columns satisfying the table
-// via the binate covering solver; the selected column patterns are
-// returned. The context is polled by the binate branch and bound every
-// 256 nodes.
-func (t *BinateTable) SolveCtx(ctx context.Context, opts cover.Options) ([]uint64, error) {
-	p := cover.BinateProblem{NumCols: len(t.Columns)}
+// through the binate covering solve of internal/sat; the selected column
+// patterns are returned. The context bounds the solve: expiry before a
+// first solution returns the context error, and after one the best
+// solution found so far.
+func (t *BinateTable) SolveCtx(ctx context.Context) ([]uint64, error) {
+	p := sat.BinateProblem{NumCols: len(t.Columns)}
 	for _, row := range t.Rows {
-		var clause []cover.Lit
+		var clause []sat.Lit
 		for j, v := range row {
 			switch v {
 			case 1:
-				clause = append(clause, cover.Lit{Col: j})
+				clause = append(clause, sat.Pos(j))
 			case 0:
-				clause = append(clause, cover.Lit{Col: j, Neg: true})
+				clause = append(clause, sat.Neg(j))
 			}
 		}
 		p.Clauses = append(p.Clauses, clause)
 	}
-	sol, err := p.SolveCtx(ctx, opts)
+	// The uniqueness rows force pairwise-distinct codes, so no solution has
+	// fewer than ceil(log2 n) columns: the k-search starts there.
+	sol, err := sat.SolveBinateCtx(ctx, &p, sat.CoverOptions{LowerBound: hypercube.MinBits(t.Syms.N())})
 	if err != nil {
 		return nil, err
 	}

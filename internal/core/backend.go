@@ -1,11 +1,14 @@
 package core
 
-// Backend selects the covering engine of the exact encoder.
+// Backend selects the unate covering engine of the exact encoder. Binate
+// covering — sets with distance-2 or non-face constraints, and the
+// Section-4 table — has one engine, the CNF backend of internal/sat,
+// whatever the Backend.
 type Backend int
 
 const (
-	// BackendBranchBound is the hand-rolled unate/binate branch-and-bound
-	// over the covering matrix — the default.
+	// BackendBranchBound is the hand-rolled unate branch-and-bound over
+	// the covering matrix — the default.
 	BackendBranchBound Backend = iota
 	// BackendSAT compiles the covering problem to CNF (one selection
 	// variable per candidate column, sequential-counter/commander

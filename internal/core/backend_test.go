@@ -84,8 +84,9 @@ func TestSATBackendAgreesPlain(t *testing.T) {
 	}
 }
 
-// TestSATBackendAgreesExtended: same agreement on Section-8 extension
-// sets, which route through the binate lowering.
+// TestSATBackendAgreesExtended: on Section-8 extension sets the covering
+// is binate and always runs on the CNF backend, so the Backend choice
+// cannot change the answer: both return the same verified encoding.
 func TestSATBackendAgreesExtended(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -113,19 +114,17 @@ func TestSATBackendAgreesExtended(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cs := constraint.MustParse(tc.text)
-			bb, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{})
+			bb, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
 			if err != nil {
 				t.Fatalf("branch-and-bound: %v", err)
 			}
-			st, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{Backend: BackendSAT})
+			st, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{Backend: BackendSAT})
 			if err != nil {
 				t.Fatalf("sat: %v", err)
 			}
-			if bb.Optimal != st.Optimal {
-				t.Fatalf("optimality disagrees: bb=%v sat=%v", bb.Optimal, st.Optimal)
-			}
-			if bb.Optimal && bb.Encoding.Bits != st.Encoding.Bits {
-				t.Fatalf("bits disagree: bb=%d sat=%d", bb.Encoding.Bits, st.Encoding.Bits)
+			if bb.Optimal != st.Optimal || bb.Encoding.String() != st.Encoding.String() {
+				t.Fatalf("backends disagree: bb (optimal=%v)\n%s\nsat (optimal=%v)\n%s",
+					bb.Optimal, bb.Encoding, st.Optimal, st.Encoding)
 			}
 			if v := Verify(cs, st.Encoding); len(v) != 0 {
 				t.Fatalf("sat encoding fails verification: %v\n%s", v, st.Encoding)
@@ -134,7 +133,7 @@ func TestSATBackendAgreesExtended(t *testing.T) {
 	}
 }
 
-// TestSATBackendInfeasible: both backends return the typed infeasibility
+// TestSATBackendInfeasible: either backend returns the typed infeasibility
 // on a contradictory extended set.
 func TestSATBackendInfeasible(t *testing.T) {
 	cs := constraint.MustParse(`
@@ -143,10 +142,10 @@ func TestSATBackendInfeasible(t *testing.T) {
 		dom b > a
 		dist2 a b
 	`)
-	if _, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("branch-and-bound: want ErrInfeasible, got %v", err)
 	}
-	if _, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{Backend: BackendSAT}); !errors.Is(err, ErrInfeasible) {
+	if _, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{Backend: BackendSAT}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("sat: want ErrInfeasible, got %v", err)
 	}
 }

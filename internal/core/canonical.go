@@ -7,14 +7,16 @@ import (
 	"repro/internal/constraint"
 )
 
-// CanonicalHashSet returns a 128-bit hash invariant under the two
-// representation choices HashSet deliberately preserves: the order symbols
-// were interned in and the order constraints were written in. Two sets that
-// denote the same problem — same symbol names, same constraints up to
-// reordering of the constraint lists and of any semantically unordered
-// members (disjunctive children, distance-2 pairs, extended-disjunctive
-// conjunctions) — hash identically; sets differing in any semantic detail
-// do not, up to 128-bit collision odds.
+// CanonicalHashSet returns the 128-bit content hash of a constraint set,
+// invariant under two representation choices: the order symbols were
+// interned in and the order constraints were written in. Source-text
+// formatting (comments, whitespace, token gluing) is gone by parse time,
+// and bitset word padding never reaches the hash, which folds members as
+// index lists. Two sets that denote the same problem — same symbol names,
+// same constraints up to reordering of the constraint lists and of any
+// semantically unordered members (disjunctive children, distance-2 pairs,
+// extended-disjunctive conjunctions) — hash identically; sets differing in
+// any semantic detail do not, up to 128-bit collision odds.
 //
 // Canonicalization: symbols are ranked by name and every index is remapped
 // through that ranking, so "face a b" hashes the same whether a was
@@ -45,8 +47,8 @@ func CanonicalHashSet(cs *constraint.Set) Hash128 {
 		perm[old] = rank
 	}
 
-	// A distinct seed from HashSet: the two hash spaces never alias, so a
-	// canonical key can't be confused with an order-sensitive one.
+	// A seed distinct from HashBytes's: a constraint-set key and a
+	// byte-string key share the server's maps without aliasing.
 	h := &setHasher{h1: 0x2ffd72dbd01adfb7, h2: 0xb8e1afed6a267e96}
 
 	h.word(tagSymbols)

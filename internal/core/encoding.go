@@ -2,15 +2,21 @@
 // the polynomial feasibility check for mixed input and output encoding
 // constraints (P-1, Theorem 6.1), the exact minimum-length encoder (P-2,
 // Figure 7), the Section-4 binate-covering abstraction, and the Section-8
-// extensions (encoding don't-cares, distance-2 and non-face constraints).
+// extensions (encoding don't-cares, distance-2, non-face and chain
+// constraints).
+//
+// ExactEncodeCtx is the one P-2 entry point for every constraint class. It
+// covers with the unate matrix (engine picked by ExactOptions.Backend) when
+// only input and output constraints are present, lowers distance-2 and
+// non-face constraints to binate clauses solved by internal/sat, and hands
+// chain sets to the direct search of SolveWithChains.
 //
 // # Cancellation and parallelism
 //
-// Every solver entry point has a Ctx variant (ExactEncodeCtx,
-// ExactEncodeExtendedCtx, BinateTable.SolveCtx) that threads the context
-// into the exponential stages — prime generation and the covering branch
-// and bound — so deadlines and cancellation stop them cooperatively; the
-// context-free names wrap context.Background and remain the simple API.
+// The solver entry points (ExactEncodeCtx, SolveWithChains,
+// BinateTable.SolveCtx) take a context and thread it into the exponential
+// stages — prime generation, the covering search and the chain search — so
+// deadlines and cancellation stop them cooperatively.
 // ExactOptions.Workers fans the prime enumeration, the covering-matrix
 // construction and the covering search out over a worker pool. All parallel
 // stages are deterministic: results are identical for any worker count.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,8 @@ type ExactOptions struct {
 	par.Parallelism
 	// Prime configures maximal-compatible generation (engine, limit).
 	Prime prime.Options
-	// Cover configures the final unate covering solve.
+	// Cover configures the final unate covering solve; its TimeLimit also
+	// bounds the binate solve of distance-2/non-face sets.
 	Cover cover.Options
 	// Exhaustive, when true, bypasses prime generation and enumerates
 	// every valid total encoding column (2^n - 2 candidates); only
@@ -44,8 +44,9 @@ type ExactOptions struct {
 	// internal/decomp, which core cannot import; encodingapi.ExactEncode
 	// and the service layer honor the flag.
 	Decompose bool
-	// Backend selects the covering engine: branch-and-bound (default) or
-	// the CNF/SAT backend. Both prove the same optima; see Backend.
+	// Backend selects the unate covering engine: branch-and-bound
+	// (default) or the CNF/SAT backend. Both prove the same optima; see
+	// Backend.
 	Backend Backend
 }
 
@@ -78,7 +79,8 @@ type ExactResult struct {
 }
 
 // ExactEncodeCtx solves P-2: it finds codes of minimum length satisfying all
-// input and output constraints (Figure 7), or returns ErrInfeasible.
+// input and output constraints (Figure 7), or returns ErrInfeasible. It is
+// the one exact entry point for every constraint class.
 //
 // Pipeline: generate initial encoding-dichotomies; delete invalid ones;
 // maximally raise the rest, deleting any that become invalid; check
@@ -93,17 +95,31 @@ type ExactResult struct {
 // when each piece is individually realizable, so retaining the pieces
 // guarantees a cover exists whenever CheckFeasible succeeds.
 //
+// The Section-8 extensions change only the covering step. Without them the
+// covering is unate and opts.Backend picks its engine. Distance-2 and
+// non-face constraints turn it binate (see coverExtended), which the CNF
+// backend solves whatever the Backend. Chain constraints are not
+// expressible as covering clauses at all (Section 8.4) and go to the direct
+// search of SolveWithChains.
+//
 // The context is threaded into prime generation (cooperative cancellation
-// of the exponential search) and the covering solve (anytime:
-// cancellation yields the incumbent with Optimal=false). Prime-generation
-// cancellation aborts the pipeline with the wrapped context error (or
-// prime.ErrTimeout on a missed deadline).
+// of the exponential search), the covering solve (anytime: cancellation
+// yields the incumbent with Optimal=false) and the chain search.
+// Prime-generation cancellation aborts the pipeline with the wrapped
+// context error (or prime.ErrTimeout on a missed deadline), chain-search
+// cancellation with the context error.
 func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) (*ExactResult, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
-	if cs.HasExtensionConstraints() {
-		return nil, fmt.Errorf("core: ExactEncodeCtx does not handle distance-2/non-face/chain constraints; use ExactEncodeExtendedCtx")
+	if len(cs.Chains) > 0 {
+		ctx, cancel := opts.Context(ctx) // TimeLimit bounds the search
+		defer cancel()
+		enc, err := SolveWithChains(ctx, cs, cs.N())
+		if err != nil {
+			return nil, err
+		}
+		return &ExactResult{Encoding: enc, Optimal: true}, nil
 	}
 	n := cs.N()
 	if n == 0 {
@@ -125,9 +141,17 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 	}
 
 	primeOpts, coverOpts := opts.stageOptions()
+	// The prime pool is complete for plain P-2 (every minimum solution can
+	// be assembled from prime columns), but once distance-2/non-face
+	// clauses restrict which columns may be selected together, a
+	// minimum-length solution may need valid columns that are not primes.
+	// Small universes then use the complete column pool; larger ones keep
+	// the primes and claim optimality only relative to them.
+	hasExt := len(cs.Distance2s) > 0 || len(cs.NonFaces) > 0
+	poolComplete := opts.Exhaustive || (hasExt && n <= extendedExhaustiveLimit)
 	var candidates []dichotomy.D
 	var err error
-	if opts.Exhaustive {
+	if poolComplete {
 		candidates = enumerateValidColumns(cs)
 	} else {
 		candidates, err = prime.GenerateCtx(ctx, raised, primeOpts)
@@ -141,31 +165,42 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 		candidates = dedupe(append(candidates, raised...))
 	}
 
-	if coverOpts.LowerBound == 0 {
-		// No encoding can use fewer than ceil(log2 n) columns: uniqueness
-		// rows force pairwise-distinct codes. Lets the search stop early.
-		coverOpts.LowerBound = hypercube.MinBits(n)
-	}
-	sol, err := coverSeeds(ctx, seeds, candidates, coverOpts, opts.Backend)
-	if err != nil {
-		if errors.Is(err, cover.ErrInfeasible) {
-			return nil, newInfeasibleError(cs, nil)
+	var cols []dichotomy.D
+	var optimal bool
+	if hasExt {
+		cols, optimal, err = coverExtended(ctx, cs, seeds, candidates, coverOpts.TimeLimit)
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
+		optimal = optimal && poolComplete
+	} else {
+		if coverOpts.LowerBound == 0 {
+			// No encoding can use fewer than ceil(log2 n) columns:
+			// uniqueness rows force pairwise-distinct codes. Lets the
+			// search stop early.
+			coverOpts.LowerBound = hypercube.MinBits(n)
+		}
+		sol, err := coverSeeds(ctx, seeds, candidates, coverOpts, opts.Backend)
+		if err != nil {
+			if errors.Is(err, cover.ErrInfeasible) {
+				return nil, newInfeasibleError(cs, nil)
+			}
+			return nil, err
+		}
+		cols = make([]dichotomy.D, 0, len(sol.Cols))
+		for _, c := range sol.Cols {
+			cols = append(cols, candidates[c])
+		}
+		optimal = sol.Optimal
 	}
 
-	cols := make([]dichotomy.D, 0, len(sol.Cols))
-	for _, c := range sol.Cols {
-		cols = append(cols, candidates[c])
-	}
-	enc := FromColumns(cs.Syms, cols)
 	res := &ExactResult{
-		Encoding:        enc,
+		Encoding:        FromColumns(cs.Syms, cols),
 		Seeds:           seeds,
 		Raised:          raised,
 		Primes:          candidates,
 		SelectedColumns: cols,
-		Optimal:         sol.Optimal,
+		Optimal:         optimal,
 	}
 	if rec := trace.FromContext(ctx); rec != nil {
 		res.Trace = rec.Snapshot()

@@ -4,26 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/constraint"
-	"repro/internal/cover"
 	"repro/internal/dichotomy"
 	"repro/internal/hypercube"
-	"repro/internal/prime"
 	"repro/internal/sat"
 	"repro/internal/trace"
 )
 
-// extendedExhaustiveLimit is the largest universe for which the extended
-// solver swaps the prime-dichotomy candidate pool for the complete set of
-// valid columns (2^n - 2 of them before validity filtering). Beyond it the
-// restricted pool is kept and the result no longer claims optimality.
+// extendedExhaustiveLimit is the largest universe for which a set with
+// distance-2 or non-face constraints swaps the prime-dichotomy candidate
+// pool for the complete set of valid columns (2^n - 2 of them before
+// validity filtering). Beyond it the restricted pool is kept and the result
+// no longer claims optimality.
 const extendedExhaustiveLimit = 10
 
-// ExactEncodeExtendedCtx solves P-2 in the presence of the Section-8 extension
-// constraints. Distance-2 and non-face constraints are lowered to extra
-// binate clauses on the final covering step, as sketched in Sections 8.2
-// and 8.3:
+// coverExtended is the covering step of ExactEncodeCtx when distance-2 or
+// non-face constraints are present. They are lowered to extra binate
+// clauses on top of the unate seed rows, as sketched in Sections 8.2 and
+// 8.3, and the problem is solved by the CNF backend (internal/sat):
 //
 //   - distance-2 (a,b): at least two selected columns must separate a and
 //     b; encoded as the clause family {∨(S∖{s}) : s ∈ S} over the set S of
@@ -34,64 +34,10 @@ const extendedExhaustiveLimit = 10
 //     (∨_t u_t) ∧ (¬u_t ∨ ¬p) for every candidate column p separating F
 //     from t.
 //
-// Chain constraints are *not* lowered — the paper leaves them open
-// (Section 8.4); SolveWithChains provides a direct small-scale search.
-//
-// See ExactEncodeCtx for the cancellation contract; the binate covering
-// stage polls the context every 256 nodes.
-func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) (*ExactResult, error) {
-	if err := cs.Validate(); err != nil {
-		return nil, err
-	}
-	if len(cs.Chains) > 0 {
-		return nil, fmt.Errorf("core: chain constraints are not expressible as covering clauses (Section 8.4); use SolveWithChains")
-	}
+// It returns the selected candidate columns and whether the solve proved
+// them minimal over the pool.
+func coverExtended(ctx context.Context, cs *constraint.Set, seeds, candidates []dichotomy.D, timeLimit time.Duration) ([]dichotomy.D, bool, error) {
 	n := cs.N()
-	if n == 0 {
-		return &ExactResult{Encoding: NewEncoding(cs.Syms, 0, nil), Optimal: true}, nil
-	}
-
-	// Base pipeline on the input/output constraints only.
-	base := cs.Clone()
-	base.Distance2s = nil
-	base.NonFaces = nil
-
-	ssp := trace.StartSpan(ctx, "core.seeds")
-	seeds := dichotomy.Initial(base)
-	raised := dichotomy.ValidRaised(seeds, base)
-	ssp.Set("seeds", len(seeds)).Set("raised", len(raised)).End()
-	var uncovered []dichotomy.D
-	for _, i := range seeds {
-		if !dichotomy.CoveredBySome(i, raised) {
-			uncovered = append(uncovered, i)
-		}
-	}
-	if len(uncovered) > 0 {
-		return nil, newInfeasibleError(base, uncovered)
-	}
-	primeOpts, coverOpts := opts.stageOptions()
-	// The prime-dichotomy pool is complete for plain P-2 (every minimum
-	// solution can be assembled from prime columns), but once distance-2 /
-	// non-face clauses restrict which columns may be selected together, a
-	// minimum-length solution may need valid columns that are not primes of
-	// the base set. Use the complete column pool when the universe is small
-	// enough to afford it; otherwise the covering result is only optimal
-	// relative to the restricted pool and must not claim global optimality.
-	hasExt := len(cs.Distance2s) > 0 || len(cs.NonFaces) > 0
-	poolComplete := opts.Exhaustive || (hasExt && n <= extendedExhaustiveLimit)
-	var candidates []dichotomy.D
-	var err error
-	if poolComplete {
-		candidates = enumerateValidColumns(base)
-	} else {
-		candidates, err = prime.GenerateCtx(ctx, raised, primeOpts)
-		if err != nil {
-			return nil, err
-		}
-		candidates = dichotomy.ValidRaised(candidates, base)
-		candidates = dedupe(append(candidates, raised...))
-	}
-
 	csp := trace.StartSpan(ctx, "core.clauses")
 	// A column only reliably separates a pair or isolates a face when the
 	// placement survives completion: completion sends unassigned symbols
@@ -101,13 +47,12 @@ func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactO
 		completed[i] = complete(c, n)
 	}
 
-	rows := dichotomy.Rows(seeds)
-	p := cover.BinateProblem{NumCols: len(candidates) /* aux appended below */}
-	for _, r := range rows {
-		var clause []cover.Lit
+	var p sat.BinateProblem
+	for _, r := range dichotomy.Rows(seeds) {
+		var clause []sat.Lit
 		for ci, c := range candidates {
 			if c.Covers(r) {
-				clause = append(clause, cover.Lit{Col: ci})
+				clause = append(clause, sat.Pos(ci))
 			}
 		}
 		p.Clauses = append(p.Clauses, clause)
@@ -122,13 +67,13 @@ func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactO
 			}
 		}
 		if len(sep) < 2 {
-			return nil, &InfeasibleError{}
+			return nil, false, &InfeasibleError{}
 		}
 		for skip := range sep {
-			var clause []cover.Lit
+			var clause []sat.Lit
 			for i, c := range sep {
 				if i != skip {
-					clause = append(clause, cover.Lit{Col: c})
+					clause = append(clause, sat.Pos(c))
 				}
 			}
 			p.Clauses = append(p.Clauses, clause)
@@ -142,7 +87,7 @@ func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactO
 		costs[i] = 1
 	}
 	for _, nf := range cs.NonFaces {
-		var auxClause []cover.Lit
+		var auxClause []sat.Lit
 		for t := 0; t < n; t++ {
 			if nf.Members.Has(t) {
 				continue
@@ -150,20 +95,18 @@ func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactO
 			aux := len(candidates) + nAux
 			nAux++
 			costs = append(costs, 0)
-			auxClause = append(auxClause, cover.Lit{Col: aux})
+			auxClause = append(auxClause, sat.Pos(aux))
 			for ci, c := range completed {
 				// Column ci separates F from t when F lies in one block
 				// and t in the other.
 				if (nf.Members.SubsetOf(c.L) && c.R.Has(t)) ||
 					(nf.Members.SubsetOf(c.R) && c.L.Has(t)) {
-					p.Clauses = append(p.Clauses, []cover.Lit{
-						{Col: aux, Neg: true}, {Col: ci, Neg: true},
-					})
+					p.Clauses = append(p.Clauses, []sat.Lit{sat.Neg(aux), sat.Neg(ci)})
 				}
 			}
 		}
 		if len(auxClause) == 0 {
-			return nil, &InfeasibleError{}
+			return nil, false, &InfeasibleError{}
 		}
 		p.Clauses = append(p.Clauses, auxClause)
 	}
@@ -171,24 +114,18 @@ func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactO
 	p.Cost = costs
 	csp.Set("clauses", len(p.Clauses)).Set("candidates", len(candidates)).Set("aux", nAux).End()
 
-	var sol cover.BinateSolution
-	if opts.Backend == BackendSAT {
-		// Every encoding pays at least ceil(log2 n) priced columns (the
-		// uniqueness rows force pairwise-distinct codes), so the k-search
-		// can start there; the zero-cost auxiliaries are free in both
-		// backends.
-		sol, err = sat.SolveBinateCtx(ctx, &p, sat.CoverOptions{
-			LowerBound: hypercube.MinBits(n),
-			TimeLimit:  coverOpts.TimeLimit,
-		})
-	} else {
-		sol, err = p.SolveCtx(ctx, coverOpts)
-	}
+	// Every encoding pays at least ceil(log2 n) priced columns (the
+	// uniqueness rows force pairwise-distinct codes), so the k-search can
+	// start there; the zero-cost auxiliaries are free.
+	sol, err := sat.SolveBinateCtx(ctx, &p, sat.CoverOptions{
+		LowerBound: hypercube.MinBits(n),
+		TimeLimit:  timeLimit,
+	})
 	if err != nil {
-		if errors.Is(err, cover.ErrBinateInfeasible) {
-			return nil, &InfeasibleError{}
+		if errors.Is(err, sat.ErrBinateInfeasible) {
+			return nil, false, &InfeasibleError{}
 		}
-		return nil, err
+		return nil, false, err
 	}
 	var cols []dichotomy.D
 	for _, c := range sol.Selected {
@@ -196,19 +133,7 @@ func ExactEncodeExtendedCtx(ctx context.Context, cs *constraint.Set, opts ExactO
 			cols = append(cols, candidates[c])
 		}
 	}
-	enc := FromColumns(cs.Syms, cols)
-	res := &ExactResult{
-		Encoding:        enc,
-		Seeds:           seeds,
-		Raised:          raised,
-		Primes:          candidates,
-		SelectedColumns: cols,
-		Optimal:         sol.Optimal && (poolComplete || !hasExt),
-	}
-	if rec := trace.FromContext(ctx); rec != nil {
-		res.Trace = rec.Snapshot()
-	}
-	return res, nil
+	return cols, sol.Optimal, nil
 }
 
 // complete returns the total column obtained by sending every unassigned
@@ -223,13 +148,19 @@ func complete(d dichotomy.D, n int) dichotomy.D {
 	return c
 }
 
+// chainPollInterval is how many search nodes SolveWithChains visits between
+// context checks.
+const chainPollInterval = 1024
+
 // SolveWithChains performs a direct branch-and-bound search for codes
 // satisfying a constraint set that includes chain constraints, for small
 // symbol counts. It searches code lengths from the information-theoretic
 // minimum upward to maxBits and returns the first satisfying assignment
-// found. Exponential — a demonstration of the Section-8.4 open problem, not
-// a scalable algorithm.
-func SolveWithChains(cs *constraint.Set, maxBits int) (*Encoding, error) {
+// found, which is therefore of minimum length when maxBits allows it.
+// Exponential — a demonstration of the Section-8.4 open problem, not a
+// scalable algorithm. The context is polled every chainPollInterval search
+// nodes; cancellation or a missed deadline returns the context error.
+func SolveWithChains(ctx context.Context, cs *constraint.Set, maxBits int) (*Encoding, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
@@ -238,35 +169,63 @@ func SolveWithChains(cs *constraint.Set, maxBits int) (*Encoding, error) {
 		return nil, fmt.Errorf("core: SolveWithChains limited to 14 symbols, got %d", n)
 	}
 	for bits := hypercube.MinBits(n); bits <= maxBits; bits++ {
-		codes := make([]hypercube.Code, n)
-		used := make(map[hypercube.Code]bool, n)
-		if assignChainSearch(cs, bits, 0, codes, used) {
-			return NewEncoding(cs.Syms, bits, codes), nil
+		s := &chainSearch{
+			ctx:   ctx,
+			cs:    cs,
+			bits:  bits,
+			codes: make([]hypercube.Code, n),
+			used:  make(map[hypercube.Code]bool, n),
+		}
+		if s.assign(0) {
+			return NewEncoding(cs.Syms, bits, s.codes), nil
+		}
+		if s.err != nil {
+			return nil, s.err
 		}
 	}
 	return nil, ErrInfeasible
 }
 
-func assignChainSearch(cs *constraint.Set, bits, next int, codes []hypercube.Code, used map[hypercube.Code]bool) bool {
-	n := cs.N()
-	if next == n {
-		enc := NewEncoding(cs.Syms, bits, codes)
-		return len(Verify(cs, enc)) == 0
+// chainSearch is the state of one fixed-length SolveWithChains search.
+type chainSearch struct {
+	ctx   context.Context
+	cs    *constraint.Set
+	bits  int
+	codes []hypercube.Code
+	used  map[hypercube.Code]bool
+	nodes int
+	err   error // context error that aborted the search
+}
+
+// assign tries every unused code for symbol next, in ascending order, and
+// recurses; it reports whether a complete satisfying assignment was found.
+func (s *chainSearch) assign(next int) bool {
+	if s.nodes++; s.nodes%chainPollInterval == 0 {
+		if s.err = s.ctx.Err(); s.err != nil {
+			return false
+		}
 	}
-	limit := hypercube.Code(1) << uint(bits)
+	if next == s.cs.N() {
+		enc := NewEncoding(s.cs.Syms, s.bits, s.codes)
+		return len(Verify(s.cs, enc)) == 0
+	}
+	limit := hypercube.Code(1) << uint(s.bits)
 	for c := hypercube.Code(0); c < limit; c++ {
-		if used[c] {
+		if s.used[c] {
 			continue
 		}
-		codes[next] = c
-		if !partialOK(cs, bits, next, codes) {
+		s.codes[next] = c
+		if !partialOK(s.cs, s.bits, next, s.codes) {
 			continue
 		}
-		used[c] = true
-		if assignChainSearch(cs, bits, next+1, codes, used) {
+		s.used[c] = true
+		if s.assign(next + 1) {
 			return true
 		}
-		delete(used, c)
+		if s.err != nil {
+			return false
+		}
+		delete(s.used, c)
 	}
 	return false
 }

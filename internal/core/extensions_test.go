@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/hypercube"
@@ -22,7 +23,7 @@ func TestSection83NonFace(t *testing.T) {
 		face d f
 		nonface a b e
 	`)
-	res, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{})
+	res, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestDistance2(t *testing.T) {
 		face a b
 		dist2 a b
 	`)
-	res, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{})
+	res, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDistance2WithOutputConstraints(t *testing.T) {
 		dom a > c
 		dist2 c d
 	`)
-	res, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{})
+	res, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +71,9 @@ func TestDistance2WithOutputConstraints(t *testing.T) {
 	}
 }
 
-// TestExtendedMatchesExact: without extension constraints the extended
-// solver must find the same minimum as the plain exact encoder.
+// TestExtendedMatchesExact: with no extension clause beyond the seed rows,
+// the binate lowering of the extended covering step proves the same
+// minimum as the unate matrix over the same candidate pool.
 func TestExtendedMatchesExact(t *testing.T) {
 	cs := constraint.MustParse(`
 		symbols s0 s1 s2 s3
@@ -84,22 +86,63 @@ func TestExtendedMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{})
+	cols, optimal, err := coverExtended(context.Background(), cs, plain.Seeds, plain.Primes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Encoding.Bits != ext.Encoding.Bits {
-		t.Fatalf("extended solver found %d bits, exact %d", ext.Encoding.Bits, plain.Encoding.Bits)
+	if !plain.Optimal || !optimal || len(cols) != plain.Encoding.Bits {
+		t.Fatalf("binate lowering chose %d columns (optimal=%v), unate %d (optimal=%v)",
+			len(cols), optimal, plain.Encoding.Bits, plain.Optimal)
 	}
-	if v := Verify(cs, ext.Encoding); len(v) != 0 {
-		t.Fatalf("verification failed: %v", v)
+	enc := FromColumns(cs.Syms, cols)
+	if v := Verify(cs, enc); len(v) != 0 {
+		t.Fatalf("verification failed: %v\n%s", v, enc)
 	}
 }
 
-func TestExtendedRejectsChains(t *testing.T) {
+// TestExactEncodeSolvesChains: chain sets go through the one exact entry
+// point, which answers with the direct search's minimum-length codes.
+func TestExactEncodeSolvesChains(t *testing.T) {
 	cs := constraint.MustParse("symbols a b\nchain a b\n")
-	if _, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{}); err == nil {
-		t.Fatal("chains are not expressible; must be rejected")
+	res, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Optimal || res.Encoding.Bits != 1 {
+		t.Fatalf("want an optimal 1-bit chain encoding, got %d bits (optimal=%v)", res.Encoding.Bits, res.Optimal)
+	}
+	if v := Verify(cs, res.Encoding); len(v) != 0 {
+		t.Fatalf("verification failed: %v\n%s", v, res.Encoding)
+	}
+}
+
+// chainSearchHeavy is a chain set whose direct search runs for minutes,
+// far longer than any test budget.
+const chainSearchHeavy = `
+	chain a b
+	face a c
+	face a d
+	face b c
+	face b d
+	face a b e
+	face c d e
+	face f g
+	face g h
+`
+
+// TestChainSearchHonoursDeadline: the chain search polls its context, so a
+// 100 ms deadline ends it promptly with the context error.
+func TestChainSearchHonoursDeadline(t *testing.T) {
+	cs := constraint.MustParse(chainSearchHeavy)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := ExactEncodeCtx(ctx, cs, ExactOptions{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("search ran %v past a 100ms deadline", d)
 	}
 }
 
@@ -113,7 +156,7 @@ func TestSolveWithChains(t *testing.T) {
 		face a b
 		chain d b c a
 	`)
-	enc, err := SolveWithChains(cs, 4)
+	enc, err := SolveWithChains(context.Background(), cs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +185,7 @@ func TestSolveWithChainsInfeasible(t *testing.T) {
 		dist2 a b
 		dist2 b c
 	`)
-	if _, err := SolveWithChains(cs, 3); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveWithChains(context.Background(), cs, 3); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -258,10 +301,51 @@ func TestUniquenessOnly(t *testing.T) {
 	}
 }
 
-func TestExactEncodeRejectsExtensions(t *testing.T) {
+// TestExactEncodeSolvesExtensions: a distance-2 set goes through the one
+// exact entry point: a and b need two separating columns.
+func TestExactEncodeSolvesExtensions(t *testing.T) {
 	cs := constraint.MustParse("symbols a b\nface a b\ndist2 a b\n")
-	if _, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{}); err == nil {
-		t.Fatal("ExactEncode must defer extension constraints to ExactEncodeExtended")
+	res, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Optimal || res.Encoding.Bits != 2 {
+		t.Fatalf("want an optimal 2-bit encoding, got %d bits (optimal=%v)", res.Encoding.Bits, res.Optimal)
+	}
+	if v := Verify(cs, res.Encoding); len(v) != 0 {
+		t.Fatalf("verification failed: %v\n%s", v, res.Encoding)
+	}
+}
+
+// TestExtendedExpiredContextNotInfeasible: an extension set solved under an
+// expired context yields the context error or a non-optimal incumbent —
+// never ErrInfeasible, which would claim the constraints contradict.
+func TestExtendedExpiredContextNotInfeasible(t *testing.T) {
+	cs := constraint.MustParse(`
+		symbols a b c d e f
+		face a b
+		face b c d
+		face a e
+		face d f
+		nonface a b e
+		dist2 a f
+	`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, backend := range []Backend{BackendBranchBound, BackendSAT} {
+		res, err := ExactEncodeCtx(ctx, cs, ExactOptions{Backend: backend})
+		switch {
+		case errors.Is(err, ErrInfeasible):
+			t.Fatalf("%v: expired context reported as %v", backend, err)
+		case err != nil && !errors.Is(err, context.Canceled):
+			t.Fatalf("%v: err = %v, want context.Canceled", backend, err)
+		case err == nil && res.Optimal:
+			t.Fatalf("%v: expired context claims optimality", backend)
+		case err == nil:
+			if v := Verify(cs, res.Encoding); len(v) != 0 {
+				t.Fatalf("%v: incumbent fails verification: %v", backend, v)
+			}
+		}
 	}
 }
 
@@ -283,7 +367,7 @@ func TestSolveWithChainsRejectsLarge(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		cs.Syms.Intern(string(rune('a' + i)))
 	}
-	if _, err := SolveWithChains(cs, 4); err == nil {
+	if _, err := SolveWithChains(context.Background(), cs, 4); err == nil {
 		t.Fatal("SolveWithChains beyond 14 symbols must be rejected")
 	}
 }
@@ -299,7 +383,7 @@ func TestDistance2InfeasibleWhenNoSeparators(t *testing.T) {
 		dom b > a
 		dist2 a b
 	`)
-	if _, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -319,7 +403,7 @@ func TestExtendedOptimalityWithDistance2(t *testing.T) {
 		dist2 s5 s4
 		dist2 s0 s4
 	`)
-	res, err := ExactEncodeExtendedCtx(context.Background(), cs, ExactOptions{})
+	res, err := ExactEncodeCtx(context.Background(), cs, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/constraint"
-	"repro/internal/cover"
 )
 
 // TestSection1Example reproduces the introductory example: constraints
@@ -76,7 +75,7 @@ func TestFigure1Abstraction(t *testing.T) {
 		t.Errorf("dominance b>c should forbid patterns 100 and 101, got %v", forbidden)
 	}
 
-	pats, err := tab.SolveCtx(context.Background(), cover.Options{})
+	pats, err := tab.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/constraint"
 )
 
 // Hash128 is a 128-bit content hash of a constraint set, used by the
 // request server's coalescing and result-cache layers to key problems
 // without retaining them. It follows the CompatCache hashing discipline
-// (bitset.HashWords: dual SplitMix/FNV streams over the raw set words), so
-// a collision requires agreement in both 64-bit halves — possible in
-// principle, but needing on the order of 2^64 distinct sets to become
-// likely, far beyond any cache bound this repository configures.
+// (bitset.MixWord: dual SplitMix/FNV streams), so a collision requires
+// agreement in both 64-bit halves — possible in principle, but needing on
+// the order of 2^64 distinct sets to become likely, far beyond any cache
+// bound this repository configures.
 type Hash128 struct {
 	Hi, Lo uint64
 }
@@ -21,8 +20,9 @@ type Hash128 struct {
 // String renders the hash as 32 hex digits.
 func (h Hash128) String() string { return fmt.Sprintf("%016x%016x", h.Hi, h.Lo) }
 
-// IsZero reports whether h is the zero hash (no HashSet output is ever
-// zero-valued in practice; the zero value marks "unset").
+// IsZero reports whether h is the zero hash (no CanonicalHashSet or
+// HashBytes output is ever zero-valued in practice; the zero value marks
+// "unset").
 func (h Hash128) IsZero() bool { return h == Hash128{} }
 
 // Per-section tags folded into the stream before each constraint kind, so
@@ -48,10 +48,6 @@ func (h *setHasher) word(v uint64) {
 	h.h1, h.h2 = bitset.MixWord(h.h1, h.h2, v)
 }
 
-func (h *setHasher) bits(s bitset.Set) {
-	h.h1, h.h2 = bitset.HashWords(h.h1, h.h2, s)
-}
-
 func (h *setHasher) str(s string) {
 	h.word(uint64(len(s)))
 	// Fold eight bytes at a time; the length word above keeps "ab","c"
@@ -71,97 +67,13 @@ func (h *setHasher) str(s string) {
 }
 
 // HashBytes returns the 128-bit content hash of an arbitrary byte string
-// under the same dual-stream mixing discipline as HashSet. The request
-// server uses it to key non-constraint payloads (the pipeline endpoint's
-// canonical KISS2 text) in the same cache and coalescing maps as constraint
-// sets; the distinct initial state keeps the two key spaces apart.
+// under the same dual-stream mixing discipline as CanonicalHashSet. The
+// request server uses it to key non-constraint payloads (the pipeline
+// endpoint's canonical KISS2 text) in the same cache and coalescing maps as
+// constraint sets; the distinct initial state keeps the two key spaces
+// apart.
 func HashBytes(b []byte) Hash128 {
 	h := &setHasher{h1: 0x243f6a8885a308d3, h2: 0x13198a2e03707344}
 	h.str(string(b))
 	return Hash128{Hi: h.h1, Lo: h.h2}
-}
-
-// HashSet returns the canonical 128-bit content hash of a constraint set.
-//
-// Two sets hash identically exactly when they are structurally identical:
-// same symbol names in the same index order and the same constraints in the
-// same order with the same members. The hash is canonical over
-// representation details that cannot affect any solver's output — bitset
-// word padding (trailing zero words are skipped) and source-text formatting
-// (comments, whitespace, token gluing) vanish at parse time. Constraint
-// *order* is significant here: the exact pipeline's seed order, and
-// therefore which of several equally optimal encodings it returns, depends
-// on it. Layers that should treat reordered-but-equal problems as the same
-// problem (the request server's cache and coalescing) key on
-// CanonicalHashSet instead, which quotients out symbol-interning and
-// constraint order.
-func HashSet(cs *constraint.Set) Hash128 {
-	h := &setHasher{h1: 0x9216d5d98979fb1b, h2: 0xd1310ba698dfb5ac}
-
-	h.word(tagSymbols)
-	h.word(uint64(cs.N()))
-	for i := 0; i < cs.N(); i++ {
-		h.str(cs.Syms.Name(i))
-	}
-
-	h.word(tagFace)
-	h.word(uint64(len(cs.Faces)))
-	for _, f := range cs.Faces {
-		h.bits(f.Members)
-		h.bits(f.DontCare)
-	}
-
-	h.word(tagDom)
-	h.word(uint64(len(cs.Dominances)))
-	for _, d := range cs.Dominances {
-		h.word(uint64(d.Big))
-		h.word(uint64(d.Small))
-	}
-
-	h.word(tagDisj)
-	h.word(uint64(len(cs.Disjunctives)))
-	for _, d := range cs.Disjunctives {
-		h.word(uint64(d.Parent))
-		h.word(uint64(len(d.Children)))
-		for _, c := range d.Children {
-			h.word(uint64(c))
-		}
-	}
-
-	h.word(tagExtDisj)
-	h.word(uint64(len(cs.ExtDisjunctives)))
-	for _, e := range cs.ExtDisjunctives {
-		h.word(uint64(e.Parent))
-		h.word(uint64(len(e.Conjunctions)))
-		for _, conj := range e.Conjunctions {
-			h.word(uint64(len(conj)))
-			for _, c := range conj {
-				h.word(uint64(c))
-			}
-		}
-	}
-
-	h.word(tagDistance)
-	h.word(uint64(len(cs.Distance2s)))
-	for _, d := range cs.Distance2s {
-		h.word(uint64(d.A))
-		h.word(uint64(d.B))
-	}
-
-	h.word(tagNonFace)
-	h.word(uint64(len(cs.NonFaces)))
-	for _, nf := range cs.NonFaces {
-		h.bits(nf.Members)
-	}
-
-	h.word(tagChain)
-	h.word(uint64(len(cs.Chains)))
-	for _, ch := range cs.Chains {
-		h.word(uint64(len(ch.Seq)))
-		for _, s := range ch.Seq {
-			h.word(uint64(s))
-		}
-	}
-
-	return Hash128{Hi: bitset.Mix64(h.h1 ^ h.h2), Lo: bitset.Mix64(h.h2 + 0x9e3779b97f4a7c15*h.h1)}
 }

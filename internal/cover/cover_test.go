@@ -173,114 +173,3 @@ func TestBadColumnIndex(t *testing.T) {
 		t.Fatal("out-of-range column must error")
 	}
 }
-
-// --- binate solver ---
-
-func bruteBinate(p *BinateProblem) (int, bool) {
-	best := 1 << 30
-	found := false
-	for set := 0; set < 1<<uint(p.NumCols); set++ {
-		ok := true
-		for _, cl := range p.Clauses {
-			sat := false
-			for _, l := range cl {
-				val := set&(1<<uint(l.Col)) != 0
-				if val != l.Neg {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		cost := 0
-		for c := 0; c < p.NumCols; c++ {
-			if set&(1<<uint(c)) != 0 {
-				cost += p.cost(c)
-			}
-		}
-		if cost < best {
-			best = cost
-			found = true
-		}
-	}
-	return best, found
-}
-
-func TestBinateVsBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 400; trial++ {
-		p := &BinateProblem{NumCols: 1 + rng.Intn(8)}
-		nClauses := rng.Intn(8)
-		for i := 0; i < nClauses; i++ {
-			var cl []Lit
-			for c := 0; c < p.NumCols; c++ {
-				switch rng.Intn(4) {
-				case 0:
-					cl = append(cl, Lit{Col: c})
-				case 1:
-					cl = append(cl, Lit{Col: c, Neg: true})
-				}
-			}
-			p.Clauses = append(p.Clauses, cl)
-		}
-		if trial%2 == 1 {
-			p.Cost = make([]int, p.NumCols)
-			for c := range p.Cost {
-				p.Cost[c] = rng.Intn(4) // zero-cost columns allowed
-			}
-		}
-		want, feasible := bruteBinate(p)
-		sol, err := p.SolveCtx(context.Background(), Options{})
-		if !feasible {
-			if !errors.Is(err, ErrBinateInfeasible) {
-				t.Fatalf("trial %d: want infeasible, got %v", trial, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if sol.Cost != want {
-			t.Fatalf("trial %d: got %d want %d", trial, sol.Cost, want)
-		}
-		// Check the selection satisfies all clauses, unselected = false.
-		selected := map[int]bool{}
-		for _, c := range sol.Selected {
-			selected[c] = true
-		}
-		for ci, cl := range p.Clauses {
-			sat := false
-			for _, l := range cl {
-				if selected[l.Col] != l.Neg {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				t.Fatalf("trial %d: clause %d unsatisfied by %v", trial, ci, sol.Selected)
-			}
-		}
-	}
-}
-
-func TestBinateEmptyClauseInfeasible(t *testing.T) {
-	p := &BinateProblem{NumCols: 2, Clauses: [][]Lit{{}}}
-	if _, err := p.SolveCtx(context.Background(), Options{}); !errors.Is(err, ErrBinateInfeasible) {
-		t.Fatalf("empty clause must be infeasible, got %v", err)
-	}
-}
-
-func TestBinateNegativeOnly(t *testing.T) {
-	// ¬a alone: optimum selects nothing.
-	p := &BinateProblem{NumCols: 1, Clauses: [][]Lit{{{Col: 0, Neg: true}}}}
-	sol, err := p.SolveCtx(context.Background(), Options{})
-	if err != nil || len(sol.Selected) != 0 || sol.Cost != 0 {
-		t.Fatalf("sol=%+v err=%v", sol, err)
-	}
-}

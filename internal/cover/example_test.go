@@ -22,20 +22,3 @@ func ExampleProblem_SolveExactCtx() {
 	// Output:
 	// cost: 2 optimal: true
 }
-
-// ExampleBinateProblem_Solve solves a binate problem: selecting column 0
-// forbids column 1.
-func ExampleBinateProblem_SolveCtx() {
-	p := cover.BinateProblem{
-		NumCols: 3,
-		Clauses: [][]cover.Lit{
-			{{Col: 0}, {Col: 1}},                       // cover: c0 or c1
-			{{Col: 0, Neg: true}, {Col: 2}},            // c0 -> c2
-			{{Col: 1, Neg: true}, {Col: 2, Neg: true}}, // c1 and c2 exclusive
-		},
-	}
-	sol, _ := p.SolveCtx(context.Background(), cover.Options{})
-	fmt.Println("selected:", sol.Selected)
-	// Output:
-	// selected: [1]
-}

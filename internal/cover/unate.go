@@ -1,17 +1,18 @@
-// Package cover provides the covering-problem solvers the encoding
-// framework reduces to: an exact branch-and-bound unate covering solver with
-// the classical reductions (essential columns, row and column dominance,
-// maximal-independent-set lower bound), a greedy heuristic, and a binate
-// covering solver used by the Section-4 abstraction and the Section-8
-// extension constraints.
+// Package cover provides the unate covering solvers the encoding framework
+// reduces to: an exact branch-and-bound solver with the classical
+// reductions (essential columns, row and column dominance,
+// maximal-independent-set lower bound) and a greedy heuristic. Binate
+// covering — the Section-4 abstraction and the Section-8 extension
+// constraints — is solved by internal/sat.
 //
 // # Cancellation
 //
-// The exact solvers are anytime algorithms: SolveExactCtx and SolveCtx poll
-// the context between search nodes, and when it expires or is canceled they
-// return the best feasible solution found so far with Optimal=false —
-// exactly the behavior the TimeLimit option has always had, which is now
-// implemented as a context deadline layered under the caller's context.
+// The exact solver is an anytime algorithm: Problem.SolveExactCtx and
+// Solver.SolveCtx poll the context between search nodes, and when it
+// expires or is canceled they return the best feasible solution found so
+// far with Optimal=false — exactly the behavior the TimeLimit option has
+// always had, which is now implemented as a context deadline layered under
+// the caller's context.
 //
 // # Parallelism
 //

@@ -15,10 +15,10 @@ import (
 )
 
 // ExactEncodeCtx solves P-2 component-wise: Split, solve each connected
-// component through the ordinary exact pipeline (concurrently, bounded by
-// the options' worker budget), Assemble. Sets that are not decomposable —
-// chains or non-faces present — fall back to the monolithic solver, so the
-// function accepts everything the extended pipeline accepts.
+// component through core.ExactEncodeCtx (concurrently, bounded by the
+// options' worker budget), Assemble. Sets that are not decomposable —
+// chains or non-faces present — go to core.ExactEncodeCtx whole, so the
+// function accepts every constraint class.
 //
 // Infeasibility anywhere surfaces as a core.InfeasibleError in *global*
 // terms: component-local symbol indices never escape (see
@@ -29,14 +29,7 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts core.ExactOpti
 		return nil, err
 	}
 	if !Decomposable(cs) {
-		if len(cs.Chains) > 0 {
-			enc, err := core.SolveWithChains(cs, cs.N())
-			if err != nil {
-				return nil, err
-			}
-			return &core.ExactResult{Encoding: enc, Optimal: true}, nil
-		}
-		return core.ExactEncodeExtendedCtx(ctx, cs, opts)
+		return core.ExactEncodeCtx(ctx, cs, opts)
 	}
 	plan, err := Split(cs)
 	if err != nil {
@@ -96,15 +89,7 @@ func (c *Component) Solve(ctx context.Context, opts core.ExactOptions) (*core.Ex
 	// A caller-supplied covering lower bound speaks about the global
 	// problem; applied locally it could cut off the true component minimum.
 	opts.Cover.LowerBound = 0
-	var (
-		res *core.ExactResult
-		err error
-	)
-	if c.Set.HasExtensionConstraints() {
-		res, err = core.ExactEncodeExtendedCtx(ctx, c.Set, opts)
-	} else {
-		res, err = core.ExactEncodeCtx(ctx, c.Set, opts)
-	}
+	res, err := core.ExactEncodeCtx(ctx, c.Set, opts)
 	if err != nil {
 		sp.Set("failed", 1).End()
 		return nil, c.globalizeError(err)

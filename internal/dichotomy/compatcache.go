@@ -101,8 +101,8 @@ func (c *CompatCache) RunScope() *CompatCache {
 
 // contentHash returns the 128-bit content hash of one dichotomy,
 // orientation sensitive. The fold itself (trailing-zero skipping, dual
-// SplitMix/FNV streams) lives in bitset.HashWords so core.HashSet shares
-// the same discipline.
+// SplitMix/FNV streams) lives in bitset.HashWords; core.CanonicalHashSet
+// folds its values into the same two streams through bitset.MixWord.
 func contentHash(d D) (uint64, uint64) {
 	h1, h2 := bitset.HashWords(0x243f6a8885a308d3, 0x13198a2e03707344, d.L)
 	return bitset.HashWords(h1, h2, d.R)

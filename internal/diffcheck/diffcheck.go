@@ -145,8 +145,9 @@ func budgetExhausted(err error) bool {
 // CheckSet runs the invariant matrix on one constraint set. witness, when
 // non-nil, is an encoding the caller asserts satisfies cs (the generator's
 // feasible-by-construction witness); it upgrades several invariants from
-// conditional to absolute. Chain constraints are outside every solver's
-// scope here, so sets carrying them are checked against the witness only.
+// conditional to absolute. Sets carrying chain constraints are checked
+// against the witness only: the exact encoder answers them with an
+// exponential direct search that no other solver here cross-checks.
 func CheckSet(ctx context.Context, cs *constraint.Set, witness *core.Encoding, opts Options) Report {
 	r := Report{ExactBits: -1}
 	if err := cs.Validate(); err != nil {
@@ -427,17 +428,13 @@ func (r *Report) checkCrossBackend(ctx context.Context, cs *constraint.Set, exac
 	}
 }
 
-// solveExact dispatches to the plain or extended exact pipeline depending
-// on the constraint classes present.
+// solveExact runs the exact pipeline with one worker budget, time budget
+// and covering backend.
 func solveExact(ctx context.Context, cs *constraint.Set, workers int, timeout time.Duration, backend core.Backend) (*core.ExactResult, error) {
-	opts := core.ExactOptions{
+	return core.ExactEncodeCtx(ctx, cs, core.ExactOptions{
 		Parallelism: par.Parallelism{Workers: workers, TimeLimit: timeout},
 		Backend:     backend,
-	}
-	if cs.HasExtensionConstraints() {
-		return core.ExactEncodeExtendedCtx(ctx, cs, opts)
-	}
-	return core.ExactEncodeCtx(ctx, cs, opts)
+	})
 }
 
 // facesOnly projects the set onto its face constraints (shared table).

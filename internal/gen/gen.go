@@ -39,8 +39,8 @@ type Config struct {
 	Dominances      int
 	Disjunctives    int
 	ExtDisjunctives int
-	// Distance2s and NonFaces add Section-8 extension constraints; sets
-	// carrying them must be solved with ExactEncodeExtended.
+	// Distance2s and NonFaces add Section-8 extension constraints, which
+	// turn the exact encoder's covering step binate.
 	Distance2s int
 	NonFaces   int
 	// MaxFaceSize caps face-constraint cardinality; 0 means

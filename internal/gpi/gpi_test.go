@@ -336,7 +336,7 @@ func TestMergedGPITagCoversSupercube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.ExactEncodeExtendedCtx(context.Background(), cs, core.ExactOptions{})
+	res, err := core.ExactEncodeCtx(context.Background(), cs, core.ExactOptions{})
 	if err != nil {
 		t.Fatalf("exact encode of the induced constraints: %v\n%s", err, cs)
 	}

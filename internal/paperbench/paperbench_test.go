@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/mv"
 	"repro/internal/pipeline"
 )
 
@@ -98,6 +100,44 @@ func TestMatrixWorkerInvariance(t *testing.T) {
 	for name := range b1 {
 		if b1[name] != b8[name] {
 			t.Fatalf("block %q differs between 1 and 8 workers:\n%s\n----\n%s", name, b1[name], b8[name])
+		}
+	}
+}
+
+// TestSATBackendMatchesExactColumn cross-checks the encoding table's exact
+// column against the CNF/SAT covering backend: solving each corpus
+// machine's extracted constraint set with Backend: sat must prove the same
+// code length and optimality the exact strategy reports. The two largest
+// machines are skipped under -short.
+func TestSATBackendMatchesExactColumn(t *testing.T) {
+	machines, err := corpus.Load("../../testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testing.Short() {
+		var small []corpus.Machine
+		for _, m := range machines {
+			if m.Name != "syn10" && m.Name != "syn12" {
+				small = append(small, m)
+			}
+		}
+		machines = small
+	}
+	ctx := context.Background()
+	results, err := RunMatrix(ctx, machines, Options{Strategies: []pipeline.Strategy{pipeline.Exact}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		exact := r.Reports[pipeline.Exact]
+		cs := mv.GenerateConstraints(r.Machine.FSM, mv.OutputOptions{})
+		res, err := core.ExactEncodeCtx(ctx, cs, core.ExactOptions{Backend: core.BackendSAT})
+		if err != nil {
+			t.Fatalf("%s: sat backend: %v", r.Machine.Name, err)
+		}
+		if res.Encoding.Bits != exact.Bits || res.Optimal != exact.Optimal {
+			t.Errorf("%s: sat backend %d bits (optimal=%v), exact column %d bits (optimal=%v)",
+				r.Machine.Name, res.Encoding.Bits, res.Optimal, exact.Bits, exact.Optimal)
 		}
 	}
 }

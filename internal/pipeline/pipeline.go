@@ -49,26 +49,22 @@ import (
 // Strategy selects the state-assignment algorithm of the encode stage.
 type Strategy string
 
-// The encoding strategies the paper's tables compare. Exact and Sat run
-// the same P-2 pipeline through different covering engines, so their rows
-// must agree on bits/optimality (a live cross-check in every regenerated
-// table); the remaining three are the input-constraint comparison
-// encoders.
+// The encoding strategies the paper's tables compare: the exact P-2
+// encoder and the three input-constraint comparison encoders.
 const (
 	Exact     Strategy = "exact"     // P-2: minimum length satisfying all constraints
-	Sat       Strategy = "sat"       // P-2 via the CNF/SAT covering backend
 	Heuristic Strategy = "heuristic" // P-3: bounded length, split/merge/select
 	Anneal    Strategy = "anneal"    // simulated annealing (MIS-MV style), seeded
 	Nova      Strategy = "nova"      // NOVA-style greedy placement + polish
 )
 
 // Strategies lists every strategy in canonical comparison order.
-var Strategies = []Strategy{Exact, Sat, Heuristic, Anneal, Nova}
+var Strategies = []Strategy{Exact, Heuristic, Anneal, Nova}
 
 // ParseStrategy resolves a strategy name.
 func ParseStrategy(name string) (Strategy, bool) {
 	switch Strategy(name) {
-	case Exact, Sat, Heuristic, Anneal, Nova:
+	case Exact, Heuristic, Anneal, Nova:
 		return Strategy(name), true
 	}
 	return "", false
@@ -191,7 +187,7 @@ func Run(ctx context.Context, m *fsm.FSM, opts Options) (*Report, error) {
 	if err := stage("constraints", func() error {
 		cs = constraint.NewSet(m.States)
 		sc.FaceConstraints(cs)
-		if opts.Strategy == Exact || opts.Strategy == Sat {
+		if opts.Strategy == Exact {
 			sc.OutputConstraints(cs, mv.OutputOptions{})
 		}
 		rep.Faces = len(cs.Faces)
@@ -291,15 +287,10 @@ func RunKISS(ctx context.Context, r io.Reader, name string, opts Options) (*Repo
 // encode dispatches to the strategy engines.
 func encode(ctx context.Context, cs *constraint.Set, rep *Report, opts Options) (*core.Encoding, error) {
 	switch opts.Strategy {
-	case Exact, Sat:
-		backend := core.BackendBranchBound
-		if opts.Strategy == Sat {
-			backend = core.BackendSAT
-		}
+	case Exact:
 		res, err := core.ExactEncodeCtx(ctx, cs, core.ExactOptions{
 			Parallelism: opts.Parallelism,
 			Prime:       prime.Options{Limit: opts.PrimeLimit},
-			Backend:     backend,
 		})
 		if err != nil {
 			return nil, err

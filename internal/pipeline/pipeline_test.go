@@ -30,15 +30,7 @@ func TestCorpusReplay(t *testing.T) {
 			mach, strat := mach, strat
 			t.Run(mach.Name+"/"+string(strat), func(t *testing.T) {
 				t.Parallel()
-				// The sat rows on the largest machines run ~10s clean;
-				// under -race the detector's slowdown (plus parallel-test
-				// contention) pushes them past two minutes, so the budget
-				// scales rather than reading as a solver hang.
-				deadline := 2 * time.Minute
-				if raceEnabled {
-					deadline = 10 * time.Minute
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 				defer cancel()
 				rep, err := Run(ctx, mach.FSM, Options{Strategy: strat})
 				if err != nil {

@@ -102,7 +102,7 @@ func (r *Report) Text() string {
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "encode     %s: %d bits, %d face violations", r.Strategy, r.Bits, r.Violations)
-	if r.Strategy == string(Exact) || r.Strategy == string(Sat) {
+	if r.Strategy == string(Exact) {
 		fmt.Fprintf(&b, ", optimal=%v", r.Optimal)
 	}
 	b.WriteByte('\n')

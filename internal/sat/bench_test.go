@@ -24,11 +24,7 @@ func benchEncode(b *testing.B, backend core.Backend) {
 		Backend:     backend,
 	}
 	ctx := context.Background()
-	solve := core.ExactEncodeCtx
-	if inst.Set.HasExtensionConstraints() {
-		solve = core.ExactEncodeExtendedCtx
-	}
-	res, err := solve(ctx, inst.Set, opts)
+	res, err := core.ExactEncodeCtx(ctx, inst.Set, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +34,7 @@ func benchEncode(b *testing.B, backend core.Backend) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solve(ctx, inst.Set, opts); err != nil {
+		if _, err := core.ExactEncodeCtx(ctx, inst.Set, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/cover"
@@ -116,78 +115,6 @@ func SolveCoverCtx(ctx context.Context, p *cover.Problem, opts CoverOptions) (co
 		}
 	}
 	// Every cost below the greedy cover is unsatisfiable: greedy is optimal.
-	incumbent.Optimal = true
-	return incumbent, nil
-}
-
-// SolveBinateCtx solves a binate covering problem through the CNF backend.
-// The clause matrix is already product-of-sums, so the lowering is direct;
-// minimization first decides feasibility without a cardinality layer
-// (UNSAT there is ErrBinateInfeasible), then walks k from LowerBound up to
-// the first model's cost. Zero-cost columns (the encoder's non-face
-// auxiliaries) contribute no literals to the cardinality layer, exactly as
-// they are free to branch-and-bound.
-func SolveBinateCtx(ctx context.Context, p *cover.BinateProblem, opts CoverOptions) (cover.BinateSolution, error) {
-	ctx, cancel := opts.contextFor(ctx)
-	defer cancel()
-	weight := func(c int) int {
-		if p.Cost == nil {
-			return 1
-		}
-		return p.Cost[c]
-	}
-	base := func() *CNF {
-		f := NewCNF(p.NumCols)
-		for _, cl := range p.Clauses {
-			lits := make([]Lit, len(cl))
-			for i, l := range cl {
-				if l.Neg {
-					lits[i] = Neg(l.Col)
-				} else {
-					lits[i] = Pos(l.Col)
-				}
-			}
-			f.AddClause(lits...)
-		}
-		return f
-	}
-	solver := opts.solver()
-
-	// Feasibility first: any model bounds the search from above.
-	res := solver.Solve(ctx, Simplify(base()))
-	switch res.Status {
-	case Unsat:
-		return cover.BinateSolution{}, cover.ErrBinateInfeasible
-	case Unknown:
-		if err := ctx.Err(); err != nil {
-			return cover.BinateSolution{}, err
-		}
-		return cover.BinateSolution{}, fmt.Errorf("sat: binate feasibility undecided: %w", ErrBudget)
-	}
-	selected := modelCols(res.Model, p.NumCols)
-	incumbent := cover.BinateSolution{Selected: selected, Cost: costOf(selected, weight)}
-	ub := incumbent.Cost
-	lb := opts.LowerBound
-	if lb < 0 {
-		lb = 0
-	}
-	for k := lb; k < ub; k++ {
-		if ctx.Err() != nil {
-			return incumbent, nil
-		}
-		f := base()
-		f.AddAtMostK(weightedLits(p.NumCols, weight), k)
-		res := solver.Solve(ctx, Simplify(f))
-		switch res.Status {
-		case Sat:
-			sel := modelCols(res.Model, p.NumCols)
-			return cover.BinateSolution{Selected: sel, Cost: costOf(sel, weight), Optimal: true}, nil
-		case Unsat:
-			continue
-		default:
-			return incumbent, nil
-		}
-	}
 	incumbent.Optimal = true
 	return incumbent, nil
 }

@@ -124,113 +124,3 @@ func TestSolveCoverAnytime(t *testing.T) {
 	}
 	assertCovers(t, p, sol.Cols)
 }
-
-// randomBinate builds a random binate problem seeded with a guaranteed
-// model (columns of a random "solution" mask), so most instances are
-// feasible while clause polarity stays mixed.
-func randomBinate(rng *rand.Rand, nCols, nClauses int) *cover.BinateProblem {
-	truth := make([]bool, nCols)
-	for c := range truth {
-		truth[c] = rng.Intn(3) == 0
-	}
-	p := &cover.BinateProblem{NumCols: nCols}
-	for i := 0; i < nClauses; i++ {
-		width := 1 + rng.Intn(3)
-		var clause []cover.Lit
-		hasTrue := false
-		for j := 0; j < width; j++ {
-			c := rng.Intn(nCols)
-			neg := rng.Intn(4) == 0
-			if truth[c] != neg {
-				hasTrue = true
-			}
-			clause = append(clause, cover.Lit{Col: c, Neg: neg})
-		}
-		if !hasTrue {
-			// Patch the clause so the seeded assignment satisfies it,
-			// keeping the instance feasible by construction.
-			c := rng.Intn(nCols)
-			clause = append(clause, cover.Lit{Col: c, Neg: !truth[c]})
-		}
-		p.Clauses = append(p.Clauses, clause)
-	}
-	return p
-}
-
-// TestSolveBinateAgainstBranchBound: on 300 random feasible binate
-// problems both backends agree on the optimal cost.
-func TestSolveBinateAgainstBranchBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ctx := context.Background()
-	for i := 0; i < 300; i++ {
-		p := randomBinate(rng, 2+rng.Intn(10), 1+rng.Intn(12))
-		bb, errBB := p.SolveCtx(ctx, cover.Options{})
-		st, errST := SolveBinateCtx(ctx, p, CoverOptions{})
-		if errBB != nil || errST != nil {
-			t.Fatalf("problem %d: errors bb=%v sat=%v (instance is feasible by construction)", i, errBB, errST)
-		}
-		if !bb.Optimal || !st.Optimal {
-			t.Fatalf("problem %d: expected both optimal (bb=%v sat=%v)", i, bb.Optimal, st.Optimal)
-		}
-		if bb.Cost != st.Cost {
-			t.Fatalf("problem %d: cost disagreement: bb=%d sat=%d", i, bb.Cost, st.Cost)
-		}
-		assertBinateSatisfied(t, p, st.Selected)
-	}
-}
-
-func assertBinateSatisfied(t *testing.T, p *cover.BinateProblem, selected []int) {
-	t.Helper()
-	sel := map[int]bool{}
-	for _, c := range selected {
-		sel[c] = true
-	}
-	for i, cl := range p.Clauses {
-		ok := false
-		for _, l := range cl {
-			if sel[l.Col] != l.Neg {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Fatalf("clause %d unsatisfied by %v", i, selected)
-		}
-	}
-}
-
-// TestSolveBinateInfeasible: contradictory clauses yield
-// ErrBinateInfeasible from both backends.
-func TestSolveBinateInfeasible(t *testing.T) {
-	p := &cover.BinateProblem{NumCols: 1, Clauses: [][]cover.Lit{
-		{{Col: 0}}, {{Col: 0, Neg: true}},
-	}}
-	if _, err := SolveBinateCtx(context.Background(), p, CoverOptions{}); !errors.Is(err, cover.ErrBinateInfeasible) {
-		t.Fatalf("sat err = %v, want ErrBinateInfeasible", err)
-	}
-	if _, err := p.SolveCtx(context.Background(), cover.Options{}); !errors.Is(err, cover.ErrBinateInfeasible) {
-		t.Fatalf("bb err = %v, want ErrBinateInfeasible", err)
-	}
-}
-
-// TestSolveBinateZeroCostColumns: zero-cost columns (the encoder's
-// non-face auxiliaries) are free — the optimum counts only priced
-// columns.
-func TestSolveBinateZeroCostColumns(t *testing.T) {
-	// Clause (aux) forces the free column; clause (a ∨ b) costs 1.
-	p := &cover.BinateProblem{
-		NumCols: 3,
-		Cost:    []int{1, 1, 0},
-		Clauses: [][]cover.Lit{
-			{{Col: 2}},
-			{{Col: 0}, {Col: 1}},
-		},
-	}
-	sol, err := SolveBinateCtx(context.Background(), p, CoverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Optimal || sol.Cost != 1 {
-		t.Fatalf("got cost %d (optimal=%v), want optimal cost 1", sol.Cost, sol.Optimal)
-	}
-}

@@ -1,6 +1,8 @@
 // Package sat provides a small CNF toolkit and an embedded DPLL/CDCL
-// solver, used as the alternative backend of the exact encoder
-// (core.ExactOptions.Backend = BackendSAT).
+// solver. It is the exact encoder's only binate covering engine
+// (SolveBinateCtx: the Section-4 table and the Section-8 distance-2 and
+// non-face clauses) and its alternative unate engine (SolveCoverCtx,
+// selected by core.ExactOptions.Backend = BackendSAT).
 //
 // The package lowers the prime-dichotomy covering problems of the paper's
 // P-2 pipeline to CNF: one selection variable per candidate column, one

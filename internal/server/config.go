@@ -16,15 +16,9 @@ type Config struct {
 
 	// Workers is the size of the solver pool: how many encoding problems
 	// run concurrently. 0 means runtime.GOMAXPROCS(0). Each solve itself
-	// runs with SolveWorkers-way engine parallelism, so total CPU demand
-	// is roughly Workers × SolveWorkers.
+	// runs with the engine parallelism its request names in "workers"
+	// (0 = all CPUs, capped at runtime.GOMAXPROCS(0)).
 	Workers int
-
-	// SolveWorkers is the per-solve engine parallelism handed to the
-	// prime/cover/heuristic stages. 0 means 1: with a busy pool,
-	// one-goroutine solves maximize throughput, and every engine returns
-	// identical results for any value, so this is purely a latency knob.
-	SolveWorkers int
 
 	// QueueDepth bounds how many accepted requests may wait for a pool
 	// slot beyond the ones already running. A request arriving with the
@@ -103,10 +97,11 @@ type Config struct {
 	// parallel component solves.
 	Decompose bool
 
-	// Backend is the exact-mode covering backend applied when a request
-	// names none: "bb" (branch-and-bound, the default) or "sat" (the
-	// CNF/DPLL backend). Requests may still pick their own via the
-	// "backend" field. Unlike Decompose this changes the concrete codes a
+	// Backend is the exact-mode unate covering backend applied when a
+	// request names none: "bb" (branch-and-bound, the default) or "sat"
+	// (the CNF/DPLL backend). Requests may still pick their own via the
+	// "backend" field. Distance-2/non-face sets always cover through the
+	// CNF backend. Unlike Decompose this changes the concrete codes a
 	// request may receive (both backends prove the same optimum, but may
 	// select different minimum covers), so it participates in cache
 	// identity.
@@ -145,9 +140,6 @@ const (
 func (cfg Config) Normalize() Config {
 	if cfg.Addr == "" {
 		cfg.Addr = ":8080"
-	}
-	if cfg.SolveWorkers <= 0 {
-		cfg.SolveWorkers = 1
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth

@@ -366,35 +366,15 @@ func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveRes
 			Parallelism: encodingapi.Parallelism{Workers: req.workers},
 			Backend:     req.backend,
 		}
-		var (
-			enc     *encodingapi.Encoding
-			optimal bool
-		)
-		switch {
-		case len(req.cs.Chains) > 0:
-			e, err := encodingapi.SolveWithChains(req.cs, req.cs.N())
-			if err != nil {
-				return nil, err
-			}
-			enc, optimal = e, true
-		case req.cs.HasExtensionConstraints():
-			r, err := encodingapi.ExactEncodeExtended(ctx, req.cs, opts)
-			if err != nil {
-				return nil, err
-			}
-			enc, optimal = r.Encoding, r.Optimal
-		default:
-			r, err := encodingapi.ExactEncode(ctx, req.cs, opts)
-			if err != nil {
-				return nil, err
-			}
-			enc, optimal = r.Encoding, r.Optimal
+		r, err := encodingapi.ExactEncode(ctx, req.cs, opts)
+		if err != nil {
+			return nil, err
 		}
-		if v := encodingapi.Verify(req.cs, enc); len(v) != 0 {
+		if v := encodingapi.Verify(req.cs, r.Encoding); len(v) != 0 {
 			return nil, fmt.Errorf("internal error: encoding failed verification: %s: %s", v[0].Kind, v[0].Detail)
 		}
-		res := &solveResult{Mode: modeExact, Feasible: true, Optimal: optimal}
-		fillEncoding(res, enc)
+		res := &solveResult{Mode: modeExact, Feasible: true, Optimal: r.Optimal}
+		fillEncoding(res, r.Encoding)
 		return res, nil
 
 	case modeExactComponent:

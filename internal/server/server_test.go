@@ -283,6 +283,36 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestChainSolveFreesWorker: the chain search polls the request budget, so
+// a chain request that times out releases the only pool worker — the next
+// request is served and Close returns.
+func TestChainSolveFreesWorker(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The direct chain search on this set runs for minutes.
+	heavy := "chain a b\nface a c\nface a d\nface b c\nface b d\nface a b e\nface c d e\nface f g\nface g h\n"
+	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: heavy, TimeoutMS: 200}))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("chain request: status = %d, want 504; body: %s", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\nface b c\n", TimeoutMS: 5000}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the chain timeout: status = %d, want 200; body: %s", resp.StatusCode, body)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the chain search still holds the worker")
+	}
+}
+
 // TestOverload checks that a full pool sheds load with 429 + Retry-After.
 func TestOverload(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1, RetryAfter: 2 * time.Second})

@@ -33,8 +33,7 @@ var (
 )
 
 // corpusNetlists synthesizes every corpus machine under the four
-// comparison strategies the pipeline replays (sat matches exact cube for
-// cube). It runs once per test binary.
+// strategies the pipeline replays. It runs once per test binary.
 func corpusNetlists(tb testing.TB) []synthesized {
 	tb.Helper()
 	corpusOnce.Do(func() {
