@@ -10,11 +10,12 @@ const (
 	// BackendBranchBound is the hand-rolled unate branch-and-bound over
 	// the covering matrix — the default.
 	BackendBranchBound Backend = iota
-	// BackendSAT compiles the covering problem to CNF (one selection
-	// variable per candidate column, sequential-counter/commander
-	// at-most-k cardinality) and solves it with the embedded DPLL solver
-	// (internal/sat), recovering minimality by an outer search over the
-	// cover cardinality. Results agree with BackendBranchBound on
+	// BackendSAT reduces the covering problem with the branch-and-bound's
+	// root reductions (cover.Problem.Reduce), compiles the cyclic core to
+	// CNF (one selection variable per core column, sequential-counter/
+	// commander at-most-k cardinality) and solves it with the embedded
+	// DPLL solver (internal/sat), recovering minimality by an outer search
+	// over the cover cost. Results agree with BackendBranchBound on
 	// feasibility, code length and optimality; the selected columns (and
 	// therefore the concrete codes) may legitimately differ when several
 	// minimum covers exist.

@@ -213,7 +213,8 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 // is built in parallel — one goroutine owns one row, so no locking is
 // needed and the matrix is identical for any worker count. The backend
 // selects the engine: branch-and-bound over the matrix, or the CNF
-// compilation with a k-search over cover cardinality (internal/sat).
+// compilation of its reduced core with a k-search over cover cost
+// (internal/sat).
 func coverSeeds(ctx context.Context, seeds, candidates []dichotomy.D, opts cover.Options, backend Backend) (cover.Solution, error) {
 	msp := trace.StartSpan(ctx, "core.matrix")
 	rows := dichotomy.Rows(seeds)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,8 +40,11 @@ func bruteMinCover(p *Problem) (int, bool) {
 }
 
 func randomProblem(rng *rand.Rand) *Problem {
-	nRows := 1 + rng.Intn(8)
-	nCols := 1 + rng.Intn(10)
+	return randomSizedProblem(rng, 1+rng.Intn(8), 1+rng.Intn(10))
+}
+
+// randomSizedProblem draws each row/column cell with probability 1/3.
+func randomSizedProblem(rng *rand.Rand, nRows, nCols int) *Problem {
 	p := &Problem{NumCols: nCols, RowCols: make([][]int, nRows)}
 	for r := 0; r < nRows; r++ {
 		for c := 0; c < nCols; c++ {
@@ -171,5 +175,73 @@ func TestBadColumnIndex(t *testing.T) {
 	p := &Problem{NumCols: 1, RowCols: [][]int{{5}}}
 	if _, err := p.SolveExactCtx(context.Background(), Options{}); err == nil {
 		t.Fatal("out-of-range column must error")
+	}
+}
+
+// TestReduceKeepsOptimum: on random problems with unit, weighted and
+// zero-cost columns, the essential columns' cost plus the brute-force
+// optimum of the core equals the brute-force optimum of the original, the
+// essentials and the whole core lift to a cover, and an infeasible problem
+// is ErrInfeasible.
+func TestReduceKeepsOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cores := 0
+	for trial := 0; trial < 600; trial++ {
+		p := randomSizedProblem(rng, 4+rng.Intn(14), 4+rng.Intn(9))
+		if trial%3 != 0 {
+			// Costs 1–4 on trials ≡ 2 (mod 3), and 0–3 on trials ≡ 1.
+			p.Cost = make([]int, p.NumCols)
+			for c := range p.Cost {
+				p.Cost[c] = rng.Intn(4) + trial%3 - 1
+			}
+		}
+		want, feasible := bruteMinCover(p)
+		red, err := p.Reduce()
+		if !feasible {
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("trial %d: want ErrInfeasible, got %v", trial, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		core := red.Core
+		if (core.Cost == nil) != (p.Cost == nil) || len(red.Cols) != core.NumCols {
+			t.Fatalf("trial %d: core shape: %d cols, map %v, cost %v", trial, core.NumCols, red.Cols, core.Cost)
+		}
+		coreOpt, ok := bruteMinCover(core)
+		if !ok {
+			t.Fatalf("trial %d: core %v has no cover", trial, core.RowCols)
+		}
+		if got := costOf(p, red.Essential) + coreOpt; got != want {
+			t.Fatalf("trial %d: essentials %v + core optimum %d = %d, original optimum %d",
+				trial, red.Essential, coreOpt, got, want)
+		}
+		all := make([]int, core.NumCols)
+		for i := range all {
+			all[i] = i
+		}
+		lifted := red.Lift(all)
+		checkCovers(t, p, Solution{Cols: lifted, Cost: costOf(p, lifted)})
+		if len(core.RowCols) > 0 {
+			cores++
+		}
+	}
+	if cores < 100 {
+		t.Fatalf("only %d of 600 problems kept a core", cores)
+	}
+}
+
+// TestReduceSolvesOutright: essential columns that cover every row leave
+// an empty core.
+func TestReduceSolvesOutright(t *testing.T) {
+	p := &Problem{NumCols: 4, RowCols: [][]int{{2}, {0}, {0, 1}, {2, 3}}}
+	red, err := p.Reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(red.Essential, []int{0, 2}) || len(red.Core.RowCols) != 0 || red.Core.NumCols != 0 {
+		t.Fatalf("got essentials %v, core %+v; want [0 2] and an empty core", red.Essential, red.Core)
 	}
 }

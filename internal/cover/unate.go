@@ -1,9 +1,11 @@
 // Package cover provides the unate covering solvers the encoding framework
 // reduces to: an exact branch-and-bound solver with the classical
 // reductions (essential columns, row and column dominance,
-// maximal-independent-set lower bound) and a greedy heuristic. Binate
-// covering — the Section-4 abstraction and the Section-8 extension
-// constraints — is solved by internal/sat.
+// maximal-independent-set lower bound) and a greedy heuristic.
+// Problem.Reduce runs the root reductions on their own, so internal/sat's
+// unate backend solves the same cyclic core. Binate covering — the
+// Section-4 abstraction and the Section-8 extension constraints — is
+// solved by internal/sat.
 //
 // # Cancellation
 //
@@ -32,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -631,19 +634,11 @@ func (m *matrix) consider(ub *ubScratch, rows bitset.Set, g []int) {
 	}
 }
 
-// greedy returns a feasible selection (nil when infeasible): repeatedly
-// pick the column covering the most uncovered rows per unit cost.
-func (m *matrix) greedy(rows, cols bitset.Set) []int {
-	sel, ok := m.greedyVariant(&ubScratch{}, rows, cols, 0)
-	if !ok {
-		return nil
-	}
-	return sel
-}
-
-// greedyVariant is greedy with deterministic tie-breaking diversity:
-// variant v picks the (v mod 3)-th best column on every (step+v)-th step,
-// giving the restart loop distinct feasible covers. The returned selection
+// greedyVariant builds a greedy cover — repeatedly pick the column
+// covering the most uncovered rows per unit cost — with deterministic
+// tie-breaking diversity: variant 0 is plain greedy, and variant v > 0
+// picks the (v mod 3)-th best column on every (step+v)-th step, giving the
+// restart loop distinct feasible covers. The returned selection
 // lives in ub.gsel and is valid until the next greedy pass; ok=false means
 // some row is uncoverable.
 func (m *matrix) greedyVariant(ub *ubScratch, rows, cols bitset.Set, variant int) (selection []int, ok bool) {
@@ -824,6 +819,83 @@ func (m *matrix) dropRedundant(ub *ubScratch, rows bitset.Set, sel []int) []int 
 	return out
 }
 
+// Reduction is the cyclic core of a covering problem: what the exact
+// solver's root reductions leave for its search.
+type Reduction struct {
+	// Essential lists the columns the reductions selected, ascending.
+	Essential []int
+	// Core is the problem over the rows Essential leaves uncovered and the
+	// surviving columns that cover one of them. Its Cost is nil exactly
+	// when the original's is.
+	Core *Problem
+	// Cols maps the core back: core column i is original column Cols[i].
+	Cols []int
+}
+
+// Reduce runs the exact solver's root reductions once — the
+// duplicate/empty-column dedupe, then essential columns and row and column
+// dominance to a fixpoint, under the default DominanceLimit — and returns
+// what is left. The reductions keep some minimum cover, so cost(Essential)
+// plus Core's optimum is p's optimum, and Lift turns a minimum cover of
+// Core into one of p; an empty Core means the reductions solved p
+// outright. Errors match SolveExactCtx: ErrInfeasible when a row has no
+// covering column, an error for an out-of-range column.
+func (p *Problem) Reduce() (Reduction, error) {
+	// A Solver's construction is the search's root state: the validated
+	// matrix and the deduped root sets, which this throwaway one lets
+	// reduce mutate.
+	sv, err := NewSolver(p, Options{})
+	if err != nil {
+		return Reduction{}, err
+	}
+	m, rows, cols := sv.m, sv.rootRows, sv.rootCols
+	// reduce reads its searchCtl only for the pruning bound, so an
+	// unbounded one makes it a pure reduction that never prunes.
+	ess, _, verdict := m.reduce(&solver{bestCost: math.MaxInt}, sv.sc, rows, cols, nil, 0, true)
+	if verdict == coverPrune {
+		return Reduction{}, ErrInfeasible
+	}
+	slices.Sort(ess)
+	red := Reduction{Essential: ess, Core: &Problem{}}
+	index := make([]int, p.NumCols)
+	cols.ForEach(func(c int) bool {
+		if bitset.IntersectLenUpTo(m.colSets[c], rows, 1) > 0 {
+			index[c] = len(red.Cols)
+			red.Cols = append(red.Cols, c)
+		}
+		return true
+	})
+	core := red.Core
+	core.NumCols = len(red.Cols)
+	if p.Cost != nil {
+		core.Cost = make([]int, core.NumCols)
+		for i, c := range red.Cols {
+			core.Cost[i] = p.Cost[c]
+		}
+	}
+	rows.ForEach(func(r int) bool {
+		var row []int
+		bitset.IntersectForEach(m.rowSets[r], cols, func(c int) bool {
+			row = append(row, index[c])
+			return true
+		})
+		core.RowCols = append(core.RowCols, row)
+		return true
+	})
+	return red, nil
+}
+
+// Lift maps a cover of the core back to the original problem: the
+// essential columns plus each core column's original index, ascending.
+func (red Reduction) Lift(coreCols []int) []int {
+	out := append([]int(nil), red.Essential...)
+	for _, c := range coreCols {
+		out = append(out, red.Cols[c])
+	}
+	slices.Sort(out)
+	return out
+}
+
 // SolveGreedy returns a feasible (not necessarily optimal) cover without
 // any branch and bound.
 func (p *Problem) SolveGreedy() (Solution, error) {
@@ -849,8 +921,8 @@ func (p *Problem) SolveGreedy() (Solution, error) {
 	for c := 0; c < p.NumCols; c++ {
 		cols.Add(c)
 	}
-	sel := m.greedy(rows, cols)
-	if sel == nil {
+	sel, ok := m.greedyVariant(&ubScratch{}, rows, cols, 0)
+	if !ok {
 		return Solution{}, ErrInfeasible
 	}
 	sort.Ints(sel)

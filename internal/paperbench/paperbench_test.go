@@ -107,21 +107,11 @@ func TestMatrixWorkerInvariance(t *testing.T) {
 // TestSATBackendMatchesExactColumn cross-checks the encoding table's exact
 // column against the CNF/SAT covering backend: solving each corpus
 // machine's extracted constraint set with Backend: sat must prove the same
-// code length and optimality the exact strategy reports. The two largest
-// machines are skipped under -short.
+// code length and optimality the exact strategy reports.
 func TestSATBackendMatchesExactColumn(t *testing.T) {
 	machines, err := corpus.Load("../../testdata/corpus")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if testing.Short() {
-		var small []corpus.Machine
-		for _, m := range machines {
-			if m.Name != "syn10" && m.Name != "syn12" {
-				small = append(small, m)
-			}
-		}
-		machines = small
 	}
 	ctx := context.Background()
 	results, err := RunMatrix(ctx, machines, Options{Strategies: []pipeline.Strategy{pipeline.Exact}})

@@ -58,12 +58,7 @@ func SolveBinateCtx(ctx context.Context, p *BinateProblem, opts CoverOptions) (B
 // solveBinate is SolveBinateCtx's search; steps counts the SAT calls made
 // under a cardinality bound.
 func solveBinate(ctx context.Context, p *BinateProblem, opts CoverOptions) (BinateSolution, int, error) {
-	weight := func(c int) int {
-		if p.Cost == nil {
-			return 1
-		}
-		return p.Cost[c]
-	}
+	weight := costFunc(p.Cost)
 	base := func() *CNF {
 		f := NewCNF(p.NumCols)
 		for _, cl := range p.Clauses {
@@ -74,7 +69,7 @@ func solveBinate(ctx context.Context, p *BinateProblem, opts CoverOptions) (Bina
 	solver := opts.solver()
 
 	// Feasibility first: any model bounds the search from above.
-	res := solver.Solve(ctx, Simplify(base()))
+	res := solver.Solve(ctx, base())
 	switch res.Status {
 	case Unsat:
 		return BinateSolution{}, 0, ErrBinateInfeasible
@@ -98,7 +93,7 @@ func solveBinate(ctx context.Context, p *BinateProblem, opts CoverOptions) (Bina
 		f := base()
 		f.AddAtMostK(weightedLits(p.NumCols, weight), k)
 		steps++
-		res := solver.Solve(ctx, Simplify(f))
+		res := solver.Solve(ctx, f)
 		switch res.Status {
 		case Sat:
 			sel := modelCols(res.Model, p.NumCols)

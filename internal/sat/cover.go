@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cover"
+	"repro/internal/trace"
 )
 
 // ErrBudget is returned when the solver budget (conflicts or context) ran
@@ -46,77 +47,108 @@ func (o CoverOptions) contextFor(ctx context.Context) (context.Context, context.
 	return context.WithCancel(ctx)
 }
 
-// SolveCoverCtx solves a unate covering problem through the CNF backend:
-// one selection variable per column, one positive clause per row, and a
-// linear search over the cover cardinality k from the lower bound up to a
-// greedy upper bound. The first satisfiable k is the proven minimum (the
-// cardinality layer is complete, so a smaller cover would have satisfied
-// an earlier step); if every k below the greedy cost is unsatisfiable the
-// greedy cover itself is proven optimal. Weighted columns are supported by
-// counting a column's literal Cost-many times.
+// SolveCoverCtx solves a unate covering problem through the CNF backend.
+// It lowers the cyclic core, not the raw matrix: cover.Problem.Reduce runs
+// the branch-and-bound's root reductions (duplicate and empty columns,
+// essential columns, row and column dominance), and the core gets one
+// selection variable per column and one positive clause per row. A linear
+// search over the core's cover cost k then runs from the lower bound less
+// the essentials' cost up to the greedy incumbent's cost less the same.
+// The first satisfiable k is the proven minimum (the cardinality layer is
+// complete, so a smaller cover would have satisfied an earlier step); if
+// every k below is unsatisfiable the incumbent itself is proven optimal,
+// and a core the reductions emptied is proven that way with no SAT call.
+// Weighted columns are supported by counting a column's literal Cost-many
+// times.
 //
 // The contract matches Problem.SolveExactCtx: ErrInfeasible when a row has
 // no covering column, and anytime semantics — on budget or context
 // exhaustion the best cover found so far is returned with Optimal=false.
+// The context is polled before every step and before any claim of
+// optimality, so a canceled solve never reports Optimal=true. A "sat.cover"
+// trace span records the problem and core sizes, the essential columns, the
+// SAT calls made (k_steps), their conflicts and the verdict.
 func SolveCoverCtx(ctx context.Context, p *cover.Problem, opts CoverOptions) (cover.Solution, error) {
 	ctx, cancel := opts.contextFor(ctx)
 	defer cancel()
-	if len(p.RowCols) == 0 {
-		return cover.Solution{Optimal: true}, nil
-	}
-	greedy, err := p.SolveGreedy()
+	sp := trace.StartSpan(ctx, "sat.cover")
+	sol, st, err := solveCover(ctx, p, opts)
+	sp.Set("rows", len(p.RowCols)).Set("cols", p.NumCols).
+		Set("core_rows", st.coreRows).Set("core_cols", st.coreCols).Set("essentials", st.essentials).
+		Set("k_steps", st.steps).Set64("conflicts", st.conflicts).
+		SetBool("optimal", sol.Optimal).SetBool("failed", err != nil)
+	sp.End()
+	return sol, err
+}
+
+// coverStats is the work of one SolveCoverCtx call, for its trace span.
+type coverStats struct {
+	coreRows, coreCols, essentials int
+	steps                          int // SAT calls
+	conflicts                      int64
+}
+
+// solveCover is SolveCoverCtx's search on the reduced core.
+func solveCover(ctx context.Context, p *cover.Problem, opts CoverOptions) (cover.Solution, coverStats, error) {
+	var st coverStats
+	red, err := p.Reduce()
 	if err != nil {
-		return cover.Solution{}, err
+		return cover.Solution{}, st, err
 	}
-	incumbent := cover.Solution{Cols: greedy.Cols, Cost: greedy.Cost, Optimal: false}
-	ub := greedy.Cost
-	lb := opts.LowerBound
-	if lb < 0 {
-		lb = 0
+	core := red.Core
+	st.coreRows, st.coreCols, st.essentials = len(core.RowCols), core.NumCols, len(red.Essential)
+	// The incumbent is the cheaper of two greedy covers, the essentials
+	// plus greedy on the core and greedy on the whole matrix: neither
+	// dominates, and every instance one of them proves at the lower bound
+	// skips the SAT call.
+	greedy, err := core.SolveGreedy()
+	if err != nil {
+		return cover.Solution{}, st, err
 	}
-	if ub <= lb {
-		incumbent.Optimal = true
-		return incumbent, nil
+	essCost := costOf(red.Essential, costFunc(p.Cost))
+	incumbent := cover.Solution{Cols: red.Lift(greedy.Cols), Cost: essCost + greedy.Cost}
+	if whole, err := p.SolveGreedy(); err == nil && whole.Cost < incumbent.Cost {
+		incumbent = whole
 	}
 
-	weight := func(c int) int {
-		if p.Cost == nil {
-			return 1
+	weight := costFunc(core.Cost)
+	solver := opts.solver()
+	for k := max(opts.LowerBound-essCost, 0); ctx.Err() == nil; k++ {
+		if essCost+k >= incumbent.Cost {
+			// Every cost below the incumbent's is unsatisfiable.
+			incumbent.Optimal = true
+			return incumbent, st, nil
 		}
-		return p.Cost[c]
-	}
-	base := func() *CNF {
-		f := NewCNF(p.NumCols)
-		for _, row := range p.RowCols {
+		f := NewCNF(core.NumCols)
+		for _, row := range core.RowCols {
 			lits := make([]Lit, len(row))
 			for i, c := range row {
 				lits[i] = Pos(c)
 			}
 			f.AddClause(lits...)
 		}
-		return f
-	}
-	solver := opts.solver()
-	for k := lb; k < ub; k++ {
-		if ctx.Err() != nil {
-			return incumbent, nil
-		}
-		f := base()
-		f.AddAtMostK(weightedLits(p.NumCols, weight), k)
-		res := solver.Solve(ctx, Simplify(f))
+		f.AddAtMostK(weightedLits(core.NumCols, weight), k)
+		st.steps++
+		res := solver.Solve(ctx, f)
+		st.conflicts += res.Conflicts
 		switch res.Status {
 		case Sat:
-			cols := modelCols(res.Model, p.NumCols)
-			return cover.Solution{Cols: cols, Cost: costOf(cols, weight), Optimal: true}, nil
-		case Unsat:
-			continue
-		default: // budget or cancellation: fall back to the incumbent
-			return incumbent, nil
+			sel := modelCols(res.Model, core.NumCols)
+			return cover.Solution{Cols: red.Lift(sel), Cost: essCost + costOf(sel, weight), Optimal: true}, st, nil
+		case Unknown: // budget or cancellation: fall back to the incumbent
+			return incumbent, st, nil
 		}
 	}
-	// Every cost below the greedy cover is unsatisfiable: greedy is optimal.
-	incumbent.Optimal = true
-	return incumbent, nil
+	return incumbent, st, nil
+}
+
+// costFunc returns the column weight function of a cost vector; nil means
+// unit costs.
+func costFunc(cost []int) func(int) int {
+	if cost == nil {
+		return func(int) int { return 1 }
+	}
+	return func(c int) int { return cost[c] }
 }
 
 // weightedLits returns the cardinality-layer literals: column c appears

@@ -91,32 +91,6 @@ func TestDPLLAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestDPLLSimplifiedAgrees runs the same cross-check through Simplify: the
-// presimplification must preserve satisfiability and models.
-func TestDPLLSimplifiedAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := &DPLL{}
-	for i := 0; i < 1000; i++ {
-		nVars := 1 + rng.Intn(9)
-		nClauses := 1 + rng.Intn(5*nVars)
-		f := randomCNF(rng, nVars, nClauses)
-		want := bruteSat(f)
-		s := Simplify(f)
-		res := d.Solve(context.Background(), s)
-		if res.Status == Unknown {
-			t.Fatalf("formula %d: solver gave up", i)
-		}
-		if got := res.Status == Sat; got != want {
-			t.Fatalf("formula %d: simplified verdict %v, brute force %v", i, res.Status, want)
-		}
-		if res.Status == Sat {
-			// A model of the simplified formula must satisfy the original:
-			// Simplify is equivalence-preserving over the same variables.
-			checkModel(t, f, res.Model)
-		}
-	}
-}
-
 // TestDPLLDeterministic: identical formulas must yield identical results,
 // model included.
 func TestDPLLDeterministic(t *testing.T) {

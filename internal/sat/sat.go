@@ -9,8 +9,11 @@
 // clause per covering row (and per Section-8 binate clause), and an
 // at-most-k cardinality layer (sequential-counter, with a commander
 // decomposition above a size threshold) searched over k to recover
-// minimality. A DIMACS emitter/parser keeps the door open for external
-// solvers behind the same Solver interface.
+// minimality. A unate problem is lowered after internal/cover's root
+// reductions (cover.Problem.Reduce), so only its cyclic core reaches the
+// solver. Each step's CNF goes to the solver as built: there is no
+// clause-level simplifier. A DIMACS emitter/parser keeps the door open for
+// external solvers behind the same Solver interface.
 package sat
 
 import (

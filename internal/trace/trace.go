@@ -44,9 +44,9 @@ type Attr struct {
 }
 
 // maxAttrs bounds the attributes stored inline in a span handle. Stages
-// record a handful of counters; overflow attributes are dropped rather than
-// allocated.
-const maxAttrs = 8
+// record a handful of counters (sat.cover, the widest, records nine);
+// overflow attributes are dropped rather than allocated.
+const maxAttrs = 12
 
 // Span is an in-progress stage measurement. Obtain one from
 // Recorder.StartSpan or the package-level StartSpan; a nil Span (from a nil
