@@ -5,12 +5,18 @@ GO ?= go
 # different file: `make bench-json BENCH_SNAPSHOT=BENCH_LOCAL.json`.
 BENCH_SNAPSHOT ?= BENCH_PR10.json
 
-.PHONY: all build vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
+.PHONY: all build fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file in the tree, perfbench/ included, is not gofmt
+# clean, naming the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -76,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/diffcheck/ -run '^FuzzVerify$$' -fuzz '^FuzzVerify$$' -fuzztime 30s
 	$(GO) test ./internal/diffcheck/ -run '^FuzzDecompose$$' -fuzz '^FuzzDecompose$$' -fuzztime 30s
 	$(GO) test ./internal/diffcheck/ -run '^FuzzSATEncode$$' -fuzz '^FuzzSATEncode$$' -fuzztime 30s
+	$(GO) test ./internal/espresso/ -run '^FuzzMintermMinimize$$' -fuzz '^FuzzMintermMinimize$$' -fuzztime 30s
 
 # Run the encoding service locally (POST /v1/encode, GET /v1/stats).
 serve:
@@ -142,4 +149,4 @@ perfbench-test:
 
 # bench-gate subsumes bench-json-smoke: it runs the same pipeline and then
 # holds the result against the committed snapshot.
-ci: vet staticcheck build race test-server test-diff test-sat cover-sat bench-smoke bench-gate paper-tables-check perfbench-test
+ci: fmt-check vet staticcheck build race test-server test-diff test-sat cover-sat bench-smoke bench-gate paper-tables-check perfbench-test

@@ -103,17 +103,20 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, Stats, error) {
 		used[i] = true
 	}
 	stats := Stats{}
+	// The assignment wraps codes by reference, so the in-place moves below
+	// are visible through it: one subset bitset for the whole run.
+	fa := cost.FullAssignment(bits, codes)
 	var eval func() int
 	if opts.UseCache {
 		evaluator := cost.NewEvaluator(cs)
 		eval = func() int {
 			stats.Evaluations++
-			return evaluator.Of(opts.Metric, cost.FullAssignment(bits, codes))
+			return evaluator.Of(opts.Metric, fa)
 		}
 	} else {
 		eval = func() int {
 			stats.Evaluations++
-			return cost.Of(opts.Metric, cs, cost.FullAssignment(bits, codes))
+			return cost.Of(opts.Metric, cs, fa)
 		}
 	}
 	cur := eval()

@@ -84,19 +84,26 @@ func TestImprovesOverInitial(t *testing.T) {
 	}
 }
 
+// TestCachedMatchesUncached runs every metric: only the cube and literal
+// metrics reach the memo and the minimizer behind it.
 func TestCachedMatchesUncached(t *testing.T) {
 	cs := exampleConstraints()
-	a, _, err := Encode(cs, Options{Temps: 15, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Encode(cs, Options{Temps: 15, Seed: 5, UseCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Codes {
-		if a.Codes[i] != b.Codes[i] {
-			t.Fatal("the cached evaluator must not change the annealing trajectory")
+	for _, m := range []cost.Metric{cost.Violations, cost.Cubes, cost.Literals} {
+		a, sa, err := Encode(cs, Options{Metric: m, Temps: 15, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, sb, err := Encode(cs, Options{Metric: m, Temps: 15, Seed: 5, UseCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Codes {
+			if a.Codes[i] != b.Codes[i] {
+				t.Fatalf("%v: the cached evaluator must not change the annealing trajectory", m)
+			}
+		}
+		if sa.Accepted != sb.Accepted || sa.FinalCost != sb.FinalCost {
+			t.Fatalf("%v: uncached %+v, cached %+v", m, sa, sb)
 		}
 	}
 }

@@ -9,6 +9,12 @@
 // don't-cares), and whose don't-care set holds the unused codes. Each F_I
 // is minimized with the espresso-lite engine; a satisfied constraint yields
 // exactly one product term.
+//
+// F_I is handed to espresso.MinimizeMinterms as on and off code lists. For
+// codes of at most 7 bits, as in every minimum-length encoding of up to
+// 128 symbols, espresso keeps the off- and don't-care sets as 128-bit
+// minterm masks instead of complementing a cube cover; the cover it returns
+// is the same.
 package cost
 
 import (
@@ -58,7 +64,7 @@ type Assignment struct {
 
 // FullAssignment wraps a complete encoding of n symbols.
 func FullAssignment(bits int, codes []hypercube.Code) Assignment {
-	var sub bitset.Set
+	sub := bitset.New(len(codes))
 	for i := range codes {
 		sub.Add(i)
 	}
@@ -144,12 +150,14 @@ func (r Result) Of(m Metric) int {
 // functions, as in Figure 9.
 func Evaluate(cs *constraint.Set, a Assignment) Result {
 	r := Result{Violations: CountViolations(cs, a)}
+	var members bitset.Set
+	var fn charFunc
 	for _, f := range cs.Faces {
-		members := bitset.Intersect(f.Members, a.Subset)
-		if members.Len() < 2 {
+		if members.IntersectPopcountInto(f.Members, a.Subset) < 2 {
 			continue
 		}
-		g := minimizeFace(f, members, a)
+		fn.split(f, members, a)
+		g := espresso.MinimizeMinterms(a.Bits, fn.on, fn.off)
 		r.Cubes += g.Size()
 		r.Literals += g.Literals()
 	}
@@ -170,31 +178,28 @@ func Of(m Metric, cs *constraint.Set, a Assignment) int {
 	}
 }
 
-// minimizeFace builds and minimizes the characteristic function F_I of one
-// face constraint under the assignment.
-func minimizeFace(f constraint.Face, members bitset.Set, a Assignment) *espresso.Cover {
-	on := espresso.NewCover(a.Bits)
-	off := espresso.NewCover(a.Bits)
-	a.Subset.ForEach(func(s int) bool {
-		m := espresso.MintermCube(a.Bits, a.Codes[s])
-		switch {
-		case members.Has(s):
-			on.Add(m)
-		case f.DontCare.Has(s) || f.Members.Has(s):
-			// encoding don't-care of this constraint, or a member outside
-			// the subset restriction: leave in the DC set
-		default:
-			off.Add(m)
+// charFunc is the characteristic function F_I of one face constraint
+// under an assignment: the codes of the subset's symbols by role, each
+// list in subset order.
+type charFunc struct {
+	on, off, dc []uint64
+}
+
+// split builds fn for face f, whose members in the subset are members.
+// Members outside the subset join the constraint's encoding don't-cares.
+func (fn *charFunc) split(f constraint.Face, members bitset.Set, a Assignment) {
+	fn.on, fn.off, fn.dc = fn.on[:0], fn.off[:0], fn.dc[:0]
+	for wi, wc := 0, a.Subset.WordCount(); wi < wc; wi++ {
+		for w := a.Subset.Word(wi); w != 0; w &= w - 1 {
+			s := wi*64 + bits.TrailingZeros64(w)
+			switch c := a.Codes[s]; {
+			case members.Has(s):
+				fn.on = append(fn.on, c)
+			case f.DontCare.Has(s) || f.Members.Has(s):
+				fn.dc = append(fn.dc, c)
+			default:
+				fn.off = append(fn.off, c)
+			}
 		}
-		return true
-	})
-	if on.Size() == 0 {
-		return on
 	}
-	// DC set = everything that is neither on nor off (unused codes plus
-	// the constraint's encoding don't-cares).
-	both := on.Clone()
-	both.Cubes = append(both.Cubes, off.Cubes...)
-	dc := both.Complement()
-	return espresso.Minimize(on, dc, off)
 }

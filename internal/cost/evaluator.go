@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/constraint"
+	"repro/internal/espresso"
 )
 
 // Evaluator memoizes per-constraint minimization results across repeated
@@ -15,15 +16,26 @@ import (
 // constraints touching the swapped symbols.
 type Evaluator struct {
 	cs   *constraint.Set
-	memo []map[string]faceCost
+	memo []map[faceKey]faceCost
 	// Hits and Misses expose cache behavior for the ablation bench.
 	Hits, Misses int
-	// key's scratch buffers, reused across faces and evaluations so cache
-	// hits allocate nothing (the map lookup on string(keyBuf) is
-	// allocation-free; only a miss materializes the key string).
-	on, off, dc []uint64
-	keyBuf      []byte
-	members     bitset.Set // face's members ∩ subset working set
+	// Scratch reused across faces and evaluations, so a cache hit on a
+	// mask key allocates nothing.
+	fn      charFunc
+	members bitset.Set // face's members ∩ subset working set
+	sorted  []uint64   // codeKey's buffers
+	keyBuf  []byte
+}
+
+// faceKey identifies F_I up to the symbols behind its codes. Codes of at
+// most espresso.MaxMintermVars bits that are all distinct key by the on,
+// off and don't-care code sets as masks. Others key by the code lists
+// sorted and serialized in codes, which count a repeated code as often as
+// it occurs. With distinct codes both forms have the same classes.
+type faceKey struct {
+	bits  int
+	sets  [3]espresso.Minterms
+	codes string
 }
 
 type faceCost struct {
@@ -33,7 +45,7 @@ type faceCost struct {
 
 // NewEvaluator returns an evaluator for the given constraint set.
 func NewEvaluator(cs *constraint.Set) *Evaluator {
-	return &Evaluator{cs: cs, memo: make([]map[string]faceCost, len(cs.Faces))}
+	return &Evaluator{cs: cs, memo: make([]map[faceKey]faceCost, len(cs.Faces))}
 }
 
 // Evaluate computes the Section-7 metrics with memoization.
@@ -76,62 +88,63 @@ func (e *Evaluator) face(fi int, a Assignment) faceCost {
 	if e.members.IntersectPopcountInto(f.Members, a.Subset) < 2 {
 		return faceCost{satisfied: true}
 	}
-	members := e.members
-	key := e.key(f, members, a)
-	if e.memo[fi] == nil {
-		e.memo[fi] = make(map[string]faceCost)
+	e.fn.split(f, e.members, a)
+	key, ok := e.fn.maskKey(a.Bits)
+	if !ok {
+		key.codes = e.codeKey(a.Bits)
 	}
-	// string(key) in the index expression is recognized by the compiler and
-	// does not allocate; only a miss pays for materializing the key.
-	if fc, ok := e.memo[fi][string(key)]; ok {
+	if e.memo[fi] == nil {
+		e.memo[fi] = make(map[faceKey]faceCost)
+	}
+	if fc, ok := e.memo[fi][key]; ok {
 		e.Hits++
 		return fc
 	}
 	e.Misses++
-	g := minimizeFace(f, members, a)
+	g := espresso.MinimizeMinterms(a.Bits, e.fn.on, e.fn.off)
 	fc := faceCost{
 		cubes:     g.Size(),
 		literals:  g.Literals(),
 		satisfied: faceSatisfied(f, a),
 	}
-	e.memo[fi][string(key)] = fc
+	e.memo[fi][key] = fc
 	return fc
 }
 
-// key canonically serializes the on/off/dc code multisets of one face
-// under the assignment into e.keyBuf. Codes are bucketed by role and sorted
-// so role-preserving permutations of symbols hit the same entry. The
-// returned slice is valid until the next key call.
-func (e *Evaluator) key(f constraint.Face, members bitset.Set, a Assignment) []byte {
-	on, off, dc := e.on[:0], e.off[:0], e.dc[:0]
-	a.Subset.ForEach(func(s int) bool {
-		c := uint64(a.Codes[s])
-		switch {
-		case members.Has(s):
-			on = append(on, c)
-		case f.DontCare.Has(s) || f.Members.Has(s):
-			dc = append(dc, c)
-		default:
-			off = append(off, c)
+// maskKey returns fn's key as code-set masks, or false when a code is
+// wider than espresso.MaxMintermVars bits or repeats.
+func (fn *charFunc) maskKey(bits int) (faceKey, bool) {
+	k := faceKey{bits: bits}
+	if bits > espresso.MaxMintermVars {
+		return k, false
+	}
+	var seen espresso.Minterms
+	for i, codes := range [...][]uint64{fn.on, fn.off, fn.dc} {
+		for _, c := range codes {
+			if c>>uint(bits) != 0 || seen.Has(c) {
+				return k, false
+			}
+			seen.Add(c)
+			k.sets[i].Add(c)
 		}
-		return true
-	})
-	e.on, e.off, e.dc = on, off, dc
-	sortU64(on)
-	sortU64(off)
-	sortU64(dc)
-	buf := e.keyBuf[:0]
-	buf = append(buf, byte(a.Bits))
-	for _, group := range [...][]uint64{on, off, dc} {
+	}
+	return k, true
+}
+
+// codeKey serializes e.fn's on, off and don't-care code lists, each
+// sorted, so role-preserving permutations of symbols hit the same entry.
+func (e *Evaluator) codeKey(bits int) string {
+	buf := append(e.keyBuf[:0], byte(bits))
+	for _, codes := range [...][]uint64{e.fn.on, e.fn.off, e.fn.dc} {
+		e.sorted = append(e.sorted[:0], codes...)
+		sortU64(e.sorted)
 		buf = append(buf, 0xFF)
-		for _, c := range group {
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], c)
-			buf = append(buf, tmp[:]...)
+		for _, c := range e.sorted {
+			buf = binary.LittleEndian.AppendUint64(buf, c)
 		}
 	}
 	e.keyBuf = buf
-	return buf
+	return string(buf)
 }
 
 func sortU64(xs []uint64) {

@@ -2,7 +2,9 @@
 // style of ESPRESSO (expand / irredundant / reduce over cube covers),
 // sufficient for the paper's cost-function evaluation (Section 7, Figure 9)
 // and the encoded-PLA back-end. Functions are limited to 64 binary inputs,
-// far beyond any encoding produced here.
+// far beyond any encoding produced here. Functions of at most 7 inputs
+// given by minterms (MinimizeMinterms) keep their off- and don't-care sets
+// as 128-bit masks; the loop, and so the result, is the same.
 package espresso
 
 import (
@@ -181,7 +183,7 @@ func (f *Cover) ContainsMinterm(m uint64) bool {
 // SCC performs single-cube containment: cubes contained in another single
 // cube are removed.
 func (f *Cover) SCC() {
-	var kept []Cube
+	kept := make([]Cube, 0, len(f.Cubes))
 outer:
 	for i, c := range f.Cubes {
 		if c.IsEmpty(f.N) {

@@ -1,6 +1,6 @@
 package espresso
 
-import "sort"
+import "slices"
 
 // Tautology reports whether the cover equals the whole space, by unate
 // reduction and Shannon splitting on the most binate variable.
@@ -130,155 +130,58 @@ func complRec(n int, cubes []Cube, space Cube) []Cube {
 	return append(complRec(n, half(true), sp0), complRec(n, half(false), sp1)...)
 }
 
-// Expand enlarges each cube of f against the blocking cover off (the
-// off-set). Two mechanisms are combined, approximating espresso's
-// coverage-directed expansion: first, pairs of cubes whose supercube is
-// disjoint from off are merged (this recovers whole faces from their
-// minterms in one step); then each cube's literals are raised greedily,
-// most-easily-raised first, while the cube stays disjoint from off.
-// Expanded cubes that cover earlier ones subsume them via SCC.
-func (f *Cover) Expand(off *Cover) {
-	f.mergeSupercubes(off)
-	for i := range f.Cubes {
-		f.Cubes[i] = expandCube(f.N, f.Cubes[i], off)
-	}
-	f.SCC()
+// sets answers the three questions the espresso loop asks of the off-set
+// and the don't-care set of the function it minimizes. A cube cover
+// (coverSets) and a minterm mask (mintermSets) answer them identically,
+// so the loop below makes the same merges, raises, removals and
+// iterations over either representation.
+type sets interface {
+	// meetsOff reports whether c intersects the off-set.
+	meetsOff(c Cube) bool
+	// covered reports whether c lies in the union of rest and the
+	// don't-care set.
+	covered(c Cube, rest []Cube) bool
+	// reduced returns the smallest cube containing the minterms of c
+	// outside rest and the don't-care set; the empty cube when there are
+	// none.
+	reduced(c Cube, rest []Cube) Cube
 }
 
-// mergeSupercubes repeatedly replaces pairs of cubes by their supercube
-// whenever the supercube does not intersect the off-set.
-func (f *Cover) mergeSupercubes(off *Cover) {
-	for {
-		merged := false
-		for i := 0; i < len(f.Cubes) && !merged; i++ {
-			for j := i + 1; j < len(f.Cubes); j++ {
-				sc := f.Cubes[i].Supercube(f.Cubes[j])
-				ok := true
-				for _, o := range off.Cubes {
-					if sc.Intersects(f.N, o) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					f.Cubes[i] = sc
-					f.Cubes = append(f.Cubes[:j], f.Cubes[j+1:]...)
-					merged = true
-					break
-				}
-			}
-		}
-		if !merged {
-			return
-		}
-	}
+// coverSets holds the off-set and the don't-care set (nil allowed) as cube
+// covers.
+type coverSets struct {
+	off, dc *Cover
 }
 
-func expandCube(n int, c Cube, off *Cover) Cube {
-	type cand struct{ v, blockers int }
-	var cands []cand
-	for v := 0; v < n; v++ {
-		b := uint64(1) << uint(v)
-		if c.Z&b != 0 && c.O&b != 0 {
-			continue // already free
-		}
-		raised := Cube{Z: c.Z | b, O: c.O | b}
-		blockers := 0
-		for _, o := range off.Cubes {
-			if raised.Intersects(n, o) {
-				blockers++
-			}
-		}
-		cands = append(cands, cand{v, blockers})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].blockers != cands[j].blockers {
-			return cands[i].blockers < cands[j].blockers
-		}
-		return cands[i].v < cands[j].v
-	})
-	for _, cd := range cands {
-		b := uint64(1) << uint(cd.v)
-		raised := Cube{Z: c.Z | b, O: c.O | b}
-		ok := true
-		for _, o := range off.Cubes {
-			if raised.Intersects(n, o) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			c = raised
+func (s *coverSets) meetsOff(c Cube) bool {
+	for _, o := range s.off.Cubes {
+		if c.Intersects(s.off.N, o) {
+			return true
 		}
 	}
-	return c
+	return false
 }
 
-// Irredundant removes cubes covered by the union of the remaining cubes
-// and the don't-care cover dc (may be nil).
-func (f *Cover) Irredundant(dc *Cover) {
-	// Try removing the largest cubes last: removing small cubes first
-	// preserves the expanded primes.
-	order := make([]int, len(f.Cubes))
-	for i := range order {
-		order[i] = i
+// withDC returns rest followed by the don't-care cubes as a cover.
+func (s *coverSets) withDC(rest []Cube) *Cover {
+	all := &Cover{N: s.off.N, Cubes: rest}
+	if s.dc != nil {
+		all.Cubes = append(all.Cubes, s.dc.Cubes...)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return f.Cubes[order[a]].Literals(f.N) > f.Cubes[order[b]].Literals(f.N)
-	})
-	removed := make([]bool, len(f.Cubes))
-	for _, i := range order {
-		rest := &Cover{N: f.N}
-		for j, c := range f.Cubes {
-			if j != i && !removed[j] {
-				rest.Cubes = append(rest.Cubes, c)
-			}
-		}
-		if dc != nil {
-			rest.Cubes = append(rest.Cubes, dc.Cubes...)
-		}
-		if rest.CoversCube(f.Cubes[i]) {
-			removed[i] = true
-		}
-	}
-	var kept []Cube
-	for i, c := range f.Cubes {
-		if !removed[i] {
-			kept = append(kept, c)
-		}
-	}
-	f.Cubes = kept
+	return all
 }
 
-// Reduce shrinks each cube to the smallest cube covering the minterms it
-// alone covers (relative to the rest of the cover plus dc), enabling the
-// next expansion to escape local minima.
-func (f *Cover) Reduce(dc *Cover) {
-	for i := range f.Cubes {
-		rest := &Cover{N: f.N}
-		for j, c := range f.Cubes {
-			if j != i {
-				rest.Cubes = append(rest.Cubes, c)
-			}
-		}
-		if dc != nil {
-			rest.Cubes = append(rest.Cubes, dc.Cubes...)
-		}
-		f.Cubes[i] = reduceCube(f.N, f.Cubes[i], rest)
-	}
-	var kept []Cube
-	for _, c := range f.Cubes {
-		if !c.IsEmpty(f.N) {
-			kept = append(kept, c)
-		}
-	}
-	f.Cubes = kept
+func (s *coverSets) covered(c Cube, rest []Cube) bool {
+	return s.withDC(rest).CoversCube(c)
 }
 
-// reduceCube returns the supercube of c ∖ rest.
-func reduceCube(n int, c Cube, rest *Cover) Cube {
+// reduced intersects c with the supercube of the complement of the rest
+// cofactored against c: that complement is free in the variables c fixes,
+// so the intersection is the supercube of c ∖ rest.
+func (s *coverSets) reduced(c Cube, rest []Cube) Cube {
+	n := s.off.N
 	var cof []Cube
-	for _, d := range rest.Cubes {
+	for _, d := range s.withDC(rest).Cubes {
 		if r, ok := d.Cofactor(n, c); ok {
 			cof = append(cof, r)
 		}
@@ -292,6 +195,154 @@ func reduceCube(n int, c Cube, rest *Cover) Cube {
 		sc = sc.Supercube(r)
 	}
 	return c.Intersect(sc)
+}
+
+// loop is the espresso loop over one function: the sets it asks, and
+// scratch reused across its passes.
+type loop struct {
+	sets
+	rest    []Cube
+	order   []int
+	removed []bool
+}
+
+// minimize runs the espresso loop — expand, irredundant, keep the best
+// cover by (cubes, literals), reduce — on the on-set cover g, which it
+// consumes, against the off-set and don't-care set s.
+func minimize(g *Cover, s sets) *Cover {
+	l := &loop{sets: s}
+	best := g.Clone()
+	cost := func(c *Cover) (int, int) { return c.Size(), c.Literals() }
+	bc, bl := cost(best)
+	for iter := 0; iter < 4; iter++ {
+		l.expand(g)
+		l.irredundant(g)
+		c, lits := cost(g)
+		if c < bc || (c == bc && lits < bl) {
+			best = g.Clone()
+			bc, bl = c, lits
+		} else if iter > 0 {
+			break
+		}
+		l.reduce(g)
+	}
+	return best
+}
+
+// expand enlarges each cube of f against the off-set. Two mechanisms are
+// combined, approximating espresso's coverage-directed expansion: first,
+// pairs of cubes whose supercube is disjoint from the off-set are merged
+// (this recovers whole faces from their minterms in one step); then each
+// cube's literals are raised greedily while the cube stays disjoint from
+// the off-set. Expanded cubes that cover earlier ones subsume them via SCC.
+func (l *loop) expand(f *Cover) {
+	l.mergeSupercubes(f)
+	for i := range f.Cubes {
+		f.Cubes[i] = l.expandCube(f.N, f.Cubes[i])
+	}
+	f.SCC()
+}
+
+// mergeSupercubes repeatedly replaces pairs of cubes by their supercube
+// whenever the supercube does not intersect the off-set.
+func (l *loop) mergeSupercubes(f *Cover) {
+	for {
+		merged := false
+		for i := 0; i < len(f.Cubes) && !merged; i++ {
+			for j := i + 1; j < len(f.Cubes); j++ {
+				sc := f.Cubes[i].Supercube(f.Cubes[j])
+				if !l.meetsOff(sc) {
+					f.Cubes[i] = sc
+					f.Cubes = append(f.Cubes[:j], f.Cubes[j+1:]...)
+					merged = true
+					break
+				}
+			}
+		}
+		if !merged {
+			return
+		}
+	}
+}
+
+// expandCube raises the literals of c greedily, keeping every raise that
+// leaves c disjoint from the off-set. Raising only grows c, so a raise that
+// meets the off-set from c meets it from every later c: only the raises
+// clear of it at the start can succeed, and they are tried in variable
+// order. (Ordering all raises by the number of off cubes each meets, ties
+// by variable, tries exactly these first and in this order.)
+func (l *loop) expandCube(n int, c Cube) Cube {
+	var raisable uint64
+	for v := 0; v < n; v++ {
+		b := uint64(1) << uint(v)
+		if (c.Z&b == 0 || c.O&b == 0) && !l.meetsOff(Cube{Z: c.Z | b, O: c.O | b}) {
+			raisable |= b
+		}
+	}
+	for ; raisable != 0; raisable &= raisable - 1 {
+		b := raisable & -raisable
+		if raised := (Cube{Z: c.Z | b, O: c.O | b}); !l.meetsOff(raised) {
+			c = raised
+		}
+	}
+	return c
+}
+
+// irredundant removes cubes covered by the union of the remaining cubes
+// and the don't-care set.
+func (l *loop) irredundant(f *Cover) {
+	// Try removing the largest cubes last: removing small cubes first
+	// preserves the expanded primes. Ties take pdqsort's order, which
+	// slices.SortFunc and sort.Slice share and the pipeline goldens pin.
+	order := l.order[:0]
+	for i := range f.Cubes {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return f.Cubes[b].Literals(f.N) - f.Cubes[a].Literals(f.N)
+	})
+	removed := append(l.removed[:0], make([]bool, len(f.Cubes))...)
+	l.order, l.removed = order, removed
+	for _, i := range order {
+		l.rest = l.rest[:0]
+		for j, c := range f.Cubes {
+			if j != i && !removed[j] {
+				l.rest = append(l.rest, c)
+			}
+		}
+		if l.covered(f.Cubes[i], l.rest) {
+			removed[i] = true
+		}
+	}
+	kept := f.Cubes[:0]
+	for i, c := range f.Cubes {
+		if !removed[i] {
+			kept = append(kept, c)
+		}
+	}
+	f.Cubes = kept
+}
+
+// reduce shrinks each cube to the smallest cube covering the minterms it
+// alone covers (relative to the rest of the cover plus the don't-care
+// set), enabling the next expansion to escape local minima.
+func (l *loop) reduce(f *Cover) {
+	for i := range f.Cubes {
+		l.rest = l.rest[:0]
+		for j, c := range f.Cubes {
+			if j != i {
+				l.rest = append(l.rest, c)
+			}
+		}
+		f.Cubes[i] = l.reduced(f.Cubes[i], l.rest)
+	}
+	kept := f.Cubes[:0]
+	for _, c := range f.Cubes {
+		if !c.IsEmpty(f.N) {
+			kept = append(kept, c)
+		}
+	}
+	f.Cubes = kept
 }
 
 // Minimize runs the espresso loop on the on-set f with don't-care set dc
@@ -310,27 +361,12 @@ func Minimize(f, dc, off *Cover) *Cover {
 		}
 		off = onDC.Complement()
 	}
-	best := g.Clone()
-	cost := func(c *Cover) (int, int) { return c.Size(), c.Literals() }
-	bc, bl := cost(best)
-	for iter := 0; iter < 4; iter++ {
-		g.Expand(off)
-		g.Irredundant(dc)
-		c, l := cost(g)
-		if c < bc || (c == bc && l < bl) {
-			best = g.Clone()
-			bc, bl = c, l
-		} else if iter > 0 {
-			break
-		}
-		g.Reduce(dc)
-	}
-	return best
+	return minimize(g, &coverSets{off: off, dc: dc})
 }
 
 // FromMinterms builds a cover of the given minterms over n variables.
 func FromMinterms(n int, ms []uint64) *Cover {
-	f := NewCover(n)
+	f := &Cover{N: n, Cubes: make([]Cube, 0, len(ms))}
 	for _, m := range ms {
 		f.Add(MintermCube(n, m))
 	}

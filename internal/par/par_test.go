@@ -22,12 +22,12 @@ func TestWorkersFor(t *testing.T) {
 	cases := []struct {
 		workers, size, cutoff, want int
 	}{
-		{8, 10, 100, 1},   // small instance: forced sequential
-		{8, 100, 100, 8},  // exactly at the cutoff: parallel
-		{8, 500, 100, 8},  // large instance: parallel
-		{1, 500, 100, 1},  // explicit sequential stays sequential
-		{8, 0, 1, 1},      // empty instance below any positive cutoff
-		{8, 5, 0, 8},      // zero cutoff disables the gate
+		{8, 10, 100, 1},  // small instance: forced sequential
+		{8, 100, 100, 8}, // exactly at the cutoff: parallel
+		{8, 500, 100, 8}, // large instance: parallel
+		{1, 500, 100, 1}, // explicit sequential stays sequential
+		{8, 0, 1, 1},     // empty instance below any positive cutoff
+		{8, 5, 0, 8},     // zero cutoff disables the gate
 	}
 	for _, c := range cases {
 		if got := Workers(c.workers).WorkersFor(c.size, c.cutoff); got != c.want {

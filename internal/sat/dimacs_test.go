@@ -81,11 +81,11 @@ func TestDIMACSParseTolerance(t *testing.T) {
 // TestDIMACSParseErrors: malformed inputs are rejected, not mangled.
 func TestDIMACSParseErrors(t *testing.T) {
 	for _, in := range []string{
-		"",                      // no problem line
-		"1 2 0\n",               // clause before problem line
-		"p cnf x 1\n1 0\n",      // bad var count
-		"p cnf 2 1\n1 2\n",      // unterminated clause
-		"p cnf 2 1\n1 y 0\n",    // bad literal
+		"",                       // no problem line
+		"1 2 0\n",                // clause before problem line
+		"p cnf x 1\n1 0\n",       // bad var count
+		"p cnf 2 1\n1 2\n",       // unterminated clause
+		"p cnf 2 1\n1 y 0\n",     // bad literal
 		"p cnf 1 0\np cnf 1 0\n", // duplicate problem line
 	} {
 		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
