@@ -3,7 +3,12 @@ GO ?= go
 # The checked-in kernel benchmark snapshot that bench-json writes and
 # bench-gate diffs against. Override to measure into (or gate against) a
 # different file: `make bench-json BENCH_SNAPSHOT=BENCH_LOCAL.json`.
-BENCH_SNAPSHOT ?= BENCH_PR10.json
+#
+# bench-json, bench-gate and bench-gate-strict all measure at -cpu 1: the
+# *ParallelKernel/large rows allocate per worker, so their allocs/op grow
+# with GOMAXPROCS, and the snapshot holds the one-CPU figures. Pinning the
+# CPU count compares like with like on any machine.
+BENCH_SNAPSHOT ?= BENCH.json
 
 .PHONY: all build fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
 
@@ -83,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/diffcheck/ -run '^FuzzDecompose$$' -fuzz '^FuzzDecompose$$' -fuzztime 30s
 	$(GO) test ./internal/diffcheck/ -run '^FuzzSATEncode$$' -fuzz '^FuzzSATEncode$$' -fuzztime 30s
 	$(GO) test ./internal/espresso/ -run '^FuzzMintermMinimize$$' -fuzz '^FuzzMintermMinimize$$' -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^FuzzServe$$' -fuzz '^FuzzServe$$' -fuzztime 30s
 
 # Run the encoding service locally (POST /v1/encode, GET /v1/stats).
 serve:
@@ -106,7 +112,7 @@ bench:
 # packages and record ns/op, B/op and allocs/op as JSON into the checked-in
 # snapshot ($(BENCH_SNAPSHOT)) the README's before/after table cites.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Kernel' -benchmem ./... | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
+	$(GO) test -run '^$$' -bench 'Kernel' -benchmem -cpu 1 ./... | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
 
 # One iteration of each kernel benchmark through the JSON pipeline: proves
 # harness and parser still work without paying for a full measurement.
@@ -118,7 +124,7 @@ bench-json-smoke:
 # timing ignored (CI machines are too noisy for ns/op at -benchtime=20x).
 # Fails when a kernel's allocation count regresses or a benchmark vanishes.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'Kernel' -benchtime=20x -benchmem ./... | \
+	$(GO) test -run '^$$' -bench 'Kernel' -benchtime=20x -benchmem -cpu 1 ./... | \
 		$(GO) run ./cmd/benchjson | \
 		$(GO) run ./cmd/benchdiff -baseline $(BENCH_SNAPSHOT) -current - -mode smoke
 
@@ -126,7 +132,7 @@ bench-gate:
 # mode — allocs/op must match the snapshot exactly, ns/op within the noise
 # band. Run before cutting a release or refreshing $(BENCH_SNAPSHOT).
 bench-gate-strict:
-	$(GO) test -run '^$$' -bench 'Kernel' -benchmem ./... | \
+	$(GO) test -run '^$$' -bench 'Kernel' -benchmem -cpu 1 ./... | \
 		$(GO) run ./cmd/benchjson | \
 		$(GO) run ./cmd/benchdiff -baseline $(BENCH_SNAPSHOT) -current - -mode strict
 

@@ -136,11 +136,14 @@ func main() {
 		return
 	}
 
-	res, err := encodingapi.ExactEncode(ctx, cs, core.ExactOptions{
+	exact := encodingapi.ExactEncode
+	if *decompose {
+		exact = encodingapi.ExactEncodeDecomposed
+	}
+	res, err := exact(ctx, cs, core.ExactOptions{
 		Prime:       prime.Options{Limit: *primeLimit},
 		Parallelism: par.Parallelism{Workers: *jobs, TimeLimit: *timeout},
 		Backend:     backend,
-		Decompose:   *decompose,
 	})
 	if err != nil {
 		fatal(err)

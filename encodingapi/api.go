@@ -238,15 +238,20 @@ func Feasible(cs *Set) bool { return core.CheckFeasible(cs).Feasible }
 // ExactEncode solves P-2: minimum-length codes satisfying every constraint
 // of the set, extensions included, or ErrInfeasible. The context cancels
 // the exponential stages cooperatively; see core.ExactEncodeCtx for the
-// exact contract. With opts.Decompose set, the set is split into the
-// connected components of its symbol graph and the components solve
-// independently (see internal/decomp; sets with chain or non-face
-// constraints solve whole); any infeasibility is reported in global terms.
+// exact contract. ExactEncodeDecomposed is the component-wise variant.
 func ExactEncode(ctx context.Context, cs *Set, opts ExactOptions) (*ExactResult, error) {
-	if opts.Decompose {
-		return decomp.ExactEncodeCtx(ctx, cs, opts)
-	}
 	return core.ExactEncodeCtx(ctx, cs, opts)
+}
+
+// ExactEncodeDecomposed is ExactEncode solved component-wise: the set is
+// split into the connected components of its symbol graph, the components
+// solve independently and their codes are assembled into one encoding
+// (see internal/decomp; sets with chain or non-face constraints solve
+// whole). The assembled width can exceed ExactEncode's, and then the
+// result does not claim Optimal; any infeasibility is reported in global
+// terms.
+func ExactEncodeDecomposed(ctx context.Context, cs *Set, opts ExactOptions) (*ExactResult, error) {
+	return decomp.ExactEncodeCtx(ctx, cs, opts)
 }
 
 // DecompCount reports the number of connected components of cs's symbol

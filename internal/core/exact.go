@@ -39,11 +39,6 @@ type ExactOptions struct {
 	// feasible for small symbol counts but globally optimal by
 	// construction. Used as ground truth in tests.
 	Exhaustive bool
-	// Decompose requests connected-component decomposition before
-	// solving. The core kernels ignore it — decomposition lives in
-	// internal/decomp, which core cannot import; encodingapi.ExactEncode
-	// and the service layer honor the flag.
-	Decompose bool
 	// Backend selects the unate covering engine: branch-and-bound
 	// (default) or the CNF/SAT backend. Both prove the same optima; see
 	// Backend.

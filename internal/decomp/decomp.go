@@ -13,9 +13,11 @@
 //     computes a canonical per-component sub-hash with
 //     core.CanonicalHashSet, so permuted-but-equal components share one
 //     cache identity.
-//   - Component.Solve runs the ordinary exact pipeline on the local set and
-//     remaps any InfeasibleError back to global symbol indices before it
-//     escapes.
+//   - Plan.Solve is the one component loop: a bounded fan-out of a
+//     caller-supplied ComponentSolver over the components (ExactEncodeCtx
+//     hands it the plain core solve; the service adds per-component
+//     caching and coalescing), remapping any InfeasibleError back to global
+//     symbol indices before it escapes.
 //   - Assemble concatenates the component encodings with a prefix-free
 //     aligned-subcube layout (see layout.go) and reports honest optimality:
 //     the result claims Optimal only when every component was solved to

@@ -251,7 +251,7 @@ func TestResultFromCodesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, comp := range plan.Components {
-		res, err := comp.Solve(context.Background(), core.ExactOptions{})
+		res, err := core.ExactEncodeCtx(context.Background(), comp.Set, core.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

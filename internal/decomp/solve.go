@@ -21,13 +21,8 @@ import (
 // function accepts every constraint class.
 //
 // Infeasibility anywhere surfaces as a core.InfeasibleError in *global*
-// terms: component-local symbol indices never escape (see
-// Component.globalizeError). When several components are infeasible the
-// error of the lowest-indexed one wins, deterministically.
+// terms; see Plan.Solve.
 func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts core.ExactOptions) (*core.ExactResult, error) {
-	if err := cs.Validate(); err != nil {
-		return nil, err
-	}
 	if !Decomposable(cs) {
 		return core.ExactEncodeCtx(ctx, cs, opts)
 	}
@@ -35,41 +30,12 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts core.ExactOpti
 	if err != nil {
 		return nil, err
 	}
-	if ie := plan.ForcedInfeasible(); ie != nil {
-		return nil, ie
-	}
-
-	results := make([]*core.ExactResult, len(plan.Components))
-	errs := make([]error, len(plan.Components))
-	workers := opts.WorkerCount()
-	if workers > len(plan.Components) {
-		workers = len(plan.Components)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(plan.Components) {
-					return
-				}
-				results[i], errs[i] = plan.Components[i].Solve(ctx, opts)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := Assemble(plan, results)
+	// A caller-supplied covering lower bound speaks about the global
+	// problem; applied locally it could cut off the true component minimum.
+	opts.Cover.LowerBound = 0
+	res, err := plan.Solve(ctx, opts.WorkerCount(), func(ctx context.Context, c *Component, _ *trace.Span) (*core.ExactResult, error) {
+		return core.ExactEncodeCtx(ctx, c.Set, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -79,17 +45,57 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts core.ExactOpti
 	return res, nil
 }
 
-// Solve runs the exact pipeline on the component's local set. Any
-// infeasibility is remapped to global symbol indices before returning, and
-// a "decomp.component" trace span brackets the solve when the context
-// carries a recorder.
-func (c *Component) Solve(ctx context.Context, opts core.ExactOptions) (*core.ExactResult, error) {
+// ComponentSolver solves one component's local set and returns the result
+// in local terms. sp is the component's "decomp.component" span, which the
+// solver may annotate (the service marks cache hits on it).
+type ComponentSolver func(ctx context.Context, c *Component, sp *trace.Span) (*core.ExactResult, error)
+
+// Solve is the one component loop: it reports a forced infeasibility
+// without solving anything, runs every component through solve with at
+// most workers in flight (each under its own "decomp.component" span) and
+// assembles the results.
+//
+// Infeasibility surfaces as a core.InfeasibleError in *global* terms:
+// component-local symbol indices never escape (see
+// Component.globalizeError). When several components fail, the error of
+// the lowest-indexed one wins, deterministically.
+func (p *Plan) Solve(ctx context.Context, workers int, solve ComponentSolver) (*core.ExactResult, error) {
+	if ie := p.ForcedInfeasible(); ie != nil {
+		return nil, ie
+	}
+	results := make([]*core.ExactResult, len(p.Components))
+	errs := make([]error, len(p.Components))
+	workers = max(min(workers, len(p.Components)), 1)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(p.Components) {
+					return
+				}
+				results[i], errs[i] = p.Components[i].solve(ctx, solve)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return Assemble(p, results)
+}
+
+// solve runs solve on the component under a "decomp.component" span and
+// remaps any infeasibility to global symbol indices.
+func (c *Component) solve(ctx context.Context, solve ComponentSolver) (*core.ExactResult, error) {
 	sp := trace.StartSpan(ctx, "decomp.component")
 	sp.Set("component", c.Index).Set("symbols", len(c.GlobalOf))
-	// A caller-supplied covering lower bound speaks about the global
-	// problem; applied locally it could cut off the true component minimum.
-	opts.Cover.LowerBound = 0
-	res, err := core.ExactEncodeCtx(ctx, c.Set, opts)
+	res, err := solve(ctx, c, sp)
 	if err != nil {
 		sp.Set("failed", 1).End()
 		return nil, c.globalizeError(err)
@@ -111,7 +117,7 @@ func (c *Component) globalizeError(err error) error {
 	out := &core.InfeasibleError{}
 	for _, d := range ie.Uncovered {
 		out.Uncovered = append(out.Uncovered, dichotomy.D{
-			L: c.globalize(d.L), R: c.globalize(d.R),
+			L: globalize(c.GlobalOf, d.L), R: globalize(c.GlobalOf, d.R),
 		})
 	}
 	if ie.Conflict != nil {
@@ -120,20 +126,26 @@ func (c *Component) globalizeError(err error) error {
 	return out
 }
 
-// globalize maps a set of local symbol indices through GlobalOf.
-func (c *Component) globalize(local bitset.Set) bitset.Set {
+// globalize maps a set of local symbol indices through g.
+func globalize(g []int, local bitset.Set) bitset.Set {
 	var out bitset.Set
-	local.ForEach(func(e int) bool { out.Add(c.GlobalOf[e]); return true })
+	local.ForEach(func(e int) bool { out.Add(g[e]); return true })
 	return out
 }
 
-// globalizeSet rebuilds a constraint set stated in local indices over the
-// global symbol table.
+// globalizeSet rebuilds a constraint set stated over a local symbol table
+// onto the global one. Symbols are matched by name, not by local index: a
+// caller that shares another request's solve of an equal component (same
+// canonical hash, symbols interned in another order) receives a conflict
+// stated over that request's local table.
 func (c *Component) globalizeSet(local *constraint.Set) *constraint.Set {
-	g := c.GlobalOf
+	g := make([]int, local.Syms.Len())
+	for i := range g {
+		g[i], _ = c.globalSyms.Lookup(local.Syms.Name(i))
+	}
 	out := constraint.NewSet(c.globalSyms)
 	for _, f := range local.Faces {
-		out.AddFaceSet(c.globalize(f.Members), c.globalize(f.DontCare))
+		out.AddFaceSet(globalize(g, f.Members), globalize(g, f.DontCare))
 	}
 	for _, d := range local.Dominances {
 		out.Dominances = append(out.Dominances, constraint.Dominance{Big: g[d.Big], Small: g[d.Small]})

@@ -51,8 +51,12 @@ func (m *FSM) AddTransition(in, from, to, out string) {
 // NumStates returns the state count.
 func (m *FSM) NumStates() int { return m.States.Len() }
 
-// Validate checks structural sanity of the table.
+// Validate checks structural sanity of the table. A machine needs at
+// least one state: its reset state.
 func (m *FSM) Validate() error {
+	if m.NumStates() == 0 {
+		return fmt.Errorf("fsm %s: machine has no states", m.Name)
+	}
 	for i, t := range m.Trans {
 		if len(t.In) != m.NumInputs {
 			return fmt.Errorf("fsm %s: transition %d input width %d != %d", m.Name, i, len(t.In), m.NumInputs)

@@ -191,3 +191,9 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatal("short input cube must fail validation")
 	}
 }
+
+func TestValidateRejectsNoStates(t *testing.T) {
+	if err := New("empty", 1, 1).Validate(); err == nil || !strings.Contains(err.Error(), "no states") {
+		t.Fatalf("machine with no states: err = %v, want a no-states error", err)
+	}
+}

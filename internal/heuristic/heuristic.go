@@ -54,8 +54,8 @@ type Options struct {
 	par.Parallelism
 	// Metric is the P-3 cost function; default Violations.
 	Metric cost.Metric
-	// Bits fixes the code length; 0 means the minimum length
-	// ceil(log2 n), as used throughout the paper's Tables 2 and 3.
+	// Bits fixes the code length, at most MaxBits; 0 means the minimum
+	// length ceil(log2 n), as used throughout the paper's Tables 2 and 3.
 	Bits int
 	// MaxEvaluations bounds the number of candidate-selection cost
 	// evaluations per subset (Section 7.1 "the number of evaluations can
@@ -97,6 +97,11 @@ const DefaultRestarts = 4
 // DefaultPolishBudget bounds the final swap-improvement evaluations.
 const DefaultPolishBudget = 6000
 
+// MaxBits is the widest code length EncodeCtx accepts. The polish pass
+// keeps one flag per code point, 16 MiB at this width; the paper's tables
+// encode at the minimum length, a handful of bits.
+const MaxBits = 24
+
 // scoreChunk is how many selection combinations one worker scores per grab;
 // pools smaller than a few chunks are scored sequentially.
 const scoreChunk = 16
@@ -122,6 +127,9 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 	defer cancel()
 	if err := cs.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Bits > MaxBits {
+		return nil, fmt.Errorf("heuristic: %d bits exceeds the limit of %d", opts.Bits, MaxBits)
 	}
 	n := cs.N()
 	if n == 0 {

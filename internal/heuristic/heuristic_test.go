@@ -163,3 +163,15 @@ func TestEnsureUnique(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeRejectsBitsAboveLimit: the polish pass allocates one flag per
+// code point, so a length above MaxBits is refused before any work.
+func TestEncodeRejectsBitsAboveLimit(t *testing.T) {
+	cs := constraint.MustParse("face a b\nface b c\n")
+	if _, err := EncodeCtx(context.Background(), cs, Options{Bits: 40}); err == nil {
+		t.Fatal("Bits: 40 accepted")
+	}
+	if _, err := EncodeCtx(context.Background(), cs, Options{Bits: MaxBits}); err != nil {
+		t.Fatalf("Bits: MaxBits: %v", err)
+	}
+}

@@ -1,13 +1,8 @@
 // Package jobs is the asynchronous job subsystem behind the service's
-// POST /v1/jobs surface: a bounded store of solve jobs with an explicit
-// lifecycle (queued → running → done/failed/cancelled), TTL-based retention
-// of finished jobs, context-linked cancellation, and completion
-// notification for long-poll and streaming clients.
-//
-// The Store interface is the seam for the distributed generalization on the
-// roadmap: MemStore is the single-process implementation; a sharded or
-// replicated store can slot in behind the same contract without touching
-// the HTTP layer.
+// POST /v1/jobs surface: MemStore, a bounded in-process store of solve jobs
+// with an explicit lifecycle (queued → running → done/failed/cancelled),
+// TTL-based retention of finished jobs, context-linked cancellation, and
+// completion notification for long-poll and streaming clients.
 //
 // # Lifecycle
 //
@@ -82,50 +77,6 @@ type Snapshot struct {
 	Err      error
 }
 
-// Store is what the HTTP layer needs from job storage. MemStore implements
-// it in-process; the interface is the seam for a future sharded or remote
-// implementation (consistent-hash routing over job ids).
-type Store interface {
-	// Create registers a new queued job owned by tenant and returns its
-	// snapshot plus the context the runner must execute under: cancelling
-	// the job cancels that context, and cancelling parent (server
-	// shutdown) cancels every job context derived from it.
-	Create(parent context.Context, tenant, kind string) (Snapshot, context.Context, error)
-	// Start transitions a queued job to Running; it reports false (and
-	// does nothing) when the job is unknown or already terminal.
-	Start(id string) bool
-	// Finish records the job's terminal outcome from Queued or Running:
-	// Done when err is nil, Cancelled when cancellation was requested and
-	// err reflects it, Failed otherwise. It reports false when the job is
-	// unknown or already terminal.
-	Finish(id string, result any, err error) (Snapshot, bool)
-	// Get returns the job's current snapshot.
-	Get(id string) (Snapshot, bool)
-	// Wait blocks until the job reaches a terminal state or ctx is done,
-	// returning the job's snapshot at that moment. Waiting on an unknown
-	// job fails with ErrNotFound.
-	Wait(ctx context.Context, id string) (Snapshot, error)
-	// Cancel requests cancellation: a queued job becomes Cancelled
-	// immediately, a running job has its context cancelled (the runner
-	// completes the transition via Finish), and a terminal job is
-	// untouched. The returned snapshot is the post-call state; the bool
-	// reports whether this call had any effect.
-	Cancel(id string) (Snapshot, bool)
-	// List returns the retained jobs for tenant (every tenant when
-	// tenant is ""), newest first.
-	List(tenant string) []Snapshot
-	// Active counts non-terminal jobs for tenant ("" counts all).
-	Active(tenant string) int
-	// Len is the number of retained jobs, terminal included.
-	Len() int
-	// Sweep evicts finished jobs past their retention TTL and reports how
-	// many were removed. MemStore also sweeps opportunistically on Create.
-	Sweep() int
-	// Close cancels every non-terminal job's context and releases the
-	// store. The store is unusable afterwards.
-	Close()
-}
-
 // Config tunes a MemStore.
 type Config struct {
 	// TTL is how long finished jobs are retained for polling before
@@ -156,7 +107,7 @@ type job struct {
 	seq         uint64        // creation order, for List and eviction
 }
 
-// MemStore is the in-process Store implementation. Safe for concurrent use.
+// MemStore is the in-process job store. Safe for concurrent use.
 type MemStore struct {
 	cfg Config
 
@@ -190,7 +141,10 @@ func newID() string {
 	return "j-" + hex.EncodeToString(b[:])
 }
 
-// Create implements Store.
+// Create registers a new queued job owned by tenant and returns its
+// snapshot plus the context the runner must execute under: cancelling the
+// job cancels that context, and cancelling parent (server shutdown)
+// cancels every job context derived from it. It sweeps expired jobs first.
 func (s *MemStore) Create(parent context.Context, tenant, kind string) (Snapshot, context.Context, error) {
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -220,7 +174,8 @@ func (s *MemStore) Create(parent context.Context, tenant, kind string) (Snapshot
 	return j.snap, ctx, nil
 }
 
-// Start implements Store.
+// Start transitions a queued job to Running; it reports false (and does
+// nothing) when the job is unknown or not queued.
 func (s *MemStore) Start(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,10 +188,11 @@ func (s *MemStore) Start(id string) bool {
 	return true
 }
 
-// Finish implements Store. The terminal state is Cancelled when Cancel was
-// requested and err reflects the cancellation, Failed on any other error,
-// Done otherwise — so a solve that wins the race against its own
-// cancellation still reports its (valid) result.
+// Finish records the job's terminal outcome from Queued or Running: Done
+// when err is nil, Cancelled when Cancel was requested and err reflects
+// the cancellation, Failed on any other error — so a solve that wins the
+// race against its own cancellation still reports its (valid) result. It
+// reports false when the job is unknown or already terminal.
 func (s *MemStore) Finish(id string, result any, err error) (Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,7 +218,11 @@ func (s *MemStore) Finish(id string, result any, err error) (Snapshot, bool) {
 	return j.snap, true
 }
 
-// Cancel implements Store.
+// Cancel requests cancellation: a queued job becomes Cancelled
+// immediately, a running job has its context cancelled (the runner
+// completes the transition via Finish), and a terminal job is untouched.
+// The returned snapshot is the post-call state; the bool reports whether
+// this call had any effect.
 func (s *MemStore) Cancel(id string) (Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -299,7 +259,7 @@ func (s *MemStore) finalizeLocked(j *job) {
 	close(j.done)
 }
 
-// Get implements Store.
+// Get returns the job's current snapshot.
 func (s *MemStore) Get(id string) (Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,7 +270,9 @@ func (s *MemStore) Get(id string) (Snapshot, bool) {
 	return j.snap, true
 }
 
-// Wait implements Store.
+// Wait blocks until the job reaches a terminal state or ctx is done,
+// returning the job's snapshot at that moment. Waiting on an unknown job
+// fails with ErrNotFound.
 func (s *MemStore) Wait(ctx context.Context, id string) (Snapshot, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -334,7 +296,8 @@ func (s *MemStore) Wait(ctx context.Context, id string) (Snapshot, error) {
 	return snap, nil
 }
 
-// List implements Store.
+// List returns the retained jobs for tenant (every tenant when tenant is
+// ""), newest first.
 func (s *MemStore) List(tenant string) []Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,7 +315,7 @@ func (s *MemStore) List(tenant string) []Snapshot {
 	return out
 }
 
-// Active implements Store.
+// Active counts non-terminal jobs for tenant ("" counts all).
 func (s *MemStore) Active(tenant string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -365,14 +328,15 @@ func (s *MemStore) Active(tenant string) int {
 	return n
 }
 
-// Len implements Store.
+// Len is the number of retained jobs, terminal included.
 func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.jobs)
 }
 
-// Sweep implements Store.
+// Sweep evicts finished jobs past their retention TTL and reports how many
+// were removed.
 func (s *MemStore) Sweep() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -421,7 +385,8 @@ func (s *MemStore) evictOldestFinishedLocked(tenant string) bool {
 	return true
 }
 
-// Close implements Store.
+// Close cancels every non-terminal job's context and releases the store.
+// The store is unusable afterwards.
 func (s *MemStore) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

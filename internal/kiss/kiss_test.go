@@ -159,3 +159,18 @@ func TestLateWidthRedeclarationRejected(t *testing.T) {
 		t.Fatalf("agreeing redeclaration rejected: %v", err)
 	}
 }
+
+// TestNoTransitionsFailsValidation: texts that parse to a machine without
+// transitions have no states, not even a reset state, and must fail
+// validation rather than reach an encoder.
+func TestNoTransitionsFailsValidation(t *testing.T) {
+	for _, text := range []string{"#000", ".i 1\n.o 1\n"} {
+		m, err := ParseString(text)
+		if err != nil {
+			t.Fatalf("%q: parse: %v", text, err)
+		}
+		if err := m.Validate(); err == nil {
+			t.Errorf("%q: machine with %d states passed validation", text, m.NumStates())
+		}
+	}
+}

@@ -5,28 +5,13 @@ import (
 	"sync"
 )
 
-// Cache is the result-cache seam of the solve spine. The in-process
-// resultCache is the default; Config.Cache replaces it, which is the
-// hook for the roadmap's shared cache tier (a remote cache keyed by the
-// same canonical hashes, shared across shards). Implementations must be
-// safe for concurrent use; Get must return results that are never
-// mutated afterwards (the server treats cached solveResults as
-// immutable).
-type Cache interface {
-	// Get returns the cached result for k, if any.
-	Get(k requestKey) (*solveResult, bool)
-	// Add stores res under k, evicting as the implementation sees fit.
-	Add(k requestKey, res *solveResult)
-	// Len reports the number of cached entries (for /v1/stats).
-	Len() int
-}
-
 // resultCache is a bounded LRU of finished solve results keyed by the
 // request's canonical key. It sits behind the singleflight layer: a hit
 // answers without queueing, a miss falls through to coalescing and the
 // pool. Only successful, deterministic results are stored (the server never
 // caches timed-out, canceled or overloaded outcomes), so a hit is always
-// byte-identical to what a fresh solve would return.
+// byte-identical to what a fresh solve would return. Cached results are
+// shared and never mutated.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -49,7 +34,8 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get implements Cache.
+// Get returns the cached result for k, if any, marking it most recently
+// used.
 func (c *resultCache) Get(k requestKey) (*solveResult, bool) {
 	if c.cap <= 0 {
 		return nil, false
@@ -64,7 +50,8 @@ func (c *resultCache) Get(k requestKey) (*solveResult, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// Add implements Cache.
+// Add stores res under k, evicting the least recently used entry beyond
+// capacity.
 func (c *resultCache) Add(k requestKey, res *solveResult) {
 	if c.cap <= 0 {
 		return
@@ -84,7 +71,7 @@ func (c *resultCache) Add(k requestKey, res *solveResult) {
 	}
 }
 
-// Len implements Cache.
+// Len reports the number of cached entries (for /v1/stats).
 func (c *resultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

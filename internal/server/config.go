@@ -92,30 +92,21 @@ type Config struct {
 
 	// Decompose routes every exact request through connected-component
 	// decomposition by default (requests may still opt in individually
-	// via the "decompose" field). Results are equivalent either way;
-	// disconnected constraint sets gain per-component caching and
-	// parallel component solves.
+	// via the "decompose" field). Disconnected constraint sets gain
+	// per-component caching and parallel component solves; the assembled
+	// codes may differ from a monolithic solve's, so the choice is part of
+	// the cache identity.
 	Decompose bool
 
 	// Backend is the exact-mode unate covering backend applied when a
 	// request names none: "bb" (branch-and-bound, the default) or "sat"
 	// (the CNF/DPLL backend). Requests may still pick their own via the
 	// "backend" field. Distance-2/non-face sets always cover through the
-	// CNF backend. Unlike Decompose this changes the concrete codes a
+	// CNF backend. Like Decompose this changes the concrete codes a
 	// request may receive (both backends prove the same optimum, but may
 	// select different minimum covers), so it participates in cache
 	// identity.
 	Backend string
-
-	// Cache replaces the in-process LRU result cache — the seam for a
-	// shared remote cache tier. nil means a fresh LRU bounded by
-	// CacheEntries.
-	Cache Cache
-
-	// Jobs replaces the in-process job store — the seam for a sharded or
-	// replicated store. nil means a jobs.MemStore configured from JobTTL
-	// and MaxJobs. A store passed in here is still Closed by Shutdown.
-	Jobs JobStore
 
 	// Logger receives the service's structured log lines (slow solves).
 	// nil means slog.Default().

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/encodingapi"
 	"repro/internal/core"
@@ -12,26 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// executeDecomposed is the component spine of a decomposed exact request:
-// Split → per-component cache lookup → solve the misses through the bounded
-// pool (each under its own sub-hash singleflight, so concurrent requests
-// sharing a component run it once) → Assemble → Verify the global result.
+// solveDecomposed is the function execute's singleflight leader runs for a
+// decomposed exact request: Split, then decomp's component loop with the
+// service's per-component hook (solveComponent), then Verify the assembled
+// encoding. At most as many components are in flight as the pool has
+// workers, so a request never sheds itself.
 //
 // A request whose components are all cached never reaches the pool: every
-// component rebuilds from its cache entry and only assembly and
-// verification run on the request goroutine. Component results enter the
-// cache under modeExactComponent keys, independent of the full-request
-// entry execute writes, so future requests overlapping in *any* component
-// benefit.
-func (s *Server) executeDecomposed(ctx context.Context, sreq *solveRequest, parent uint64, wait bool, meta *execMeta) (*solveResult, error) {
-	start := time.Now()
-	rec := trace.New()
-	ctx = trace.NewContext(ctx, rec)
-	res, err := s.solveDecomposed(ctx, sreq, wait)
-	meta.traceID = s.publishTrace(sreq, rec, start, time.Since(start), parent, err)
-	return res, err
-}
-
+// component rebuilds from its cache entry, and the result is assembled and
+// verified without a kernel solve.
 func (s *Server) solveDecomposed(ctx context.Context, sreq *solveRequest, wait bool) (*solveResult, error) {
 	ssp := trace.StartSpan(ctx, "server.decompose")
 	plan, err := decomp.Split(sreq.cs)
@@ -42,77 +29,14 @@ func (s *Server) solveDecomposed(ctx context.Context, sreq *solveRequest, wait b
 	s.metrics.Decompositions.Add(1)
 	s.metrics.Components.Add(int64(len(plan.Components)))
 	ssp.Set("components", len(plan.Components)).End()
-	if ie := plan.ForcedInfeasible(); ie != nil {
-		return nil, ie
-	}
 	// The job-state transition fires here rather than in runSolve: an
 	// all-cached decomposed request never enters the pool, yet it did run.
 	if sreq.onStart != nil {
 		sreq.onStart()
 	}
-
-	results := make([]*core.ExactResult, len(plan.Components))
-	errs := make([]error, len(plan.Components))
-	var wg sync.WaitGroup
-	for i, comp := range plan.Components {
-		ckey := requestKey{set: comp.Hash, mode: modeExactComponent, primeLimit: sreq.primeLimit, backend: sreq.backend}
-		if cres, ok := s.cache.Get(ckey); ok {
-			if r, rerr := comp.ResultFromCodes(cres.Bits, cres.Codes, cres.Optimal); rerr == nil {
-				s.metrics.ComponentCacheHits.Add(1)
-				trace.StartSpan(ctx, "decomp.component").
-					Set("component", comp.Index).
-					Set("symbols", len(comp.GlobalOf)).
-					Set("cached", 1).
-					Set("bits", r.Encoding.Bits).
-					End()
-				results[i] = r
-				continue
-			}
-			// A malformed cache entry (wrong shape for this component)
-			// falls through to a fresh solve rather than failing the
-			// request.
-		}
-		s.metrics.ComponentCacheMisses.Add(1)
-		wg.Add(1)
-		go func(i int, comp *decomp.Component, ckey requestKey) {
-			defer wg.Done()
-			creq := &solveRequest{
-				mode:       modeExactComponent,
-				cs:         comp.Set,
-				primeLimit: sreq.primeLimit,
-				workers:    sreq.workers,
-				component:  comp,
-				backend:    sreq.backend,
-			}
-			res, err, leader := s.flights.do(ctx, ckey,
-				func() { s.metrics.Coalesced.Add(1) },
-				func() (*solveResult, error) { return s.runSolve(ctx, creq, wait) },
-			)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if leader && cacheable(res) {
-				s.cache.Add(ckey, res)
-			}
-			r, rerr := comp.ResultFromCodes(res.Bits, res.Codes, res.Optimal)
-			if rerr != nil {
-				errs[i] = rerr
-				return
-			}
-			results[i] = r
-		}(i, comp, ckey)
-	}
-	wg.Wait()
-	// Deterministic error selection: the lowest-indexed failing component
-	// wins, so a multi-infeasible request reports stably.
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-
-	full, err := decomp.Assemble(plan, results)
+	full, err := plan.Solve(ctx, s.pool.workers, func(ctx context.Context, c *decomp.Component, sp *trace.Span) (*core.ExactResult, error) {
+		return s.solveComponent(ctx, sreq, c, sp, wait)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -122,4 +46,43 @@ func (s *Server) solveDecomposed(ctx context.Context, sreq *solveRequest, wait b
 	res := &solveResult{Mode: modeExact, Feasible: true, Optimal: full.Optimal}
 	fillEncoding(res, full.Encoding)
 	return res, nil
+}
+
+// solveComponent answers one component of a decomposed request: from the
+// cache under the component's sub-hash when it can, otherwise through the
+// component's own singleflight and runSolve on the pool, caching the
+// answer. Component entries live beside the whole-request entries, so a
+// later request overlapping in *any* component benefits.
+func (s *Server) solveComponent(ctx context.Context, sreq *solveRequest, c *decomp.Component, sp *trace.Span, wait bool) (*core.ExactResult, error) {
+	key := requestKey{set: c.Hash, mode: modeExactComponent, primeLimit: sreq.primeLimit, backend: sreq.backend}
+	if res, ok := s.cache.Get(key); ok {
+		// A malformed entry (wrong shape for this component) falls
+		// through to a fresh solve rather than failing the request.
+		if r, err := c.ResultFromCodes(res.Bits, res.Codes, res.Optimal); err == nil {
+			s.metrics.ComponentCacheHits.Add(1)
+			sp.Set("cached", 1)
+			return r, nil
+		}
+	}
+	s.metrics.ComponentCacheMisses.Add(1)
+	creq := &solveRequest{
+		mode:       modeExact,
+		cs:         c.Set,
+		primeLimit: sreq.primeLimit,
+		workers:    sreq.workers,
+		backend:    sreq.backend,
+	}
+	res, err, leader := s.flights.do(ctx, key,
+		func() { s.metrics.Coalesced.Add(1) },
+		func() (*solveResult, error) { return s.runSolve(ctx, creq, wait) },
+	)
+	if err != nil {
+		return nil, err
+	}
+	if leader && cacheable(res) {
+		s.cache.Add(key, res)
+	}
+	// Codes are keyed by name: a coalesced result may come from an equal
+	// component whose symbols were interned in another order.
+	return c.ResultFromCodes(res.Bits, res.Codes, res.Optimal)
 }

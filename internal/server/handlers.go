@@ -13,6 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/fsm"
+	"repro/internal/heuristic"
+	"repro/internal/hypercube"
 	"repro/internal/kiss"
 	"repro/internal/par"
 	"repro/internal/pipeline"
@@ -26,10 +28,11 @@ const (
 	modeHeuristic = "heuristic"
 	modePipeline  = "pipeline"
 	modeBatch     = "batch" // trace-entry mode for the batch parent span
-	// modeExactComponent is the internal mode of one connected-component
-	// solve inside a decomposed exact request. It never appears on the
-	// wire; it exists so component solves get their own cache/coalesce
-	// identity (keyed by the component's canonical sub-hash).
+	// modeExactComponent tags the key of one connected component's solve
+	// inside a decomposed exact request. It never appears on the wire and
+	// no request runs under it; it keeps component keys (the component's
+	// canonical sub-hash) apart from whole-request keys, so a
+	// one-component plan cannot wait on its own request's flight.
 	modeExactComponent = "exact/component"
 )
 
@@ -59,8 +62,10 @@ type encodeRequest struct {
 	Workers int `json:"workers"`
 	// Decompose requests connected-component decomposition in exact
 	// mode: disconnected sub-problems solve independently, hit the cache
-	// per component, and reassemble. Results are equivalent either way,
-	// so this never affects the request's cache identity.
+	// per component, and reassemble. Both answers satisfy the constraints,
+	// but their codes may differ and the assembled width can exceed the
+	// monolithic minimum, so the resolved choice (this field or the server
+	// default, for decomposable sets) is part of the cache identity.
 	Decompose bool `json:"decompose"`
 	// Backend selects the exact-mode covering engine: "bb"
 	// (branch-and-bound) or "sat" (CNF/DPLL); empty means the server
@@ -91,7 +96,8 @@ type pipelineRequest struct {
 // or coalesce, not burn a second solve. The remaining fields are the knobs
 // that can change the answer. Workers and timeout are deliberately absent:
 // results are worker-invariant, and only successful (budget-independent)
-// results are ever cached or coalesced into.
+// results are ever cached or coalesced into. A component solve's key is
+// its sub-hash under modeExactComponent (see solveComponent).
 type requestKey struct {
 	set        core.Hash128
 	mode       string
@@ -101,6 +107,7 @@ type requestKey struct {
 	strategy   string
 	minimize   bool
 	backend    core.Backend
+	decompose  bool
 }
 
 // solveRequest is a validated, parsed request ready for the pool.
@@ -112,11 +119,10 @@ type solveRequest struct {
 	metricName string
 	primeLimit int
 	workers    int
-	// decompose routes exact mode through the component spine
-	// (executeDecomposed); component carries the connected component a
-	// modeExactComponent request solves.
+	// decompose makes the request's solve component-wise
+	// (solveDecomposed). parseRequest resolves it once: exact mode, asked
+	// for by the request or the server default, and a decomposable set.
 	decompose bool
-	component *decomp.Component
 	// backend is the resolved exact-mode covering engine.
 	backend core.Backend
 
@@ -135,6 +141,7 @@ type solveRequest struct {
 
 func (r *solveRequest) key() requestKey {
 	k := requestKey{
+		set:        r.kissHash,
 		mode:       r.mode,
 		bits:       r.bits,
 		metric:     r.metricName,
@@ -142,16 +149,9 @@ func (r *solveRequest) key() requestKey {
 		strategy:   string(r.strategy),
 		minimize:   r.minimize,
 		backend:    r.backend,
+		decompose:  r.decompose,
 	}
-	switch {
-	case r.mode == modePipeline:
-		k.set = r.kissHash
-	case r.mode == modeExactComponent:
-		// The sub-hash was computed over the simplified local set at
-		// Split time; reusing it keeps the key aligned with the cache
-		// entries executeDecomposed writes.
-		k.set = r.component.Hash
-	default:
+	if r.mode != modePipeline {
 		k.set = encodingapi.CanonicalHashSet(r.cs)
 	}
 	return k
@@ -261,6 +261,9 @@ func (s *Server) parseRequest(req *encodeRequest) (*solveRequest, error) {
 		if req.Bits <= 0 {
 			return nil, errors.New("heuristic mode requires bits > 0")
 		}
+		if lo := hypercube.MinBits(cs.N()); req.Bits < lo || req.Bits > heuristic.MaxBits {
+			return nil, fmt.Errorf("bits %d out of range: %d symbols need %d to %d bits", req.Bits, cs.N(), lo, heuristic.MaxBits)
+		}
 		sr.bits = req.Bits
 		name := req.Metric
 		if name == "" {
@@ -283,7 +286,7 @@ func (s *Server) parseRequest(req *encodeRequest) (*solveRequest, error) {
 	if req.Decompose && mode != modeExact {
 		return nil, fmt.Errorf("decompose is only valid in exact mode")
 	}
-	sr.decompose = mode == modeExact && (req.Decompose || s.cfg.Decompose)
+	sr.decompose = mode == modeExact && (req.Decompose || s.cfg.Decompose) && decomp.Decomposable(cs)
 	if req.Backend != "" && mode != modeExact {
 		return nil, fmt.Errorf("backend is only valid in exact mode")
 	}
@@ -377,23 +380,6 @@ func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveRes
 		fillEncoding(res, r.Encoding)
 		return res, nil
 
-	case modeExactComponent:
-		opts := encodingapi.ExactOptions{
-			Prime:       encodingapi.PrimeOptions{Limit: req.primeLimit},
-			Parallelism: encodingapi.Parallelism{Workers: req.workers},
-			Backend:     req.backend,
-		}
-		r, err := req.component.Solve(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		if v := encodingapi.Verify(req.component.Set, r.Encoding); len(v) != 0 {
-			return nil, fmt.Errorf("internal error: component encoding failed verification: %s: %s", v[0].Kind, v[0].Detail)
-		}
-		res := &solveResult{Mode: modeExactComponent, Feasible: true, Optimal: r.Optimal}
-		fillEncoding(res, r.Encoding)
-		return res, nil
-
 	case modeHeuristic:
 		r, err := encodingapi.HeuristicEncode(ctx, req.cs, encodingapi.HeuristicOptions{
 			Bits:        req.bits,
@@ -460,7 +446,7 @@ func cacheable(res *solveResult) bool {
 	switch {
 	case res == nil:
 		return false
-	case res.Mode == modeExact, res.Mode == modeExactComponent:
+	case res.Mode == modeExact:
 		return res.Optimal
 	case res.Mode == modePipeline:
 		return res.Pipeline != nil &&
@@ -538,9 +524,12 @@ type execMeta struct {
 }
 
 // execute is the one solve spine shared by the sync endpoints, batch
-// items and async jobs: admit (per-tenant quota) → cache → coalesce
-// (singleflight) → bounded pool → render metadata. The context carries
-// the solve budget and must be derived from the server's base context.
+// items and async jobs: cache → admit (per-tenant quota) → coalesce
+// (singleflight) → solve → publish trace → cache the result. The context
+// carries the solve budget and must be derived from the server's base
+// context. Only the function the singleflight leader runs depends on the
+// request: runSolve through the bounded pool, or solveDecomposed, whose
+// components reach the pool one by one.
 //
 // wait selects the admission flavor: the sync path sheds immediately on
 // an exhausted tenant quota or a full pool queue, while batch items and
@@ -578,20 +567,6 @@ func (s *Server) execute(ctx context.Context, sreq *solveRequest, tenant string,
 	}
 	defer release()
 
-	// A decomposed exact request runs its own component spine: per-component
-	// cache lookups and singleflights replace the full-key coalesce (two
-	// overlapping decomposed requests still share work component-wise).
-	if sreq.decompose && sreq.mode == modeExact && decomp.Decomposable(sreq.cs) {
-		res, err := s.executeDecomposed(ctx, sreq, parent, wait, &meta)
-		if err != nil {
-			return nil, meta, err
-		}
-		if cacheable(res) {
-			s.cache.Add(key, res)
-		}
-		return res, meta, nil
-	}
-
 	// The solve is traced per leader: the recorder belongs to this
 	// execution, so a follower's recorder simply stays empty (its solve
 	// ran elsewhere).
@@ -599,10 +574,11 @@ func (s *Server) execute(ctx context.Context, sreq *solveRequest, tenant string,
 	rec := trace.New()
 	ctx = trace.NewContext(ctx, rec)
 
-	res, err, leader := s.flights.do(ctx, key,
-		func() { s.metrics.Coalesced.Add(1) },
-		func() (*solveResult, error) { return s.runSolve(ctx, sreq, wait) },
-	)
+	solve := func() (*solveResult, error) { return s.runSolve(ctx, sreq, wait) }
+	if sreq.decompose {
+		solve = func() (*solveResult, error) { return s.solveDecomposed(ctx, sreq, wait) }
+	}
+	res, err, leader := s.flights.do(ctx, key, func() { s.metrics.Coalesced.Add(1) }, solve)
 	meta.coalesced = !leader
 	if leader {
 		meta.traceID = s.publishTrace(sreq, rec, start, time.Since(start), parent, err)

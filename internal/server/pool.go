@@ -20,8 +20,9 @@ var errPoolClosed = errors.New("server: worker pool closed")
 // drains everything already accepted before returning, which is what makes
 // the server's graceful shutdown lossless.
 type pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup // worker goroutines
+	tasks   chan func()
+	workers int
+	wg      sync.WaitGroup // worker goroutines
 
 	mu     sync.RWMutex
 	closed bool
@@ -36,7 +37,7 @@ func newPool(workers, queueDepth int) *pool {
 	if queueDepth < 0 {
 		queueDepth = 0
 	}
-	p := &pool{tasks: make(chan func(), queueDepth)}
+	p := &pool{tasks: make(chan func(), queueDepth), workers: workers}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()

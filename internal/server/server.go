@@ -6,18 +6,21 @@
 //
 // # Request lifecycle
 //
-// Every solve — synchronous, batch item or async job — flows through one
-// spine (execute):
+// Every solve — synchronous, batch item or async job, decomposed or not —
+// flows through one spine (execute):
 //
 //	parse    → decode + validate (constraints or KISS2)
-//	admit    → per-tenant concurrency quota (429 quota_exhausted; batch
-//	           items and jobs wait for a slot instead of shedding)
 //	cache    → LRU keyed by the canonical 128-bit request key — hit
 //	           answers immediately
+//	admit    → per-tenant concurrency quota (429 quota_exhausted; batch
+//	           items and jobs wait for a slot instead of shedding)
 //	coalesce → singleflight: identical in-flight problems share one solve
 //	solve    → bounded worker pool (sync: full queue sheds with 429 +
 //	           Retry-After; async: waits) → encoding engines under a
-//	           context deadline
+//	           context deadline. A decomposed exact request runs
+//	           decomp's component loop instead: each component answers
+//	           from its own cache entry or goes through its own
+//	           singleflight to the pool, at most one per pool worker
 //	render   → mode-specific JSON + delivery metadata (cached, coalesced,
 //	           trace id)
 //
@@ -57,21 +60,15 @@ import (
 	"repro/internal/trace"
 )
 
-// JobStore is the job-storage seam of the async surface, re-exported so
-// Config.Jobs can be satisfied without importing internal/jobs: MemStore
-// in-process today, a sharded/replicated store behind the same contract
-// later.
-type JobStore = jobs.Store
-
 // Server is the encoding service. Create with New; safe for concurrent use.
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	cache   Cache
+	cache   *resultCache
 	flights *flightGroup
 	pool    *pool
 	traces  *traceRing
-	jobs    JobStore
+	jobs    *jobs.MemStore
 	tenants *tenantLimiter
 
 	// baseCtx parents every solve context, so canceling it aborts all
@@ -104,19 +101,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: newMetrics(),
-		cache:   cfg.Cache,
+		cache:   newResultCache(cfg.CacheEntries),
 		flights: newFlightGroup(),
 		pool:    newPool(workers, cfg.QueueDepth),
 		traces:  newTraceRing(cfg.TraceBuffer),
-		jobs:    cfg.Jobs,
+		jobs:    jobs.NewMemStore(jobs.Config{TTL: cfg.JobTTL, MaxJobs: cfg.MaxJobs}),
 		tenants: newTenantLimiter(cfg.TenantMaxActive),
 		drained: make(chan struct{}),
-	}
-	if s.cache == nil {
-		s.cache = newResultCache(cfg.CacheEntries)
-	}
-	if s.jobs == nil {
-		s.jobs = jobs.NewMemStore(jobs.Config{TTL: cfg.JobTTL, MaxJobs: cfg.MaxJobs})
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.solveFn = s.solveLibrary
