@@ -8,14 +8,21 @@ import (
 
 func TestFormatTable1Rows(t *testing.T) {
 	rows := []Table1Row{
-		{Name: "good", States: 10, Primes: 42, Bits: 4, Time: 1500 * time.Millisecond},
+		{Name: "good", States: 10, Primes: 42, Bits: 4, Optimal: true, Time: 1500 * time.Millisecond},
+		{Name: "capped", States: 20, Primes: 2026, Bits: 8, Time: 700 * time.Millisecond},
 		{Name: "blown", States: 48, Aborted: true},
 		{Name: "broken", States: 3, Err: "boom"},
 	}
 	out := FormatTable1(rows)
-	for _, want := range []string{"good", "42", "1.5s", "> limit", "*", "! boom"} {
+	for _, want := range []string{"good", "42", "1.5s", "> limit", "*", "! boom", "Proved"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+	lines := strings.Split(out, "\n")
+	for i, want := range map[int]string{1: "yes", 2: "budget"} {
+		if f := strings.Fields(lines[i]); f[len(f)-1] != want {
+			t.Fatalf("line %q: Proved column is not %q", lines[i], want)
 		}
 	}
 }

@@ -25,12 +25,41 @@ func kernelProblem(rows, cols, perRow int, seed int64) *Problem {
 	return p
 }
 
+// wideProblem is shaped like the cyclic cores Table 1's exact rows leave
+// (dk512's is 67×2,183, cse's 144×2,674): few rows, thousands of columns,
+// each row covered by 150 of them. Deep nodes keep a handful of rows over
+// hundreds of active columns, a regime the 48×36 kernel never reaches, and
+// the search runs far past any practical node budget.
+func wideProblem() *Problem { return kernelProblem(100, 2000, 150, 227) }
+
 // BenchmarkUnateCoverKernel measures the exact branch-and-bound hot path in
 // its steady state: one reusable Solver, repeated solves. allocs/op is the
 // headline metric — the arena/slab/buffer-reuse discipline holds it at zero.
 func BenchmarkUnateCoverKernel(b *testing.B) {
 	p := kernelProblem(48, 36, 4, 11)
 	sv, err := NewSolver(p, Options{Parallelism: par.Workers(1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sv.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sv.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUnateCoverWideKernel is the steady-state solve on wideProblem
+// under the default node budget, which it exhausts as the slow Table-1 rows
+// do: each op pays the per-solve fixed cost (greedy upper bound, root
+// dominance over 2,000 columns) and 200k search nodes. allocs/op must stay
+// at zero here too.
+func BenchmarkUnateCoverWideKernel(b *testing.B) {
+	sv, err := NewSolver(wideProblem(), Options{Parallelism: par.Workers(1), MaxNodes: DefaultMaxNodes})
 	if err != nil {
 		b.Fatal(err)
 	}

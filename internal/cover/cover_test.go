@@ -245,3 +245,53 @@ func TestReduceSolvesOutright(t *testing.T) {
 		t.Fatalf("got essentials %v, core %+v; want [0 2] and an empty core", red.Essential, red.Core)
 	}
 }
+
+// TestEntryPointsValidate: every entry point rejects a malformed problem
+// with an error, never a panic and never a cover. The cases are a column
+// index out of range, a Cost slice of the wrong length and a negative cost.
+func TestEntryPointsValidate(t *testing.T) {
+	problems := map[string]*Problem{
+		"column out of range":  {NumCols: 2, RowCols: [][]int{{0}, {1, 2}}},
+		"negative column":      {NumCols: 2, RowCols: [][]int{{-1, 0}}},
+		"short Cost":           {NumCols: 3, Cost: []int{1, 1}, RowCols: [][]int{{0}, {2}}},
+		"long Cost":            {NumCols: 1, Cost: []int{1, 1}, RowCols: [][]int{{0}}},
+		"negative cost":        {NumCols: 2, Cost: []int{1, -1}, RowCols: [][]int{{0, 1}}},
+		"negative unused cost": {NumCols: 2, Cost: []int{1, -1}, RowCols: [][]int{{0}}},
+	}
+	entries := map[string]func(*Problem) error{
+		"SolveExactCtx": func(p *Problem) error {
+			_, err := p.SolveExactCtx(context.Background(), Options{})
+			return err
+		},
+		"Reduce": func(p *Problem) error {
+			_, err := p.Reduce()
+			return err
+		},
+		"SolveGreedy": func(p *Problem) error {
+			_, err := p.SolveGreedy()
+			return err
+		},
+	}
+	for pname, p := range problems {
+		for ename, solve := range entries {
+			t.Run(pname+"/"+ename, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				if err := solve(p); err == nil || errors.Is(err, ErrInfeasible) {
+					t.Fatalf("got %v, want a validation error", err)
+				}
+			})
+		}
+	}
+}
+
+// TestSolveGreedyNoRows: a problem with no rows has the empty cover.
+func TestSolveGreedyNoRows(t *testing.T) {
+	sol, err := (&Problem{NumCols: 3}).SolveGreedy()
+	if err != nil || len(sol.Cols) != 0 || sol.Cost != 0 {
+		t.Fatalf("sol=%+v err=%v, want the empty cover", sol, err)
+	}
+}

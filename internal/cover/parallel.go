@@ -69,13 +69,14 @@ type taskResult struct {
 // completed[k] store; readers check completed[k] first, which gives the
 // necessary happens-before edge.
 type parShared struct {
-	s         *solver
-	maxNodes  int64
-	nodes     atomic.Int64
-	budget    atomic.Bool  // node/time budget tripped somewhere
-	stopAfter atomic.Int64 // lowest item index whose record met LowerBound
-	results   []taskResult
-	completed []atomic.Bool
+	s           *solver
+	maxNodes    int64
+	nodes       atomic.Int64
+	entryPruned atomic.Int64 // workers' entry-test prunes, added as each exits
+	budget      atomic.Bool  // node/time budget tripped somewhere
+	stopAfter   atomic.Int64 // lowest item index whose record met LowerBound
+	results     []taskResult
+	completed   []atomic.Bool
 }
 
 // prefixBound returns the strict pruning bound item k may use: the greedy
@@ -245,6 +246,7 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 			// drains; scratches are single-walker state and must not be
 			// shared.
 			sc := newScratch(m)
+			defer func() { sh.entryPruned.Add(int64(sc.entryPruned)) }()
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(taskIdx) || sh.budget.Load() {
@@ -286,9 +288,10 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 	if sh.budget.Load() {
 		s.budget = true
 	}
-	// Surface the shared node count through the sequential counter so the
-	// trace span (and any other diagnostics) read one field on either path.
+	// Surface the shared counters through the sequential ones so the trace
+	// span (and any other diagnostics) read one field on either path.
 	s.nodes = int(sh.nodes.Load())
+	s.entryPruned = esc.entryPruned + int(sh.entryPruned.Load())
 }
 
 // fixedBound is the searchCtl used while reducing frontier nodes during

@@ -44,7 +44,8 @@ type Solver struct {
 
 // NewSolver validates p and builds a Solver with the given options bound
 // in. It returns ErrInfeasible when some row has no covering column, or an
-// error when a row references a column out of range.
+// error when a row references a column out of range or Cost is not one
+// non-negative cost per column.
 func NewSolver(p *Problem, opts Options) (*Solver, error) {
 	m, err := newMatrix(p, opts.domLimit())
 	if err != nil {
@@ -52,14 +53,8 @@ func NewSolver(p *Problem, opts Options) (*Solver, error) {
 	}
 	nRows := len(p.RowCols)
 	sv := &Solver{p: p, opts: opts, m: m}
-	sv.rootRows = bitset.New(nRows)
-	for r := 0; r < nRows; r++ {
-		sv.rootRows.Add(r)
-	}
-	sv.rootCols = bitset.New(p.NumCols)
-	for c := 0; c < p.NumCols; c++ {
-		sv.rootCols.Add(c)
-	}
+	sv.rootRows = fullSet(nRows)
+	sv.rootCols = fullSet(p.NumCols)
 	// Root simplification: drop duplicate columns (same row coverage) and
 	// empty columns once, before any solve. The dedupe depends only on the
 	// problem, so hoisting it out of the solve loop cannot change results.
@@ -88,22 +83,36 @@ func (sv *Solver) SolveCtx(ctx context.Context) (Solution, error) {
 	ctx, cancel := sv.opts.Context(ctx)
 	defer cancel()
 	sp := trace.StartSpan(ctx, "cover.solve")
-	sol, nodes, err := sv.solve(ctx)
-	if sp != nil {
-		sp.Set("rows", len(sv.p.RowCols)).Set("cols", sv.p.NumCols).Set("nodes", nodes).
-			SetBool("optimal", sol.Optimal).Set("cost", sol.Cost).SetBool("failed", err != nil)
-		sp.End()
-	}
+	sol, st, err := sv.solve(ctx)
+	endSpan(sp, sv.p, sol, st, err)
 	return sol, err
+}
+
+// searchStats are one solve's work counters for the cover.solve span.
+type searchStats struct {
+	nodes       int // branch-and-bound nodes entered
+	entryPruned int // of those, nodes the entry test pruned
+}
+
+// endSpan annotates and ends a cover.solve span; sp may be nil.
+func endSpan(sp *trace.Span, p *Problem, sol Solution, st searchStats, err error) {
+	if sp == nil {
+		return
+	}
+	sp.Set("rows", len(p.RowCols)).Set("cols", p.NumCols).Set("nodes", st.nodes).
+		Set("entry_pruned", st.entryPruned).SetBool("optimal", sol.Optimal).Set("cost", sol.Cost).
+		SetBool("failed", err != nil)
+	sp.End()
 }
 
 // solve is the solve body shared by SolveCtx and Problem.SolveExactCtx (which
 // applies the TimeLimit context and trace span itself), returning the search
-// node count alongside the solution for the trace span.
-func (sv *Solver) solve(ctx context.Context) (Solution, int, error) {
+// counters alongside the solution for the trace span.
+func (sv *Solver) solve(ctx context.Context) (Solution, searchStats, error) {
 	m := sv.m
 	sv.rows.CopyFrom(sv.rootRows)
 	sv.cols.CopyFrom(sv.rootCols)
+	sv.sc.entryPruned = 0
 
 	// Upper bound: several diversified greedy runs plus a
 	// multiplicative-weights greedy loop, each cover cleaned by redundancy
@@ -114,7 +123,7 @@ func (sv *Solver) solve(ctx context.Context) (Solution, int, error) {
 		g, ok := m.greedyVariant(ub, sv.rows, sv.cols, variant)
 		if !ok {
 			if variant == 0 {
-				return Solution{}, 0, ErrInfeasible
+				return Solution{}, searchStats{}, ErrInfeasible
 			}
 			continue
 		}
@@ -138,13 +147,15 @@ func (sv *Solver) solve(ctx context.Context) (Solution, int, error) {
 			s.solveParallel(sv.rows, sv.cols, w)
 		} else {
 			m.branch(s, sv.sc, sv.rows, sv.cols, sv.selBuf[:0], 0, true)
+			s.entryPruned = sv.sc.entryPruned
 		}
 	}
 
+	st := searchStats{nodes: s.nodes, entryPruned: s.entryPruned}
 	if !s.found {
-		return Solution{}, s.nodes, ErrInfeasible
+		return Solution{}, st, ErrInfeasible
 	}
 	sv.out = append(sv.out[:0], s.bestSel...)
 	sort.Ints(sv.out)
-	return Solution{Cols: sv.out, Cost: s.bestCost, Optimal: !s.budget}, s.nodes, nil
+	return Solution{Cols: sv.out, Cost: s.bestCost, Optimal: !s.budget}, st, nil
 }

@@ -50,7 +50,8 @@ import (
 // multiple goroutines.
 type Problem struct {
 	NumCols int
-	// Cost per column; nil means unit costs.
+	// Cost per column; nil means unit costs. When set it holds one
+	// non-negative cost per column.
 	Cost []int
 	// RowCols[r] lists the columns that cover row r.
 	RowCols [][]int
@@ -146,6 +147,7 @@ type matrix struct {
 	p        *Problem
 	rowSets  []bitset.Set // rowSets[r]: columns covering r
 	colSets  []bitset.Set // colSets[c]: rows covered by c
+	minCost  int          // cheapest column cost: what any uncovered row adds
 	domLimit int
 }
 
@@ -159,8 +161,20 @@ type scratch struct {
 	arena  *bitset.Arena
 	depth  int           // current branch recursion depth
 	orders [][]scoredCol // orders[depth]: branch-order buffer reused at that depth
-	active []int         // row/column id buffer for the dominance scans
 	used   bitset.Set    // lowerBound's column-accumulator set
+
+	members []member // the active rows or columns of one dominance pass
+
+	entryPruned int // nodes the entry test cut, for the cover.solve span
+}
+
+// member is one active row or column in a dominance pass, with the filters
+// its pairs are screened by.
+type member struct {
+	id    int
+	count int    // size of its projection
+	fold  uint64 // OR of its projection's words
+	alive bool   // not yet removed by this pass
 }
 
 // scoredCol is one branch candidate: a column and its active coverage.
@@ -218,6 +232,8 @@ type solver struct {
 	found    bool
 	done     bool // stop flag: budget exhausted or lower bound met
 	budget   bool // true when a budget (not LB) stopped the search
+	// entryPruned is summed from the walkers' scratches after the search.
+	entryPruned int
 }
 
 func (s *solver) enter() bool {
@@ -268,35 +284,46 @@ func (s *solver) expired() bool {
 //
 // When the context carries a trace recorder (internal/trace), the solve
 // records one "cover.solve" span with row/column counts, branch-and-bound
-// nodes and the outcome; with no recorder the instrumentation is a
-// zero-allocation no-op.
+// nodes, the nodes the entry test pruned (entry_pruned) and the outcome;
+// with no recorder the instrumentation is a zero-allocation no-op.
 func (p *Problem) SolveExactCtx(ctx context.Context, opts Options) (Solution, error) {
 	ctx, cancel := opts.Context(ctx)
 	defer cancel()
 	sp := trace.StartSpan(ctx, "cover.solve")
 	var (
-		sol   Solution
-		nodes int
+		sol Solution
+		st  searchStats
 	)
 	sv, err := NewSolver(p, opts)
 	if err == nil {
-		sol, nodes, err = sv.solve(ctx)
+		sol, st, err = sv.solve(ctx)
 	}
-	if sp != nil {
-		sp.Set("rows", len(p.RowCols)).Set("cols", p.NumCols).Set("nodes", nodes).
-			SetBool("optimal", sol.Optimal).Set("cost", sol.Cost).SetBool("failed", err != nil)
-		sp.End()
-	}
+	endSpan(sp, p, sol, st, err)
 	return sol, err
 }
 
-// newMatrix builds the incidence bitsets, validating column indices and
-// rejecting rows that no column covers. The sets are carved out of two
-// slabs — one per index space — so a matrix costs a handful of block
-// allocations rather than one per row and column.
+// newMatrix builds the incidence bitsets and is the one validator of every
+// entry point: Cost, when set, must hold one non-negative cost per column,
+// column indices must be in range, and a row that no column covers is
+// ErrInfeasible. The sets are carved out of two slabs — one per index
+// space — so a matrix costs a handful of block allocations rather than one
+// per row and column.
 func newMatrix(p *Problem, domLimit int) (*matrix, error) {
 	nRows := len(p.RowCols)
-	m := &matrix{p: p, domLimit: domLimit}
+	m := &matrix{p: p, minCost: 1, domLimit: domLimit}
+	if p.Cost != nil {
+		if len(p.Cost) != p.NumCols {
+			return nil, fmt.Errorf("cover: %d costs for %d columns", len(p.Cost), p.NumCols)
+		}
+		for c, w := range p.Cost {
+			if w < 0 {
+				return nil, fmt.Errorf("cover: column %d has negative cost %d", c, w)
+			}
+			if c == 0 || w < m.minCost {
+				m.minCost = w
+			}
+		}
+	}
 	m.rowSets = make([]bitset.Set, nRows)
 	m.colSets = make([]bitset.Set, p.NumCols)
 	rowSlab := bitset.NewSlab(p.NumCols) // rowSets live in column space
@@ -367,18 +394,36 @@ const (
 )
 
 // reduce runs the branch-and-bound reduction loop on one node, mutating
-// rows, cols and selected in place: essential-column selection, the
-// row/column dominance reductions (always at the root, bounded by domLimit
-// below it) and the independent-set lower bound. It returns the updated
-// selection and cost plus the verdict: prune the node, record selected as a
-// complete cover, or branch further.
+// rows, cols and selected in place: the entry test, essential-column
+// selection, the row/column dominance reductions (always at the root,
+// bounded by domLimit below it) and the independent-set lower bound. It
+// returns the updated selection and cost plus the verdict: prune the node,
+// record selected as a complete cover, or branch further.
+//
+// The entry test prunes a node with uncovered rows once cost+minCost
+// reaches the bound, before any reduction runs. It changes no verdict: from
+// there an essential column lifts cost to the bound, an uncoverable row
+// prunes, dominance never empties rows, the lower bound is at least
+// minCost, and reduce never records a cover — so the loop below would
+// prune this node anyway. Written as a difference, the test cannot
+// overflow against Reduce's unbounded math.MaxInt.
+//
+// A dominance pass leaves no dominated pair behind, and removing members
+// of its own index space creates none, so a pass is skipped until the
+// other space has lost members since it last ran: rowPass and colPass
+// track that. A skipped pass would have removed nothing.
 func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selected []int, cost int, root bool) ([]int, int, int) {
+	rowPass, colPass := true, true
 	for {
 		if cost >= ctl.bound() {
 			return selected, cost, coverPrune
 		}
 		if rows.IsEmpty() {
 			return selected, cost, coverLeaf
+		}
+		if m.minCost >= ctl.bound()-cost {
+			sc.entryPruned++
+			return selected, cost, coverPrune
 		}
 
 		// Essential columns and infeasibility in one closure-free scan.
@@ -406,6 +451,7 @@ func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 			cost += m.p.cost(essential)
 			rows.DifferenceWith(m.colSets[essential])
 			cols.Remove(essential)
+			rowPass, colPass = true, true
 			continue
 		}
 
@@ -413,11 +459,17 @@ func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 		// cores.
 		nr, nc := rows.Len(), cols.Len()
 		changed := false
-		if root || nr <= m.domLimit {
-			changed = m.reduceRowDominance(sc, rows, cols) || changed
+		if rowPass && (root || nr <= m.domLimit) {
+			rowPass = false
+			if m.reduceRowDominance(sc, rows, cols) {
+				changed, colPass = true, true
+			}
 		}
-		if root || nc <= m.domLimit {
-			changed = m.reduceColDominance(sc, rows, cols) || changed
+		if colPass && (root || nc <= m.domLimit) {
+			colPass = false
+			if m.reduceColDominance(sc, rows, cols) {
+				changed, rowPass = true, true
+			}
 		}
 		root = false
 		if !changed {
@@ -511,28 +563,58 @@ func (m *matrix) branch(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 	sc.arena.Put(remCols)
 }
 
+// projection returns |s ∩ within| and the OR of its words. When
+// a ∩ within ⊆ b, a's count is at most b's and a's fold has no bit b's
+// lacks, so a pair failing either filter cannot pass the subset test.
+func projection(s, within bitset.Set) (count int, fold uint64) {
+	for wi, wc := 0, min(s.WordCount(), within.WordCount()); wi < wc; wi++ {
+		w := s.Word(wi) & within.Word(wi)
+		count += bits.OnesCount64(w)
+		fold |= w
+	}
+	return count, fold
+}
+
+// project starts a dominance pass: one alive member per element id of
+// active, filtered by the projection of sets[id] onto within. The result
+// lives in sc and is valid until the next pass.
+func (sc *scratch) project(active bitset.Set, sets []bitset.Set, within bitset.Set) []member {
+	ms := sc.members[:0]
+	for wi, wc := 0, active.WordCount(); wi < wc; wi++ {
+		for w := active.Word(wi); w != 0; w &= w - 1 {
+			id := wi*64 + bits.TrailingZeros64(w)
+			count, fold := projection(sets[id], within)
+			ms = append(ms, member{id: id, count: count, fold: fold, alive: true})
+		}
+	}
+	sc.members = ms
+	return ms
+}
+
 // reduceRowDominance removes rows whose candidate column set is a superset
 // of another row's (the superset row is easier to cover and thus implied).
 func (m *matrix) reduceRowDominance(sc *scratch, rows, cols bitset.Set) bool {
-	active := rows.AppendTo(sc.active[:0])
-	sc.active = active[:0]
+	ms := sc.project(rows, m.rowSets, cols)
 	removed := false
-	for i := 0; i < len(active); i++ {
-		ri := active[i]
-		if !rows.Has(ri) {
+	for i := range ms {
+		mi := &ms[i]
+		if !mi.alive {
 			continue
 		}
-		for j := 0; j < len(active); j++ {
-			rj := active[j]
-			if i == j || !rows.Has(rj) || !rows.Has(ri) {
+		for j := range ms {
+			// The filters first: a pair they reject cannot pass the subset
+			// test.
+			mj := &ms[j]
+			if mj.count < mi.count || mi.fold&^mj.fold != 0 || !mj.alive || i == j {
 				continue
 			}
-			// Row rj dominated by ri: cand(ri) ⊆ cand(rj).
-			if bitset.IntersectionSubsetOf(m.rowSets[ri], m.rowSets[rj], cols) {
-				if j < i && bitset.IntersectionSubsetOf(m.rowSets[rj], m.rowSets[ri], cols) {
+			// Row j dominated by row i: cand(i) ⊆ cand(j).
+			if bitset.IntersectionSubsetOf(m.rowSets[mi.id], m.rowSets[mj.id], cols) {
+				if j < i && mj.count == mi.count {
 					continue // identical rows: keep the earlier
 				}
-				rows.Remove(rj)
+				rows.Remove(mj.id)
+				mj.alive = false
 				removed = true
 			}
 		}
@@ -543,27 +625,25 @@ func (m *matrix) reduceRowDominance(sc *scratch, rows, cols bitset.Set) bool {
 // reduceColDominance removes columns whose active coverage is contained in
 // a no-costlier column's.
 func (m *matrix) reduceColDominance(sc *scratch, rows, cols bitset.Set) bool {
-	active := cols.AppendTo(sc.active[:0])
-	sc.active = active[:0]
+	ms := sc.project(cols, m.colSets, rows)
 	removed := false
-	for i := 0; i < len(active); i++ {
-		ci := active[i]
-		if !cols.Has(ci) {
-			continue
-		}
-		for j := 0; j < len(active); j++ {
-			cj := active[j]
-			if i == j || !cols.Has(cj) {
+	for i := range ms {
+		mi := &ms[i]
+		ci := mi.id
+		for j := range ms {
+			mj := &ms[j]
+			if mj.count < mi.count || mi.fold&^mj.fold != 0 || !mj.alive || i == j {
 				continue
 			}
 			// ci dominated by cj.
+			cj := mj.id
 			if m.p.cost(cj) <= m.p.cost(ci) &&
 				bitset.IntersectionSubsetOf(m.colSets[ci], m.colSets[cj], rows) {
-				if j > i && m.p.cost(cj) == m.p.cost(ci) &&
-					bitset.IntersectionSubsetOf(m.colSets[cj], m.colSets[ci], rows) {
+				if j > i && m.p.cost(cj) == m.p.cost(ci) && mj.count == mi.count {
 					continue // identical columns: keep the earlier
 				}
 				cols.Remove(ci)
+				mi.alive = false
 				removed = true
 				break
 			}
@@ -839,7 +919,7 @@ type Reduction struct {
 // plus Core's optimum is p's optimum, and Lift turns a minimum cover of
 // Core into one of p; an empty Core means the reductions solved p
 // outright. Errors match SolveExactCtx: ErrInfeasible when a row has no
-// covering column, an error for an out-of-range column.
+// covering column, an error for an out-of-range column or a bad Cost.
 func (p *Problem) Reduce() (Reduction, error) {
 	// A Solver's construction is the search's root state: the validated
 	// matrix and the deduped root sets, which this throwaway one lets
@@ -897,34 +977,24 @@ func (red Reduction) Lift(coreCols []int) []int {
 }
 
 // SolveGreedy returns a feasible (not necessarily optimal) cover without
-// any branch and bound.
+// any branch and bound: plain greedy over every column. It validates p as
+// SolveExactCtx does.
 func (p *Problem) SolveGreedy() (Solution, error) {
-	nRows := len(p.RowCols)
-	m := &matrix{p: p}
-	m.colSets = make([]bitset.Set, p.NumCols)
-	for c := range m.colSets {
-		m.colSets[c] = bitset.New(nRows)
+	m, err := newMatrix(p, 0)
+	if err != nil {
+		return Solution{}, err
 	}
-	for r, colsOfRow := range p.RowCols {
-		if len(colsOfRow) == 0 {
-			return Solution{}, ErrInfeasible
-		}
-		for _, c := range colsOfRow {
-			m.colSets[c].Add(r)
-		}
-	}
-	rows := bitset.New(nRows)
-	for r := 0; r < nRows; r++ {
-		rows.Add(r)
-	}
-	cols := bitset.New(p.NumCols)
-	for c := 0; c < p.NumCols; c++ {
-		cols.Add(c)
-	}
-	sel, ok := m.greedyVariant(&ubScratch{}, rows, cols, 0)
-	if !ok {
-		return Solution{}, ErrInfeasible
-	}
+	// newMatrix rejected every row no column covers, so greedy completes.
+	sel, _ := m.greedyVariant(&ubScratch{}, fullSet(len(p.RowCols)), fullSet(p.NumCols), 0)
 	sort.Ints(sel)
-	return Solution{Cols: sel, Cost: costOf(p, sel), Optimal: false}, nil
+	return Solution{Cols: sel, Cost: costOf(p, sel)}, nil
+}
+
+// fullSet returns {0, …, n-1}.
+func fullSet(n int) bitset.Set {
+	s := bitset.New(n)
+	for e := 0; e < n; e++ {
+		s.Add(e)
+	}
+	return s
 }

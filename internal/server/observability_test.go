@@ -244,8 +244,10 @@ func TestTraceEndpoints(t *testing.T) {
 	// Stage attrs survive the JSON round trip.
 	for _, sp := range e.Spans {
 		if sp.Name == "cover.solve" {
-			if _, ok := sp.Attrs["nodes"]; !ok {
-				t.Errorf("cover.solve span lost its attrs: %+v", sp)
+			for _, key := range []string{"nodes", "entry_pruned"} {
+				if _, ok := sp.Attrs[key]; !ok {
+					t.Errorf("cover.solve span lost its %s attr: %+v", key, sp)
+				}
 			}
 		}
 	}
