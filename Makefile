@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/diffcheck/ -run '^FuzzDecompose$$' -fuzz '^FuzzDecompose$$' -fuzztime 30s
 	$(GO) test ./internal/diffcheck/ -run '^FuzzSATEncode$$' -fuzz '^FuzzSATEncode$$' -fuzztime 30s
 	$(GO) test ./internal/espresso/ -run '^FuzzMintermMinimize$$' -fuzz '^FuzzMintermMinimize$$' -fuzztime 30s
+	$(GO) test ./internal/dichotomy/ -run '^FuzzRaise$$' -fuzz '^FuzzRaise$$' -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^FuzzServe$$' -fuzz '^FuzzServe$$' -fuzztime 30s
 
 # Run the encoding service locally (POST /v1/encode, GET /v1/stats).

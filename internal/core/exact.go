@@ -122,17 +122,11 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 	}
 
 	ssp := trace.StartSpan(ctx, "core.seeds")
-	seeds := dichotomy.Initial(cs)
-	raised := dichotomy.ValidRaised(seeds, cs)
+	p1 := NewFeasibilityState(cs).Report()
+	seeds, raised := p1.Seeds, p1.Raised
 	ssp.Set("seeds", len(seeds)).Set("raised", len(raised)).End()
-	var uncovered []dichotomy.D
-	for _, i := range seeds {
-		if !dichotomy.CoveredBySome(i, raised) {
-			uncovered = append(uncovered, i)
-		}
-	}
-	if len(uncovered) > 0 {
-		return nil, newInfeasibleError(cs, uncovered)
+	if !p1.Feasible {
+		return nil, newInfeasibleError(ctx, cs, p1.Uncovered)
 	}
 
 	primeOpts, coverOpts := opts.stageOptions()
@@ -178,7 +172,7 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 		sol, err := coverSeeds(ctx, seeds, candidates, coverOpts, opts.Backend)
 		if err != nil {
 			if errors.Is(err, cover.ErrInfeasible) {
-				return nil, newInfeasibleError(cs, nil)
+				return nil, newInfeasibleError(ctx, cs, nil)
 			}
 			return nil, err
 		}

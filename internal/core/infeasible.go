@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -27,8 +28,9 @@ type InfeasibleError struct {
 	Uncovered []dichotomy.D
 	// Conflict is a minimal infeasible subset of the input constraint set
 	// (dropping any one of its constraints makes the remainder feasible).
-	// Nil when minimization was skipped — extension-induced infeasibility
-	// or a set larger than the minimization bound.
+	// Nil when minimization was skipped — extension-induced infeasibility,
+	// a set larger than the minimization bound, or a solve whose context
+	// ended first.
 	Conflict *constraint.Set
 }
 
@@ -50,9 +52,10 @@ func (e *InfeasibleError) Error() string {
 func (e *InfeasibleError) Unwrap() error { return ErrInfeasible }
 
 // newInfeasibleError builds the typed error, minimizing the conflict
-// subset when the set is small enough for the quadratic greedy pass.
-func newInfeasibleError(cs *constraint.Set, uncovered []dichotomy.D) *InfeasibleError {
-	return &InfeasibleError{Uncovered: uncovered, Conflict: MinimizeInfeasible(cs)}
+// subset when the set is small enough for the quadratic greedy pass and
+// the solve's context leaves time for it.
+func newInfeasibleError(ctx context.Context, cs *constraint.Set, uncovered []dichotomy.D) *InfeasibleError {
+	return &InfeasibleError{Uncovered: uncovered, Conflict: MinimizeInfeasible(ctx, cs)}
 }
 
 // MinimizeInfeasible greedily shrinks cs to a minimal infeasible subset
@@ -60,14 +63,16 @@ func newInfeasibleError(cs *constraint.Set, uncovered []dichotomy.D) *Infeasible
 // whenever the remainder stays infeasible, until no single removal
 // preserves infeasibility. Returns nil when cs is feasible by the check
 // (infeasibility lies outside Theorem 6.1's scope, e.g. in extension
-// constraints) or when the set exceeds the minimization bound. The result
-// shares cs's symbol table.
-func MinimizeInfeasible(cs *constraint.Set) *constraint.Set {
+// constraints), when the set exceeds the minimization bound, or when ctx
+// ends first: the context is polled before every check, so a canceled or
+// expired solve stops minimizing within one check. The result shares cs's
+// symbol table.
+func MinimizeInfeasible(ctx context.Context, cs *constraint.Set) *constraint.Set {
 	total := flatLen(cs)
 	if total == 0 || total > conflictMinimizeLimit {
 		return nil
 	}
-	if CheckFeasible(cs).Feasible {
+	if ctx.Err() != nil || CheckFeasible(cs).Feasible {
 		return nil
 	}
 	cur := cs.Clone()
@@ -77,6 +82,9 @@ func MinimizeInfeasible(cs *constraint.Set) *constraint.Set {
 	for {
 		removed := false
 		for i := 0; i < flatLen(cur); i++ {
+			if ctx.Err() != nil {
+				return nil
+			}
 			cand := dropFlat(cur, i)
 			if !CheckFeasible(cand).Feasible {
 				cur = cand

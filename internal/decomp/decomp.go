@@ -34,6 +34,7 @@
 package decomp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -221,7 +222,7 @@ func Split(cs *constraint.Set) (*Plan, error) {
 // also supplies the minimized conflict subset in *global* indices — so a
 // disagreement (defensive; it would indicate a simplifier bug) falls back
 // to the ordinary solve path instead of mis-reporting a feasible set.
-func (p *Plan) ForcedInfeasible() *core.InfeasibleError {
+func (p *Plan) ForcedInfeasible(ctx context.Context) *core.InfeasibleError {
 	for _, c := range p.Components {
 		if !c.forcedInfeasible {
 			continue
@@ -230,7 +231,7 @@ func (p *Plan) ForcedInfeasible() *core.InfeasibleError {
 			c.forcedInfeasible = false
 			continue
 		}
-		return &core.InfeasibleError{Conflict: core.MinimizeInfeasible(p.Source)}
+		return &core.InfeasibleError{Conflict: core.MinimizeInfeasible(ctx, p.Source)}
 	}
 	return nil
 }

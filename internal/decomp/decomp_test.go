@@ -141,7 +141,7 @@ func TestImpliedEqualityInfeasible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ie := plan.ForcedInfeasible()
+			ie := plan.ForcedInfeasible(context.Background())
 			if ie == nil {
 				t.Fatal("ForcedInfeasible = nil, want infeasible")
 			}

@@ -60,7 +60,7 @@ type ComponentSolver func(ctx context.Context, c *Component, sp *trace.Span) (*c
 // Component.globalizeError). When several components fail, the error of
 // the lowest-indexed one wins, deterministically.
 func (p *Plan) Solve(ctx context.Context, workers int, solve ComponentSolver) (*core.ExactResult, error) {
-	if ie := p.ForcedInfeasible(); ie != nil {
+	if ie := p.ForcedInfeasible(ctx); ie != nil {
 		return nil, ie
 	}
 	results := make([]*core.ExactResult, len(p.Components))

@@ -191,6 +191,8 @@ func Valid(d D, cs *constraint.Set) bool {
 // Raise maximally raises d with respect to the output constraints in cs
 // (Definitions 6.1/6.2, procedure raise_dichotomy in Figure 5): symbols
 // forced by the constraints are inserted into the blocks until a fix-point.
+// It compiles cs for this one call; raising many dichotomies under one set
+// should compile it once (Compile) and raise with Closure.RaiseInPlace.
 //
 // Propagation rules, all sound implications of the bit semantics L→0, R→1:
 //
@@ -203,90 +205,158 @@ func Valid(d D, cs *constraint.Set) bool {
 //	                      that conjunction's children ∈R
 //
 // The second return value is false when raising derives a contradiction
-// (some symbol forced into both blocks) or the raised dichotomy violates an
-// output constraint; such dichotomies must be discarded.
+// (some symbol forced into both blocks); such dichotomies must be
+// discarded. Every dichotomy Valid rejects fails to raise, and a
+// contradiction-free fix-point violates no output constraint, so ok
+// doubles as the validity filter of procedure remove_invalid_dichotomies.
+// The fix-point does not depend on the order the rules fire in, so the
+// raised dichotomy is unique whenever ok holds; when ok is false the
+// returned blocks are a partial raise and carry no meaning.
 func Raise(d D, cs *constraint.Set) (D, bool) {
 	r := d.Clone()
+	return r, Compile(cs).RaiseInPlace(&r)
+}
+
+// Closure is a constraint set's output constraints compiled for raising.
+// Every dominance edge and every disjunctive's implied parent > child edge
+// is closed transitively into per-symbol bitsets, so closing a block under
+// all of them is one OR per symbol of the block; the disjunctive and
+// extended-disjunctive rules that read several symbols at once are kept
+// beside them. A Closure is immutable and safe for concurrent use.
+type Closure struct {
+	// below[a] holds every b that a dominates, directly or transitively
+	// (a∈L ⇒ b∈L); above[b] holds every a dominating b (b∈R ⇒ a∈R).
+	below, above []bitset.Set
+	disj         []constraint.Disjunctive
+	ext          []constraint.ExtDisjunctive
+}
+
+// Compile builds the Closure of cs's dominance, disjunctive and extended
+// disjunctive constraints.
+func Compile(cs *constraint.Set) *Closure {
+	n := cs.N()
+	for _, dom := range cs.Dominances {
+		n = max(n, dom.Big+1, dom.Small+1)
+	}
+	for _, dj := range cs.Disjunctives {
+		n = max(n, dj.Parent+1)
+		for _, c := range dj.Children {
+			n = max(n, c+1)
+		}
+	}
+	c := &Closure{
+		below: make([]bitset.Set, n),
+		above: make([]bitset.Set, n),
+		disj:  append([]constraint.Disjunctive(nil), cs.Disjunctives...),
+		ext:   append([]constraint.ExtDisjunctive(nil), cs.ExtDisjunctives...),
+	}
+	slab := bitset.NewSlab(n)
+	for i := range c.below {
+		c.below[i] = slab.Get()
+		c.above[i] = slab.Get()
+	}
+	for _, dom := range cs.Dominances {
+		c.below[dom.Big].Add(dom.Small)
+	}
+	for _, dj := range cs.Disjunctives {
+		for _, ch := range dj.Children {
+			c.below[dj.Parent].Add(ch)
+		}
+	}
+	// Warshall: after step k, below[i] holds every symbol reachable from i
+	// through intermediate symbols < k+1.
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			if c.below[i].Has(k) {
+				c.below[i].UnionWith(c.below[k])
+			}
+		}
+	}
+	for a := range c.below {
+		c.below[a].ForEach(func(b int) bool {
+			c.above[b].Add(a)
+			return true
+		})
+	}
+	return c
+}
+
+// RaiseInPlace raises d to its fix-point in place and reports whether the
+// fix-point is contradiction-free; when it is not, d is left partially
+// raised. Raising an already raised dichotomy under a larger constraint set
+// gives the same result as raising the original from scratch, which is what
+// lets callers re-raise incrementally as a set grows.
+func (c *Closure) RaiseInPlace(d *D) bool {
 	for {
+		closeUnder(&d.L, c.below)
+		closeUnder(&d.R, c.above)
+		if d.L.Intersects(d.R) {
+			return false
+		}
 		changed := false
-		add := func(s *bitset.Set, e int) {
-			if !s.Has(e) {
-				s.Add(e)
-				changed = true
-			}
-		}
-		for _, dom := range cs.Dominances {
-			if r.L.Has(dom.Big) {
-				add(&r.L, dom.Small)
-			}
-			if r.R.Has(dom.Small) {
-				add(&r.R, dom.Big)
-			}
-		}
-		for _, dj := range cs.Disjunctives {
-			// Implied dominances parent > child.
-			for _, c := range dj.Children {
-				if r.L.Has(dj.Parent) {
-					add(&r.L, c)
-				}
-				if r.R.Has(c) {
-					add(&r.R, dj.Parent)
-				}
-			}
-			// All children 0 forces the parent to 0.
-			allLeft := true
-			notLeft := -1
-			numNotLeft := 0
-			for _, c := range dj.Children {
-				if !r.L.Has(c) {
-					allLeft = false
-					notLeft = c
+		for _, dj := range c.disj {
+			notLeft, numNotLeft := -1, 0
+			for _, ch := range dj.Children {
+				if !d.L.Has(ch) {
+					notLeft = ch
 					numNotLeft++
 				}
 			}
-			if allLeft {
-				add(&r.L, dj.Parent)
+			// All children 0 forces the parent to 0; parent 1 with a single
+			// candidate child forces that child to 1.
+			if numNotLeft == 0 && !d.L.Has(dj.Parent) {
+				d.L.Add(dj.Parent)
+				changed = true
 			}
-			// Parent 1 with a single candidate child forces that child to 1.
-			if r.R.Has(dj.Parent) && numNotLeft == 1 {
-				add(&r.R, notLeft)
+			if numNotLeft == 1 && d.R.Has(dj.Parent) && !d.R.Has(notLeft) {
+				d.R.Add(notLeft)
+				changed = true
 			}
 		}
-		for _, ed := range cs.ExtDisjunctives {
-			allHit := true
-			unhit := -1
-			numUnhit := 0
+		for _, ed := range c.ext {
+			unhit, numUnhit := -1, 0
 			for ci, conj := range ed.Conjunctions {
-				hit := false
-				for _, c := range conj {
-					if r.L.Has(c) {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					allHit = false
+				if !hitsAny(d.L, conj) {
 					unhit = ci
 					numUnhit++
 				}
 			}
-			if allHit {
-				add(&r.L, ed.Parent)
+			if numUnhit == 0 && !d.L.Has(ed.Parent) {
+				d.L.Add(ed.Parent)
+				changed = true
 			}
-			if r.R.Has(ed.Parent) && numUnhit == 1 {
-				for _, c := range ed.Conjunctions[unhit] {
-					add(&r.R, c)
+			if numUnhit == 1 && d.R.Has(ed.Parent) {
+				for _, s := range ed.Conjunctions[unhit] {
+					if !d.R.Has(s) {
+						d.R.Add(s)
+						changed = true
+					}
 				}
 			}
 		}
 		if !changed {
-			break
-		}
-		if r.L.Intersects(r.R) {
-			return r, false
+			return true
 		}
 	}
-	return r, Valid(r, cs)
+}
+
+// closeUnder adds edges[e] to s for every element e of s. The edge sets are
+// transitively closed, so one pass reaches the fix-point; elements the pass
+// adds are visited too, which costs an OR but adds nothing.
+func closeUnder(s *bitset.Set, edges []bitset.Set) {
+	for e, ok := s.Min(); ok && e < len(edges); e, ok = s.NextSet(e + 1) {
+		s.UnionWith(edges[e])
+	}
+}
+
+// hitsAny reports whether some symbol of conj is in s.
+func hitsAny(s bitset.Set, conj []int) bool {
+	for _, c := range conj {
+		if s.Has(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // CoveredBySome reports whether any dichotomy in ds covers d.

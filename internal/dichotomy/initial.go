@@ -14,7 +14,9 @@ import (
 //
 // The result is deduplicated (orientation sensitive) and its order is
 // deterministic: face-derived dichotomies first, in constraint order, then
-// uniqueness dichotomies in pair order.
+// uniqueness dichotomies in pair order. Every seed at an even index is
+// followed by its mirror: both orientations are emitted together, and one
+// is new exactly when the other is.
 func Initial(cs *constraint.Set) []D {
 	n := cs.N()
 	var out []D
@@ -82,18 +84,17 @@ func Rows(seeds []D) []D {
 	return rows
 }
 
-// ValidRaised filters seeds to the valid ones, maximally raises each and
-// drops any that become invalid, deduplicating the result. This is the set D
-// of Theorem 6.1.
+// ValidRaised maximally raises each seed and drops those whose raise
+// contradicts, deduplicating the result. This is the set D of Theorem 6.1:
+// raising rejects every dichotomy Valid rejects, so the filter needs no
+// separate validity pass. cs is compiled once for all seeds.
 func ValidRaised(seeds []D, cs *constraint.Set) []D {
+	c := Compile(cs)
 	var out []D
 	seen := make(map[string]bool)
 	for _, d := range seeds {
-		if !Valid(d, cs) {
-			continue
-		}
-		r, ok := Raise(d, cs)
-		if !ok {
+		r := d.Clone()
+		if !c.RaiseInPlace(&r) {
 			continue
 		}
 		k := r.Key()

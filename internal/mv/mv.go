@@ -17,11 +17,14 @@
 // the same machine, which internal/pipeline's replay verifier checks end
 // to end. Constraint extraction is split so callers can choose their
 // problem: FaceConstraints emits only input (face-embedding) constraints;
-// OutputConstraints adds the dominance/disjunctive relations, admitting
-// each one only when it strictly reduces the symbolic cover (OutputOptions
-// caps the search). GenerateConstraints is the standard composition of
-// both. All of it is deterministic: the same machine always yields the
-// same cover, the same constraint set, in the same order.
+// OutputConstraints adds the dominance/disjunctive relations: dominance
+// candidates whose cube-merge gain is positive, in gain order, then
+// disjunctive candidates in parent order, each admitted only when the
+// grown set stays satisfiable under the polynomial P-1 check
+// (OutputOptions caps how many of each are admitted). GenerateConstraints
+// is the standard composition of both. All of it is deterministic: the
+// same machine always yields the same cover, the same constraint set, in
+// the same order.
 package mv
 
 import (

@@ -268,3 +268,23 @@ func TestSymbolicInputConstraintsErrors(t *testing.T) {
 		t.Fatal("output-width mismatch must fail")
 	}
 }
+
+// BenchmarkOutputConstraintsKernel admits output constraints on kirkman's
+// minimized cover under its Table-1 budget: one P-1 state grown over every
+// dominance and disjunctive candidate.
+func BenchmarkOutputConstraintsKernel(b *testing.B) {
+	m, err := fsm.GenerateByName("kirkman")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := Cover(m)
+	sc.Minimize()
+	faces := constraint.NewSet(m.States)
+	sc.FaceConstraints(faces)
+	opts := OutputOptions{MaxDominance: 40, MaxDisjunctive: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.OutputConstraints(faces.Clone(), opts)
+	}
+}

@@ -58,6 +58,9 @@ func (sc *SymbolicCover) OutputConstraints(cs *constraint.Set, opts OutputOption
 		maxDisj = 2
 	}
 
+	// One P-1 state grows with the admitted set: each candidate re-raises
+	// only the seeds it can touch, and a rejected one leaves cs as it was.
+	p1 := core.NewFeasibilityState(cs)
 	doms := sc.dominanceCandidates(opts.AggressiveDominance)
 	admitted := 0
 	hasEdge := map[[2]int]bool{}
@@ -69,13 +72,10 @@ func (sc *SymbolicCover) OutputConstraints(cs *constraint.Set, opts OutputOption
 		if hasEdge[[2]int{d.big, d.small}] || reach.path(d.small, d.big) {
 			continue // duplicate or would close a dominance cycle
 		}
-		cs.Dominances = append(cs.Dominances, constraint.Dominance{Big: d.big, Small: d.small})
-		if core.CheckFeasible(cs).Feasible {
+		if p1.AddDominance(constraint.Dominance{Big: d.big, Small: d.small}) {
 			hasEdge[[2]int{d.big, d.small}] = true
 			reach.add(d.big, d.small)
 			admitted++
-		} else {
-			cs.Dominances = cs.Dominances[:len(cs.Dominances)-1]
 		}
 	}
 
@@ -85,11 +85,8 @@ func (sc *SymbolicCover) OutputConstraints(cs *constraint.Set, opts OutputOption
 		if admittedD >= maxDisj {
 			break
 		}
-		cs.Disjunctives = append(cs.Disjunctives, dj)
-		if core.CheckFeasible(cs).Feasible {
+		if p1.AddDisjunctive(dj) {
 			admittedD++
-		} else {
-			cs.Disjunctives = cs.Disjunctives[:len(cs.Disjunctives)-1]
 		}
 	}
 }

@@ -313,6 +313,38 @@ func TestChainSolveFreesWorker(t *testing.T) {
 	}
 }
 
+// TestInfeasibleMinimizeFreesWorker is TestChainSolveFreesWorker for the
+// error path of an infeasible set: its P-1 check takes tens of
+// milliseconds, but minimizing its conflict subset re-runs the check
+// hundreds of times. Once the request's budget is spent the minimization
+// must stop and free the single worker, so the next request is served
+// well inside a budget shorter than the whole minimization.
+func TestInfeasibleMinimizeFreesWorker(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	heavy := gen.Random(1, gen.Config{Symbols: 56, Faces: 56, Dominances: 112, Disjunctives: 3, ExtDisjunctives: 2, DontCareProb: 0.3}).Set.String()
+	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: heavy, TimeoutMS: 200}))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("infeasible request: status = %d, want 504; body: %s", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\nface b c\n", TimeoutMS: 1500}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the infeasible one timed out: status = %d, want 200; body: %s", resp.StatusCode, body)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the conflict minimization still holds the worker")
+	}
+}
+
 // TestOverload checks that a full pool sheds load with 429 + Retry-After.
 func TestOverload(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1, RetryAfter: 2 * time.Second})
