@@ -17,9 +17,9 @@
 // BinateTable.SolveCtx) take a context and thread it into the exponential
 // stages — prime generation, the covering search and the chain search — so
 // deadlines and cancellation stop them cooperatively.
-// ExactOptions.Workers fans the prime enumeration, the covering-matrix
-// construction and the covering search out over a worker pool. All parallel
-// stages are deterministic: results are identical for any worker count.
+// ExactOptions.Workers fans the prime enumeration and the covering search
+// out over a worker pool. All parallel stages are deterministic: results
+// are identical for any worker count.
 //
 // Types in this package (Encoding, ExactResult, BinateTable, Feasibility)
 // are plain data: safe for concurrent reads, unsynchronized for writes.

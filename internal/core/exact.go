@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/constraint"
 	"repro/internal/cover"
@@ -24,10 +21,9 @@ var ErrInfeasible = errors.New("core: constraints are infeasible")
 // ExactOptions tunes the exact encoder.
 type ExactOptions struct {
 	// Parallelism is the pipeline-wide Workers/TimeLimit default: it
-	// flows into every stage (prime generation, covering-matrix
-	// construction, covering solve) that did not set its own. Every stage
-	// returns identical results for any worker count; TimeLimit bounds
-	// each stage's wall clock individually.
+	// flows into every stage (prime generation, covering solve) that did
+	// not set its own. Every stage returns identical results for any
+	// worker count; TimeLimit bounds each stage's wall clock individually.
 	par.Parallelism
 	// Prime configures maximal-compatible generation (engine, limit).
 	Prime prime.Options
@@ -151,7 +147,7 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 		// placements; primes that contradict are discarded. Retain the
 		// raised seeds themselves as fallback columns.
 		candidates = dichotomy.ValidRaised(candidates, cs)
-		candidates = dedupe(append(candidates, raised...))
+		candidates = dichotomy.Distinct(append(candidates, raised...))
 	}
 
 	var cols []dichotomy.D
@@ -198,23 +194,14 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 }
 
 // coverSeeds builds and solves the unate covering of the canonical seed
-// rows by the candidate columns. The O(rows × candidates) incidence matrix
-// is built in parallel — one goroutine owns one row, so no locking is
-// needed and the matrix is identical for any worker count. The backend
-// selects the engine: branch-and-bound over the matrix, or the CNF
-// compilation of its reduced core with a k-search over cover cost
-// (internal/sat).
+// rows by the candidate columns. The incidence matrix comes from
+// dichotomy.Coverage. The backend selects the engine: branch-and-bound
+// over the matrix, or the CNF compilation of its reduced core with a
+// k-search over cover cost (internal/sat).
 func coverSeeds(ctx context.Context, seeds, candidates []dichotomy.D, opts cover.Options, backend Backend) (cover.Solution, error) {
 	msp := trace.StartSpan(ctx, "core.matrix")
 	rows := dichotomy.Rows(seeds)
-	p := cover.Problem{NumCols: len(candidates), RowCols: make([][]int, len(rows))}
-	forEachIndex(len(rows), opts.Workers, func(ri int) {
-		for ci, c := range candidates {
-			if c.Covers(rows[ri]) {
-				p.RowCols[ri] = append(p.RowCols[ri], ci)
-			}
-		}
-	})
+	p := cover.Problem{NumCols: len(candidates), RowCols: dichotomy.Coverage(rows, candidates)}
 	msp.Set("rows", len(rows)).Set("candidates", len(candidates)).End()
 	if backend == BackendSAT {
 		return sat.SolveCoverCtx(ctx, &p, sat.CoverOptions{
@@ -223,41 +210,6 @@ func coverSeeds(ctx context.Context, seeds, candidates []dichotomy.D, opts cover
 		})
 	}
 	return p.SolveExactCtx(ctx, opts)
-}
-
-// forEachIndex runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines (0 means runtime.GOMAXPROCS via the cover default) pulling
-// indices from a shared atomic counter. fn must only write state owned by
-// index i.
-func forEachIndex(n, workers int, fn func(i int)) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // enumerateValidColumns returns every total encoding column over n symbols
@@ -279,21 +231,6 @@ func enumerateValidColumns(cs *constraint.Set) []dichotomy.D {
 			}
 		}
 		if dichotomy.Valid(d, cs) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// dedupe removes duplicate dichotomies (orientation sensitive), preserving
-// first occurrence order.
-func dedupe(ds []dichotomy.D) []dichotomy.D {
-	seen := make(map[string]bool, len(ds))
-	var out []dichotomy.D
-	for _, d := range ds {
-		k := d.Key()
-		if !seen[k] {
-			seen[k] = true
 			out = append(out, d)
 		}
 	}

@@ -48,12 +48,10 @@ func coverExtended(ctx context.Context, cs *constraint.Set, seeds, candidates []
 	}
 
 	var p sat.BinateProblem
-	for _, r := range dichotomy.Rows(seeds) {
+	for _, cols := range dichotomy.Coverage(dichotomy.Rows(seeds), candidates) {
 		var clause []sat.Lit
-		for ci, c := range candidates {
-			if c.Covers(r) {
-				clause = append(clause, sat.Pos(ci))
-			}
+		for _, ci := range cols {
+			clause = append(clause, sat.Pos(ci))
 		}
 		p.Clauses = append(p.Clauses, clause)
 	}

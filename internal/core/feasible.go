@@ -47,19 +47,25 @@ func CheckFeasibleCtx(ctx context.Context, cs *constraint.Set) Feasibility {
 // FeasibilityState is the P-1 check of Theorem 6.1 kept per seed, for a
 // constraint set that grows one output constraint at a time. It holds the
 // initial encoding-dichotomies, each one's maximal raise and whether that
-// raise is contradiction-free, and each seed's mirror.
+// raise is contradiction-free.
 //
-// A seed is covered when its own raise or its mirror's is contradiction-free
-// (a raise contains the dichotomy it started from); only otherwise does the
-// check scan the other raises, so a verdict costs one pass over the seeds
-// instead of CoveredBySome's seeds × raises. Adding an output constraint
-// re-raises only the seeds the constraint can touch, starting from their
-// current raises: a raise is a fix-point of the smaller set, and raising it
-// under the grown set gives what raising the seed from scratch would.
+// A seed is covered exactly when its own raise or its mirror's is
+// contradiction-free, so a verdict reads two flags per seed instead of
+// scanning CoveredBySome's seeds × raises. One way round, a raise contains
+// the dichotomy it started from. The other way round, validity is
+// hereditary: a blockwise subset of a dichotomy whose raise is
+// contradiction-free raises contradiction-free itself (law (c) of the
+// dichotomy package's TestRaiseLaws), so a raise that covers a seed in
+// either orientation makes that seed's or its mirror's raise ok. The
+// mirror of seeds[i] is seeds[i^1], which dichotomy.Initial guarantees.
+//
+// Adding an output constraint re-raises only the seeds the constraint can
+// touch, starting from their current raises: a raise is a fix-point of the
+// smaller set, and raising it under the grown set gives what raising the
+// seed from scratch would.
 type FeasibilityState struct {
 	cs     *constraint.Set
 	seeds  []dichotomy.D
-	mirror []int // seeds[mirror[i]] is seeds[i].Mirror()
 	raised []dichotomy.D
 	ok     []bool
 	// The seeds re-raised for the constraint under test and their previous
@@ -75,41 +81,29 @@ func NewFeasibilityState(cs *constraint.Set) *FeasibilityState {
 	s := &FeasibilityState{
 		cs:     cs,
 		seeds:  seeds,
-		mirror: make([]int, len(seeds)),
 		raised: make([]dichotomy.D, len(seeds)),
 		ok:     make([]bool, len(seeds)),
 	}
 	c := dichotomy.Compile(cs)
 	slab := bitset.NewSlab(cs.N())
 	for i, d := range seeds {
-		// Initial emits every seed next to its mirror; a seed without one
-		// would stand in for its own.
-		m := i ^ 1
-		if m >= len(seeds) || !seeds[m].L.Equal(d.R) || !seeds[m].R.Equal(d.L) {
-			m = i
-		}
-		s.mirror[i] = m
 		s.raised[i] = dichotomy.D{L: slab.CloneInto(d.L), R: slab.CloneInto(d.R)}
 		s.ok[i] = c.RaiseInPlace(&s.raised[i])
 	}
 	return s
 }
 
+// covered reports whether seed i is covered by some contradiction-free
+// raise.
+func (s *FeasibilityState) covered(i int) bool {
+	return s.ok[i] || s.ok[i^1]
+}
+
 // feasible reports whether every seed is covered: the P-1 verdict for the
 // current set. It stops at the first uncovered seed.
 func (s *FeasibilityState) feasible() bool {
-	for i, d := range s.seeds {
-		if s.ok[i] || s.ok[s.mirror[i]] {
-			continue
-		}
-		covered := false
-		for j, r := range s.raised {
-			if s.ok[j] && r.Covers(d) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+	for i := range s.seeds {
+		if !s.covered(i) {
 			return false
 		}
 	}
@@ -121,18 +115,18 @@ func (s *FeasibilityState) feasible() bool {
 // result, copied out of the state) and every uncovered seed.
 func (s *FeasibilityState) Report() Feasibility {
 	f := Feasibility{Seeds: s.seeds}
-	seen := make(map[string]bool)
+	var ok []dichotomy.D
 	for i, r := range s.raised {
-		if !s.ok[i] {
-			continue
-		}
-		if k := r.Key(); !seen[k] {
-			seen[k] = true
-			f.Raised = append(f.Raised, r.Clone())
+		if s.ok[i] {
+			ok = append(ok, r)
 		}
 	}
+	f.Raised = dichotomy.Distinct(ok)
+	for i, r := range f.Raised {
+		f.Raised[i] = r.Clone()
+	}
 	for i, d := range s.seeds {
-		if !s.ok[i] && !s.ok[s.mirror[i]] && !dichotomy.CoveredBySome(d, f.Raised) {
+		if !s.covered(i) {
 			f.Uncovered = append(f.Uncovered, d)
 		}
 	}

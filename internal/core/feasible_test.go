@@ -52,11 +52,17 @@ func checkReport(t *testing.T, got core.Feasibility, cs *constraint.Set, what st
 }
 
 // TestFeasibilityStateMatchesScan holds the per-seed state to the plain
-// seeds × raises scan: from scratch on generated sets, and after every
-// dominance and disjunctive it admits or rejects while a set is rebuilt
-// one output constraint at a time, random extra candidates included.
+// seeds × raises scan: from scratch on generated sets and the infeasible
+// reproducer, and after every dominance and disjunctive it admits or
+// rejects while a set is rebuilt one output constraint at a time, random
+// extra candidates included. Enough of the generated sets are infeasible
+// that the uncovered seeds, which the state reads off its flags alone, are
+// checked too.
 func TestFeasibilityStateMatchesScan(t *testing.T) {
+	repro := infeasibleReproducer()
+	checkReport(t, core.CheckFeasible(repro), repro, "the infeasible reproducer")
 	rng := rand.New(rand.NewSource(7))
+	infeasible := 0
 	for n := 3; n <= 10; n++ {
 		for seed := int64(1); seed <= 8; seed++ {
 			for _, cfg := range []gen.Config{
@@ -64,7 +70,11 @@ func TestFeasibilityStateMatchesScan(t *testing.T) {
 				{Symbols: n, Faces: n / 2, Dominances: n, Disjunctives: 2, ExtDisjunctives: 1, DontCareProb: 0.3},
 			} {
 				full := gen.Random(seed, cfg).Set
-				checkReport(t, core.CheckFeasible(full), full, "from scratch")
+				f := core.CheckFeasible(full)
+				checkReport(t, f, full, "from scratch")
+				if len(f.Uncovered) > 0 {
+					infeasible++
+				}
 
 				cs := full.Clone()
 				cs.Dominances, cs.Disjunctives = nil, nil
@@ -99,6 +109,9 @@ func TestFeasibilityStateMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+	if infeasible < 20 {
+		t.Fatalf("only %d generated sets have uncovered seeds", infeasible)
 	}
 }
 

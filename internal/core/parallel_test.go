@@ -33,8 +33,8 @@ func randomFaceSet(rng *rand.Rand, n int) *constraint.Set {
 }
 
 // TestExactEncodeWorkersDeterministic asserts the full exact pipeline —
-// parallel prime generation, parallel covering-matrix build, parallel
-// covering search — returns the identical encoding for any worker count.
+// parallel prime generation and parallel covering search — returns the
+// identical encoding for any worker count.
 func TestExactEncodeWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 8; trial++ {

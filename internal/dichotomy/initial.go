@@ -16,18 +16,11 @@ import (
 // deterministic: face-derived dichotomies first, in constraint order, then
 // uniqueness dichotomies in pair order. Every seed at an even index is
 // followed by its mirror: both orientations are emitted together, and one
-// is new exactly when the other is.
+// is new exactly when the other is. That pairing is a contract: the
+// mirror of seed i is seed i^1, which core's per-seed P-1 state relies on.
 func Initial(cs *constraint.Set) []D {
 	n := cs.N()
-	var out []D
-	seen := make(map[string]bool)
-	emit := func(d D) {
-		k := d.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, d)
-		}
-	}
+	seen := newDistinct(2*len(cs.Faces)*n+n*n, false)
 
 	// separated[u*n+v] marks pairs split by some face-derived dichotomy.
 	separated := make([]bool, n*n)
@@ -50,8 +43,8 @@ func Initial(cs *constraint.Set) []D {
 			}
 			var tset bitset.Set
 			tset.Add(t)
-			emit(D{L: f.Members.Clone(), R: tset.Clone()})
-			emit(D{L: tset, R: f.Members.Clone()})
+			seen.add(D{L: f.Members.Clone(), R: tset.Clone()})
+			seen.add(D{L: tset, R: f.Members.Clone()})
 			markSep(f.Members, bitset.Of(t))
 		}
 	}
@@ -61,27 +54,32 @@ func Initial(cs *constraint.Set) []D {
 			if separated[u*n+v] {
 				continue
 			}
-			emit(Of([]int{u}, []int{v}))
-			emit(Of([]int{v}, []int{u}))
+			seen.add(Of([]int{u}, []int{v}))
+			seen.add(Of([]int{v}, []int{u}))
 		}
 	}
-	return out
+	return seen.out
 }
 
 // Rows reduces a seed list to the canonical covering rows: one entry per
 // mirror pair (covering is orientation symmetric per Definition 3.4), order
 // preserved.
 func Rows(seeds []D) []D {
-	var rows []D
-	seen := make(map[string]bool)
+	seen := newDistinct(len(seeds)/2, true)
 	for _, d := range seeds {
-		k := d.CanonicalKey()
-		if !seen[k] {
-			seen[k] = true
-			rows = append(rows, d)
-		}
+		seen.add(d)
 	}
-	return rows
+	return seen.out
+}
+
+// Distinct returns ds without repeats (orientation sensitive), first
+// occurrences in order.
+func Distinct(ds []D) []D {
+	seen := newDistinct(len(ds), false)
+	for _, d := range ds {
+		seen.add(d)
+	}
+	return seen.out
 }
 
 // ValidRaised maximally raises each seed and drops those whose raise
@@ -90,18 +88,63 @@ func Rows(seeds []D) []D {
 // separate validity pass. cs is compiled once for all seeds.
 func ValidRaised(seeds []D, cs *constraint.Set) []D {
 	c := Compile(cs)
-	var out []D
-	seen := make(map[string]bool)
+	seen := newDistinct(len(seeds), false)
 	for _, d := range seeds {
 		r := d.Clone()
-		if !c.RaiseInPlace(&r) {
-			continue
-		}
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
+		if c.RaiseInPlace(&r) {
+			seen.add(r)
 		}
 	}
-	return out
+	return seen.out
+}
+
+// distinct collects dichotomies in arrival order, dropping each one equal
+// to a dichotomy already kept: blockwise, or with mirror set also with its
+// blocks swapped. A dichotomy's key is the pair of its blocks' hashes
+// (bitset.HashWords), L's first or, with mirror set, the smaller first; a
+// key match is confirmed with Equal, so a hash collision can never merge
+// two different dichotomies.
+type distinct struct {
+	mirror bool
+	first  map[[2]uint64]int32 // key → first kept dichotomy with that key
+	next   []int32             // kept dichotomy → next with the same key, or −1
+	out    []D
+}
+
+// newDistinct returns an empty collection sized for about size
+// dichotomies.
+func newDistinct(size int, mirror bool) *distinct {
+	return &distinct{
+		mirror: mirror,
+		first:  make(map[[2]uint64]int32, size),
+		next:   make([]int32, 0, size),
+		out:    make([]D, 0, size),
+	}
+}
+
+// add keeps d unless an equal dichotomy is kept already.
+func (s *distinct) add(d D) {
+	l, _ := bitset.HashWords(0, 0, d.L)
+	r, _ := bitset.HashWords(0, 0, d.R)
+	if s.mirror && r < l {
+		l, r = r, l
+	}
+	k := [2]uint64{l, r}
+	j := int32(len(s.out))
+	if i, ok := s.first[k]; ok {
+		for {
+			if e := s.out[i]; e.Equal(d) || s.mirror && e.L.Equal(d.R) && e.R.Equal(d.L) {
+				return
+			}
+			if s.next[i] < 0 {
+				break
+			}
+			i = s.next[i]
+		}
+		s.next[i] = j
+	} else {
+		s.first[k] = j
+	}
+	s.next = append(s.next, -1)
+	s.out = append(s.out, d)
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/dichotomy"
 )
 
-// This file keeps the rule-scanning raise that the compiled Closure
-// replaced, unchanged but for its name and package qualifiers, as the
-// reference oracle of the raising tests: dichotomy.Raise must agree with
+// This file keeps the code that the package's kernels replaced as the
+// reference oracles of their tests. The rule-scanning raise is unchanged
+// but for its name and package qualifiers: dichotomy.Raise must agree with
 // refRaise on ok for every dichotomy and on the raised blocks whenever ok
 // holds.
 
@@ -111,4 +111,19 @@ func refRaise(d dichotomy.D, cs *constraint.Set) (dichotomy.D, bool) {
 		}
 	}
 	return r, dichotomy.Valid(r, cs)
+}
+
+// refCoverage is the rows × columns loop that dichotomy.Coverage replaced
+// in the exact encoder and the Tracey assigner: every column tested
+// against every row with Covers.
+func refCoverage(rows, cols []dichotomy.D) [][]int {
+	out := make([][]int, len(rows))
+	for ri, r := range rows {
+		for ci, c := range cols {
+			if c.Covers(r) {
+				out[ri] = append(out[ri], ci)
+			}
+		}
+	}
+	return out
 }

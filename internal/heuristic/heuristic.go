@@ -410,7 +410,7 @@ func (e *encoder) solve(p bitset.Set, c int) []dichotomy.D {
 			cands = append(cands, dichotomy.Union(a, b.Mirror()))
 		}
 	}
-	cands = dedupe(cands)
+	cands = dichotomy.Rows(cands) // one candidate per mirror pair
 
 	return e.selectBest(p, c, cands)
 }
@@ -704,19 +704,6 @@ func pick(cands []dichotomy.D, sel []int) []dichotomy.D {
 	out := make([]dichotomy.D, len(sel))
 	for i, ci := range sel {
 		out[i] = cands[ci]
-	}
-	return out
-}
-
-func dedupe(ds []dichotomy.D) []dichotomy.D {
-	seen := map[string]bool{}
-	var out []dichotomy.D
-	for _, d := range ds {
-		k := d.CanonicalKey()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, d)
-		}
 	}
 	return out
 }

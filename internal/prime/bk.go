@@ -131,33 +131,64 @@ loop:
 // wordBits mirrors the bitset word width for closure-free iteration.
 const wordBits = 64
 
-// bkPivot returns the vertex of P ∪ X with the most neighbours in P, or -1
-// when both sets are empty.
+// bkPivot returns the Tomita pivot: the vertex of P ∪ X with the most
+// neighbours in P, the first such in a scan of P and then X in index
+// order, or -1 when both sets are empty. It returns what that full scan
+// returns but stops counting once the answer is decided. A vertex is not
+// its own neighbour and X is disjoint from P, so only a vertex of X can
+// have all |P| vertices of P as neighbours, and it then beats every vertex
+// of P: the first such x is the pivot and leaves no candidate. Failing
+// one, no vertex beats |P|−1, so the first vertex of P that reaches |P|−1
+// is the pivot, and when none does, so is the first such vertex of X.
 func bkPivot(p, x bitset.Set, adj []bitset.Set) int {
-	pivot, best := bkPivotScan(p, p, adj, -1, -1)
-	pivot, _ = bkPivotScan(x, p, adj, pivot, best)
-	return pivot
-}
-
-// bkPivotScan folds the pivot-degree maximum over one vertex set.
-func bkPivotScan(s, p bitset.Set, adj []bitset.Set, pivot, best int) (int, int) {
-	for wi, wc := 0, s.WordCount(); wi < wc; wi++ {
-		for w := s.Word(wi); w != 0; w &= w - 1 {
+	if p.IsEmpty() {
+		if v, ok := x.Min(); ok {
+			return v
+		}
+		return -1
+	}
+	for wi, wc := 0, x.WordCount(); wi < wc; wi++ {
+		for w := x.Word(wi); w != 0; w &= w - 1 {
+			if v := wi*wordBits + bits.TrailingZeros64(w); p.SubsetOf(adj[v]) {
+				return v
+			}
+		}
+	}
+	top := p.Len() - 1
+	pivot, best := -1, -1
+	for wi, wc := 0, p.WordCount(); wi < wc; wi++ {
+		for w := p.Word(wi); w != 0; w &= w - 1 {
 			u := wi*wordBits + bits.TrailingZeros64(w)
-			if d := bitset.IntersectLen(p, adj[u]); d > best {
+			d := bitset.IntersectLen(p, adj[u])
+			if d == top {
+				return u
+			}
+			if d > best {
 				best, pivot = d, u
 			}
 		}
 	}
-	return pivot, best
+	for wi, wc := 0, x.WordCount(); wi < wc; wi++ {
+		for w := x.Word(wi); w != 0; w &= w - 1 {
+			v := wi*wordBits + bits.TrailingZeros64(w)
+			d := bitset.IntersectLen(p, adj[v])
+			if d == top {
+				return v
+			}
+			if d > best {
+				best, pivot = d, v
+			}
+		}
+	}
+	return pivot
 }
 
 // bronKerbosch enumerates all maximal cliques of the compatibility graph
-// sequentially.
-func bronKerbosch(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, error) {
+// sequentially. It also returns the number of recursion nodes it entered.
+func bronKerbosch(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, int, error) {
 	n := len(seeds)
 	if n == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	adj := compatibility(seeds, opts)
 	var count atomic.Int64
@@ -178,12 +209,12 @@ func bronKerbosch(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bit
 	}
 	s.rec(all, bitset.New(n))
 	if overflow.Load() {
-		return nil, fmt.Errorf("%w (> %d)", ErrLimit, opts.limit())
+		return nil, s.calls, fmt.Errorf("%w (> %d)", ErrLimit, opts.limit())
 	}
 	if ctx.Err() != nil {
-		return nil, ctxErr(ctx)
+		return nil, s.calls, ctxErr(ctx)
 	}
-	return s.out, nil
+	return s.out, s.calls, nil
 }
 
 // --- Parallel engine ---
@@ -211,11 +242,13 @@ type bkItem struct {
 // stealing the next frontier task as each worker goes idle. One shared
 // atomic clique counter preserves the ErrLimit semantics of the sequential
 // engine: the error fires iff the total number of maximal compatibles
-// exceeds the limit, a condition independent of enumeration order.
-func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, error) {
+// exceeds the limit, a condition independent of enumeration order. Every
+// recursion node is either expanded here or entered by one worker, so the
+// returned node count is the sequential engine's.
+func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, int, error) {
 	n := len(seeds)
 	if n == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	adj := compatibility(seeds, opts)
 	limit := int64(opts.limit())
@@ -231,6 +264,8 @@ func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options
 
 	var count atomic.Int64
 	var overflow atomic.Bool
+	var walked atomic.Int64 // recursion nodes entered by the workers
+	expanded := 0
 
 	// Expansion: replace the first task — the node the sequential recursion
 	// would enter next — with its children until enough tasks exist.
@@ -243,15 +278,16 @@ func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options
 			first++
 		}
 		if ctx.Err() != nil {
-			return nil, ctxErr(ctx)
+			return nil, expanded, ctxErr(ctx)
 		}
 		it := items[first]
 		children, clique := expandBK(it, adj)
+		expanded++
 		tasks--
 		switch {
 		case clique:
 			if count.Add(1) > limit {
-				return nil, fmt.Errorf("%w (> %d)", ErrLimit, opts.limit())
+				return nil, expanded, fmt.Errorf("%w (> %d)", ErrLimit, opts.limit())
 			}
 			items[first] = &bkItem{leaf: true, clique: it.r}
 		case len(children) == 0: // dead end: P empty but X not — no clique here
@@ -299,16 +335,18 @@ func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options
 				}
 				s.rec(it.p, it.x)
 				it.out = s.out
+				walked.Add(int64(s.calls))
 			}
 		}()
 	}
 	wg.Wait()
 
+	nodes := expanded + int(walked.Load())
 	if overflow.Load() {
-		return nil, fmt.Errorf("%w (> %d)", ErrLimit, opts.limit())
+		return nil, nodes, fmt.Errorf("%w (> %d)", ErrLimit, opts.limit())
 	}
 	if ctx.Err() != nil {
-		return nil, ctxErr(ctx)
+		return nil, nodes, ctxErr(ctx)
 	}
 	out := make([]bitset.Set, 0, count.Load())
 	for _, it := range items {
@@ -318,7 +356,7 @@ func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options
 			out = append(out, it.out...)
 		}
 	}
-	return out, nil
+	return out, nodes, nil
 }
 
 // expandBK expands a task node one level, returning its children in the

@@ -22,12 +22,12 @@ import (
 // The recursion polls ctx at every cs step, so cancellation aborts the
 // exponential product promptly. The engine is inherently sequential — the
 // cs/ps product is a chain of dependent multiplications — and ignores
-// Options.Workers.
-func csps(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, error) {
+// Options.Workers. It also returns the number of cs steps it took.
+func csps(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, int, error) {
 	n := len(seeds)
 	limit := opts.limit()
 	if n == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	// Collect incompatibility clauses.
 	type clause struct{ a, b int }
@@ -41,8 +41,10 @@ func csps(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set,
 	}
 
 	// cs over a clause list. Terms are bitsets of variables present.
+	nodes := 0
 	var cs func(cls []clause) ([]bitset.Set, error)
 	cs = func(cls []clause) ([]bitset.Set, error) {
+		nodes++
 		if ctx.Err() != nil {
 			return nil, ctxErr(ctx)
 		}
@@ -85,10 +87,10 @@ func csps(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set,
 
 	terms, err := cs(clauses)
 	if err != nil {
-		return nil, err
+		return nil, nodes, err
 	}
 	if len(terms) > limit {
-		return nil, fmt.Errorf("%w (> %d)", ErrLimit, limit)
+		return nil, nodes, fmt.Errorf("%w (> %d)", ErrLimit, limit)
 	}
 
 	// Complement each term to obtain the maximal compatibles.
@@ -100,7 +102,7 @@ func csps(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set,
 	for _, t := range terms {
 		out = append(out, bitset.Difference(all, t))
 	}
-	return out, nil
+	return out, nodes, nil
 }
 
 // ps multiplies the two-term expression expr1 with expr2 and minimizes the

@@ -151,7 +151,9 @@ func GenerateCtx(ctx context.Context, seeds []dichotomy.D, opts Options) ([]dich
 // set of seed indices; see GenerateCtx for the cancellation contract.
 //
 // When the context carries a trace recorder (internal/trace), generation
-// records one "prime.generate" span with seed/prime counts and — when a
+// records one "prime.generate" span with seed/prime counts, the recursion
+// nodes the engine entered (Bron–Kerbosch calls, the same for every worker
+// count; cs steps for CSPS), the worker count it ran with and — when a
 // CompatCache is configured — its hit/miss totals; with no recorder the
 // instrumentation is a zero-allocation no-op.
 func GenerateSetsCtx(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, error) {
@@ -159,22 +161,24 @@ func GenerateSetsCtx(ctx context.Context, seeds []dichotomy.D, opts Options) ([]
 	defer cancel()
 	sp := trace.StartSpan(ctx, "prime.generate")
 	var sets []bitset.Set
+	var nodes int
 	var err error
+	workers := 1
 	switch opts.Engine {
 	case CSPS:
-		sets, err = csps(ctx, seeds, opts)
+		sets, nodes, err = csps(ctx, seeds, opts)
 	case BronKerbosch:
-		if opts.workersFor(len(seeds)) > 1 {
-			sets, err = bronKerboschParallel(ctx, seeds, opts)
+		if workers = opts.workersFor(len(seeds)); workers > 1 {
+			sets, nodes, err = bronKerboschParallel(ctx, seeds, opts)
 		} else {
-			sets, err = bronKerbosch(ctx, seeds, opts)
+			sets, nodes, err = bronKerbosch(ctx, seeds, opts)
 		}
 	default:
 		return nil, fmt.Errorf("prime: unknown engine %d", opts.Engine)
 	}
 	if sp != nil {
-		sp.Set("seeds", len(seeds)).Set("primes", len(sets)).
-			Set("workers", opts.workers()).SetBool("failed", err != nil)
+		sp.Set("seeds", len(seeds)).Set("primes", len(sets)).Set("nodes", nodes).
+			Set("workers", workers).SetBool("failed", err != nil)
 		if opts.Cache != nil {
 			hits, misses := opts.Cache.Stats()
 			sp.Set64("compat_hits", hits).Set64("compat_misses", misses)

@@ -170,15 +170,7 @@ func Assign(ft *FlowTable, opts Options) (*core.Encoding, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := dichotomy.Rows(seeds)
-	p := cover.Problem{NumCols: len(primes), RowCols: make([][]int, len(rows))}
-	for ri, r := range rows {
-		for ci, c := range primes {
-			if c.Covers(r) {
-				p.RowCols[ri] = append(p.RowCols[ri], ci)
-			}
-		}
-	}
+	p := cover.Problem{NumCols: len(primes), RowCols: dichotomy.Coverage(dichotomy.Rows(seeds), primes)}
 	coverOpts := opts.Cover
 	if coverOpts.LowerBound == 0 {
 		coverOpts.LowerBound = hypercube.MinBits(n)
