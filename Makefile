@@ -123,7 +123,9 @@ bench-json-smoke:
 # Perf gate, CI flavor: a cheap 20-iteration kernel run diffed against the
 # committed snapshot in smoke mode — allocs/op inside a small warm-up band,
 # timing ignored (CI machines are too noisy for ns/op at -benchtime=20x).
-# Fails when a kernel's allocation count regresses or a benchmark vanishes.
+# Fails when a kernel's allocation count regresses or a benchmark vanishes,
+# and when a row allocates below its band: the snapshot is then stale, and
+# `make bench-json` refreshes it.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'Kernel' -benchtime=20x -benchmem -cpu 1 ./... | \
 		$(GO) run ./cmd/benchjson | \

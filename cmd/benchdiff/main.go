@@ -16,11 +16,14 @@
 //     deterministic, so steady-state allocation counts are bit-stable at
 //     full benchtime), B/op within -bytes-tol, ns/op within -ns-tol. For
 //     release runs against a full `make bench-json` measurement.
-//   - smoke: allocs/op within a small band (2% plus an absolute slack of 8,
-//     absorbing the first-iteration warm-up that short -benchtime runs
-//     amortize poorly), timing ignored entirely — CI machines are too noisy
-//     for ns/op at -benchtime=20x to mean anything. Cheap enough for every
-//     `make ci`.
+//   - smoke: allocs/op within a small band on either side (2% plus an
+//     absolute slack of 8, absorbing the first-iteration warm-up that short
+//     -benchtime runs amortize poorly), timing ignored entirely — CI
+//     machines are too noisy for ns/op at -benchtime=20x to mean anything.
+//     A row below the band fails too, as a stale snapshot: the band is
+//     measured from the snapshot, so a regression back up to an old,
+//     higher figure would pass it; `make bench-json` refreshes the file.
+//     Cheap enough for every `make ci`.
 //
 // Benchmarks present only in the current run are reported but never fail
 // the gate: adding coverage is not a regression.
@@ -50,7 +53,7 @@ func (r record) key() string { return r.Package + "." + r.Name }
 // tolerances bundles the per-metric bands of one gate mode.
 type tolerances struct {
 	allocsExact bool    // strict: allocs/op must match bit for bit
-	allocsFrac  float64 // smoke: fractional allocs/op band
+	allocsFrac  float64 // smoke: fractional allocs/op band, either side
 	allocsSlack float64 // smoke: absolute allocs/op slack (first-iteration warm-up)
 	nsFrac      float64 // <0: ignore timing
 	bytesFrac   float64 // <0: ignore bytes
@@ -93,6 +96,8 @@ func diff(baseline, current []record, tol tolerances) []string {
 			violations = append(violations, fmt.Sprintf("%s: allocs/op %.0f, want exactly %.0f", b.key(), c.AllocsPerOp, b.AllocsPerOp))
 		case !tol.allocsExact && c.AllocsPerOp > b.AllocsPerOp*(1+tol.allocsFrac)+tol.allocsSlack:
 			violations = append(violations, fmt.Sprintf("%s: allocs/op %.0f exceeds %.0f (+%.0f%% +%.0f slack)", b.key(), c.AllocsPerOp, b.AllocsPerOp, tol.allocsFrac*100, tol.allocsSlack))
+		case !tol.allocsExact && c.AllocsPerOp < b.AllocsPerOp*(1-tol.allocsFrac)-tol.allocsSlack:
+			violations = append(violations, fmt.Sprintf("%s: allocs/op %.0f is below %.0f (-%.0f%% -%.0f slack): the snapshot is stale, refresh it with `make bench-json`", b.key(), c.AllocsPerOp, b.AllocsPerOp, tol.allocsFrac*100, tol.allocsSlack))
 		}
 		if tol.bytesFrac >= 0 && b.BytesPerOp >= 0 && c.BytesPerOp > b.BytesPerOp*(1+tol.bytesFrac) {
 			violations = append(violations, fmt.Sprintf("%s: B/op %.0f exceeds %.0f (+%.0f%%)", b.key(), c.BytesPerOp, b.BytesPerOp, tol.bytesFrac*100))

@@ -58,6 +58,28 @@ func TestStrictRequiresExactAllocs(t *testing.T) {
 	}
 }
 
+// TestSmokeFailsOnStaleSnapshot: a row that allocates well below its
+// snapshot figure fails the smoke gate, with a message naming the refresh
+// command, since a later regression back up to the stale figure would pass
+// inside the band. A drop inside the band still passes.
+func TestSmokeFailsOnStaleSnapshot(t *testing.T) {
+	current := append([]record(nil), baseline...)
+	current[1].AllocsPerOp = 416 // a real drop the snapshot never recorded
+
+	v := diff(baseline, current, mustTol(t, "smoke"))
+	if len(v) != 1 {
+		t.Fatalf("smoke: want exactly 1 violation, got %v", v)
+	}
+	if !strings.Contains(v[0], "HeuristicEncodeKernel") || !strings.Contains(v[0], "make bench-json") {
+		t.Errorf("smoke: violation must name the row and the refresh command: %q", v[0])
+	}
+
+	current[1].AllocsPerOp = 865 // 890·0.98 − 8 = 864.2: inside the band
+	if v := diff(baseline, current, mustTol(t, "smoke")); len(v) != 0 {
+		t.Errorf("smoke: a drop inside the band must pass, got %v", v)
+	}
+}
+
 func TestSmokeIgnoresTiming(t *testing.T) {
 	current := append([]record(nil), baseline...)
 	current[0].NsPerOp *= 10

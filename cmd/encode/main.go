@@ -39,7 +39,7 @@ func main() {
 	metric := flag.String("metric", "violations", "P-3 cost metric: violations, cubes or literals")
 	primeLimit := flag.Int("primes", prime.DefaultLimit, "maximal-compatible limit for the exact encoder")
 	timeout := flag.Duration("timeout", time.Minute, "time budget for the exact search")
-	jobs := flag.Int("j", 0, "worker count for the parallel engines (0 = all CPUs, 1 = sequential); results are identical for any value")
+	jobs := flag.Int("j", 0, "worker count for the parallel engines (0 = all CPUs, 1 = sequential); results are identical for any value unless a node or time budget cuts the search short")
 	verbose := flag.Bool("v", false, "print pipeline details")
 	traceFlag := flag.Bool("trace", false, "print a per-stage time table to stderr after solving")
 	decompose := flag.Bool("decompose", false, "solve the exact problem by connected-component decomposition")

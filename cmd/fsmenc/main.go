@@ -52,7 +52,7 @@ func main() {
 	emitBlif := flag.Bool("blif", false, "print the encoded machine as a BLIF netlist")
 	minimize := flag.Bool("minimize", false, "state-minimize the machine before encoding")
 	timeout := flag.Duration("timeout", time.Minute, "time budget for the exact search")
-	jobs := flag.Int("j", 0, "worker count for the parallel engines (0 = all CPUs, 1 = sequential); results are identical for any value")
+	jobs := flag.Int("j", 0, "worker count for the parallel engines (0 = all CPUs, 1 = sequential); results are identical for any value unless a node or time budget cuts the search short")
 	traceFlag := flag.Bool("trace", false, "print a per-stage time table to stderr after solving")
 	runPipeline := flag.Bool("pipeline", false, "run the composed end-to-end pipeline and report per-stage results")
 	strategy := flag.String("strategy", "exact", "pipeline encoding strategy: "+pipeline.StrategyList())

@@ -21,7 +21,10 @@
 // All solver entry points here are context-first — cancellation and
 // deadlines are part of the canonical signatures, matching the *Ctx forms
 // of the internal packages — and deterministic under parallelism: for any
-// Parallelism.Workers value they return identical results.
+// Parallelism.Workers value they return identical results whenever the
+// search completes. A solve that a node or time budget cut short
+// (Optimal=false) may return a different incumbent for another worker
+// count or on another run.
 //
 // A minimal use:
 //

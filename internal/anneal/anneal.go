@@ -28,12 +28,9 @@ type Options struct {
 	// SwapsPerTemp is the number of moves attempted per temperature point
 	// (the paper uses 10, or 4 on the large examples). 0 means 10.
 	SwapsPerTemp int
-	// Temps is the number of temperature points; 0 means DefaultTemps.
+	// Temps is the number of temperature points of the geometric
+	// schedule; 0 means DefaultTemps.
 	Temps int
-	// InitialTemp and CoolingFactor define the geometric schedule;
-	// zero values mean DefaultInitialTemp and DefaultCooling.
-	InitialTemp   float64
-	CoolingFactor float64
 	// Seed makes runs reproducible; 0 means seed 1.
 	Seed int64
 	// UseCache enables the memoizing cost evaluator. MIS-MV's annealer
@@ -43,11 +40,12 @@ type Options struct {
 	UseCache bool
 }
 
-// Defaults for the annealing schedule.
+// The annealing schedule: DefaultTemps temperature points by default,
+// starting at initialTemp and multiplied by cooling after each point.
 const (
-	DefaultTemps       = 120
-	DefaultInitialTemp = 8.0
-	DefaultCooling     = 0.92
+	DefaultTemps = 120
+	initialTemp  = 8.0
+	cooling      = 0.92
 )
 
 // Stats reports the work the annealer did.
@@ -77,14 +75,6 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, Stats, error) {
 	temps := opts.Temps
 	if temps == 0 {
 		temps = DefaultTemps
-	}
-	t0 := opts.InitialTemp
-	if t0 == 0 {
-		t0 = DefaultInitialTemp
-	}
-	cooling := opts.CoolingFactor
-	if cooling == 0 {
-		cooling = DefaultCooling
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -127,7 +117,7 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, Stats, error) {
 	// annealing state-assignment tools do; the paper's "swaps per
 	// temperature point" is the per-symbol multiplier.
 	movesPerTemp := swaps * n
-	temp := t0
+	temp := initialTemp
 	// Fewer than two symbols admit no swap (drawing a second symbol would
 	// never end) and no move that changes the cost, so the identity
 	// assignment is final and no random number is drawn.

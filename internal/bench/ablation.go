@@ -38,20 +38,15 @@ func Ablation() (string, error) {
 		cs := mv.GenerateConstraints(m, cfg)
 		seeds := dichotomy.ValidRaised(dichotomy.Initial(cs), cs)
 
-		// Both engines test the same seed pairs, so share one memoizing
-		// compatibility cache across the two runs — the workload
-		// dichotomy.CompatCache is designed for.
-		cache := dichotomy.NewCompatCache()
-
 		t0 := time.Now()
-		bk, err := prime.GenerateCtx(context.Background(), seeds, prime.Options{Engine: prime.BronKerbosch, Cache: cache})
+		bk, err := prime.GenerateCtx(context.Background(), seeds, prime.Options{Engine: prime.BronKerbosch})
 		if err != nil {
 			return "", err
 		}
 		tBK := time.Since(t0)
 
 		t0 = time.Now()
-		cp, err := prime.GenerateCtx(context.Background(), seeds, prime.Options{Engine: prime.CSPS, Cache: cache})
+		cp, err := prime.GenerateCtx(context.Background(), seeds, prime.Options{Engine: prime.CSPS})
 		if err != nil {
 			return "", err
 		}

@@ -98,22 +98,6 @@ func BenchmarkIntersectPopcountIntoKernel(b *testing.B) {
 	benchSink = sink
 }
 
-// BenchmarkAndNotAnyIntoKernel is the fused difference-and-emptiness form
-// used by the greedy cover loops.
-func BenchmarkAndNotAnyIntoKernel(b *testing.B) {
-	s, t := benchPair()
-	dst := New(512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	any := false
-	for i := 0; i < b.N; i++ {
-		any = dst.AndNotAnyInto(s, t) || any
-	}
-	if !any {
-		b.Fatal("expected a non-empty difference")
-	}
-}
-
 // BenchmarkUnionIntoKernel exercises the unrolled orWords kernel.
 func BenchmarkUnionIntoKernel(b *testing.B) {
 	s, t := benchPair()

@@ -269,44 +269,6 @@ func (s *Set) IntersectPopcountInto(a, b Set) int {
 	return c0 + c1 + c2 + c3
 }
 
-// AndNotAnyInto sets s = a \ b and reports whether the result is non-empty,
-// fusing DifferenceInto with the emptiness test that almost always follows
-// it in the solvers' uncovered-rows loops. The receiver may alias either
-// operand.
-func (s *Set) AndNotAnyInto(a, b Set) bool {
-	n := len(a.words)
-	if cap(s.words) < n {
-		s.words = make([]uint64, n)
-	}
-	s.words = s.words[:n]
-	k := len(b.words)
-	if k > n {
-		k = n
-	}
-	dst, aw, bw := s.words[:k], a.words[:k], b.words[:k]
-	var any uint64
-	i := 0
-	for ; i+4 <= k; i += 4 {
-		w0 := aw[i] &^ bw[i]
-		w1 := aw[i+1] &^ bw[i+1]
-		w2 := aw[i+2] &^ bw[i+2]
-		w3 := aw[i+3] &^ bw[i+3]
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = w0, w1, w2, w3
-		any |= w0 | w1 | w2 | w3
-	}
-	for ; i < k; i++ {
-		w := aw[i] &^ bw[i]
-		dst[i] = w
-		any |= w
-	}
-	for j := k; j < n; j++ {
-		w := a.words[j]
-		s.words[j] = w
-		any |= w
-	}
-	return any != 0
-}
-
 // UnionInto sets s = a ∪ b without allocating (unless s's backing array is
 // too small). The receiver may alias either operand: every word is read
 // from both operands before the same index is written.

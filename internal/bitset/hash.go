@@ -1,11 +1,11 @@
 package bitset
 
 // 128-bit content hashing over bitset words. These are the primitives
-// behind dichotomy.CompatCache's zero-allocation keys and
-// core.CanonicalHashSet's constraint-set hash: two independent 64-bit
-// streams (a SplitMix chain and an FNV-style accumulator) folded word by
-// word, which makes a collision require agreement in both streams (~2^64
-// distinct inputs before one becomes likely).
+// behind core.CanonicalHashSet's constraint-set hash and the seed
+// deduplication in internal/dichotomy: two independent 64-bit streams (a
+// SplitMix chain and an FNV-style accumulator) folded word by word, which
+// makes a collision require agreement in both streams (~2^64 distinct
+// inputs before one becomes likely).
 
 // Mix64 is the SplitMix64 finalizer: a cheap full-avalanche 64-bit mixer.
 func Mix64(x uint64) uint64 {

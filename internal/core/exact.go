@@ -23,7 +23,10 @@ type ExactOptions struct {
 	// Parallelism is the pipeline-wide Workers/TimeLimit default: it
 	// flows into every stage (prime generation, covering solve) that did
 	// not set its own. Every stage returns identical results for any
-	// worker count; TimeLimit bounds each stage's wall clock individually.
+	// worker count whenever its search completes; a covering search that
+	// a node or time budget cut short (Optimal=false) may return a
+	// different incumbent. TimeLimit bounds each stage's wall clock
+	// individually.
 	par.Parallelism
 	// Prime configures maximal-compatible generation (engine, limit).
 	Prime prime.Options
@@ -126,12 +129,16 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 	}
 
 	primeOpts, coverOpts := opts.stageOptions()
-	// The prime pool is complete for plain P-2 (every minimum solution can
-	// be assembled from prime columns), but once distance-2/non-face
-	// clauses restrict which columns may be selected together, a
-	// minimum-length solution may need valid columns that are not primes.
-	// Small universes then use the complete column pool; larger ones keep
-	// the primes and claim optimality only relative to them.
+	// Optimal means minimal over the candidate pool. For plain P-2 that
+	// pool is the re-raised primes plus the raised seeds, and it is not
+	// complete: ValidRaised drops the primes whose re-raised union is
+	// invalid, and a dropped prime can hide a shorter code — a valid
+	// column inside it that no surviving candidate dominates (ROADMAP's
+	// first open item, "Complete the candidate pool"). Once
+	// distance-2/non-face clauses restrict which columns may be selected
+	// together, a minimum-length solution may also need valid columns that
+	// are not primes. Small universes then use the complete column pool;
+	// larger ones keep the primes and claim no optimality.
 	hasExt := len(cs.Distance2s) > 0 || len(cs.NonFaces) > 0
 	poolComplete := opts.Exhaustive || (hasExt && n <= extendedExhaustiveLimit)
 	var candidates []dichotomy.D

@@ -8,11 +8,11 @@ import (
 
 // Hash128 is a 128-bit content hash of a constraint set, used by the
 // request server's coalescing and result-cache layers to key problems
-// without retaining them. It follows the CompatCache hashing discipline
-// (bitset.MixWord: dual SplitMix/FNV streams), so a collision requires
-// agreement in both 64-bit halves — possible in principle, but needing on
-// the order of 2^64 distinct sets to become likely, far beyond any cache
-// bound this repository configures.
+// without retaining them. It folds values through bitset.MixWord (dual
+// SplitMix/FNV streams), so a collision requires agreement in both 64-bit
+// halves — possible in principle, but needing on the order of 2^64
+// distinct sets to become likely, far beyond any cache bound this
+// repository configures.
 type Hash128 struct {
 	Hi, Lo uint64
 }

@@ -47,7 +47,7 @@ type Solver struct {
 // error when a row references a column out of range or Cost is not one
 // non-negative cost per column.
 func NewSolver(p *Problem, opts Options) (*Solver, error) {
-	m, err := newMatrix(p, opts.domLimit())
+	m, err := newMatrix(p)
 	if err != nil {
 		return nil, err
 	}

@@ -79,10 +79,6 @@ type Options struct {
 	// When exceeded the best solution found so far is returned with
 	// Optimal=false.
 	MaxNodes int
-	// DominanceLimit bounds when the quadratic row/column dominance
-	// reductions run inside search nodes (they always run at the root);
-	// 0 means DefaultDominanceLimit.
-	DominanceLimit int
 	// LowerBound, when positive, lets the search stop as soon as a
 	// solution of this cost is found (e.g. the information-theoretic
 	// ceil(log2 n) bound on code length).
@@ -92,9 +88,10 @@ type Options struct {
 // DefaultMaxNodes bounds exact search effort.
 const DefaultMaxNodes = 200_000
 
-// DefaultDominanceLimit bounds when quadratic dominance checks run inside
-// search nodes.
-const DefaultDominanceLimit = 400
+// dominanceLimit bounds when the quadratic row/column dominance
+// reductions run inside search nodes: only on nodes with at most this many
+// active rows (columns). They always run at the root.
+const dominanceLimit = 400
 
 // ParallelCutoffCells is the incidence-matrix size (rows × columns) below
 // which the exact solver runs sequentially regardless of Options.Workers.
@@ -128,27 +125,15 @@ func (o Options) maxNodes() int {
 	return o.MaxNodes
 }
 
-func (o Options) domLimit() int {
-	if o.DominanceLimit <= 0 {
-		return DefaultDominanceLimit
-	}
-	return o.DominanceLimit
-}
-
-func (o Options) workers() int {
-	return o.WorkerCount()
-}
-
 // matrix is the immutable view of a covering problem every search worker
 // shares: the problem itself and the row/column incidence bitsets. Nothing
 // in a matrix is written after construction, so its methods that take the
 // active rows/cols as arguments are safe for concurrent use.
 type matrix struct {
-	p        *Problem
-	rowSets  []bitset.Set // rowSets[r]: columns covering r
-	colSets  []bitset.Set // colSets[c]: rows covered by c
-	minCost  int          // cheapest column cost: what any uncovered row adds
-	domLimit int
+	p       *Problem
+	rowSets []bitset.Set // rowSets[r]: columns covering r
+	colSets []bitset.Set // colSets[c]: rows covered by c
+	minCost int          // cheapest column cost: what any uncovered row adds
 }
 
 // scratch is the reusable working memory of one branch-and-bound walker:
@@ -308,9 +293,9 @@ func (p *Problem) SolveExactCtx(ctx context.Context, opts Options) (Solution, er
 // ErrInfeasible. The sets are carved out of two slabs — one per index
 // space — so a matrix costs a handful of block allocations rather than one
 // per row and column.
-func newMatrix(p *Problem, domLimit int) (*matrix, error) {
+func newMatrix(p *Problem) (*matrix, error) {
 	nRows := len(p.RowCols)
-	m := &matrix{p: p, minCost: 1, domLimit: domLimit}
+	m := &matrix{p: p, minCost: 1}
 	if p.Cost != nil {
 		if len(p.Cost) != p.NumCols {
 			return nil, fmt.Errorf("cover: %d costs for %d columns", len(p.Cost), p.NumCols)
@@ -396,7 +381,7 @@ const (
 // reduce runs the branch-and-bound reduction loop on one node, mutating
 // rows, cols and selected in place: the entry test, essential-column
 // selection, the row/column dominance reductions (always at the root,
-// bounded by domLimit below it) and the independent-set lower bound. It
+// bounded by dominanceLimit below it) and the independent-set lower bound. It
 // returns the updated selection and cost plus the verdict: prune the node,
 // record selected as a complete cover, or branch further.
 //
@@ -459,13 +444,13 @@ func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 		// cores.
 		nr, nc := rows.Len(), cols.Len()
 		changed := false
-		if rowPass && (root || nr <= m.domLimit) {
+		if rowPass && (root || nr <= dominanceLimit) {
 			rowPass = false
 			if m.reduceRowDominance(sc, rows, cols) {
 				changed, colPass = true, true
 			}
 		}
-		if colPass && (root || nc <= m.domLimit) {
+		if colPass && (root || nc <= dominanceLimit) {
 			colPass = false
 			if m.reduceColDominance(sc, rows, cols) {
 				changed, rowPass = true, true
@@ -914,7 +899,7 @@ type Reduction struct {
 
 // Reduce runs the exact solver's root reductions once — the
 // duplicate/empty-column dedupe, then essential columns and row and column
-// dominance to a fixpoint, under the default DominanceLimit — and returns
+// dominance to a fixpoint — and returns
 // what is left. The reductions keep some minimum cover, so cost(Essential)
 // plus Core's optimum is p's optimum, and Lift turns a minimum cover of
 // Core into one of p; an empty Core means the reductions solved p
@@ -980,7 +965,7 @@ func (red Reduction) Lift(coreCols []int) []int {
 // any branch and bound: plain greedy over every column. It validates p as
 // SolveExactCtx does.
 func (p *Problem) SolveGreedy() (Solution, error) {
-	m, err := newMatrix(p, 0)
+	m, err := newMatrix(p)
 	if err != nil {
 		return Solution{}, err
 	}

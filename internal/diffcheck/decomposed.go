@@ -92,7 +92,7 @@ func (r *Report) checkDecomposed(ctx context.Context, cs *constraint.Set, witnes
 
 	// Component solves share the exact pipeline's determinism promise, so
 	// the assembled encoding must be bit-identical for any worker count.
-	if err == nil && !opts.SkipParallel {
+	if err == nil {
 		dres2, err2 := solve(opts.workers(), opts.timeout(), opts.Backend)
 		switch {
 		case err2 == nil:

@@ -63,8 +63,6 @@ type Options struct {
 	// SkipAnneal drops the annealing comparator (it is the slowest stage:
 	// its cost function minimizes espresso covers per move).
 	SkipAnneal bool
-	// SkipParallel drops the sequential-vs-parallel determinism re-solves.
-	SkipParallel bool
 	// Backend is the covering backend of the primary exact solve; the
 	// cross-backend invariant always re-solves with the other one. The
 	// zero value makes branch-and-bound primary and SAT the comparator.
@@ -224,7 +222,7 @@ func CheckSet(ctx context.Context, cs *constraint.Set, witness *core.Encoding, o
 
 	// Parallel determinism: the exact pipeline promises bit-identical
 	// results for any worker count.
-	if exact != nil && !opts.SkipParallel {
+	if exact != nil {
 		res2, err2 := solveExact(ctx, cs, opts.workers(), opts.timeout(), opts.Backend)
 		switch {
 		case err2 == nil:
@@ -294,20 +292,18 @@ func (r *Report) checkHeuristic(ctx context.Context, cs, inputOnly *constraint.S
 		r.fail("exact-beaten", "heuristic satisfied the set in %d bits, exact proved %d minimal",
 			h.Encoding.Bits, exact.Bits)
 	}
-	if !opts.SkipParallel {
-		hOpts.Workers = opts.workers()
-		h2, err2 := heuristic.EncodeCtx(ctx, inputOnly, hOpts)
-		switch {
-		case err2 == nil:
-			if !sameEncoding(h.Encoding, h2.Encoding) {
-				r.fail("heuristic-parallel-determinism",
-					"workers=1 and workers=%d disagree:\n%s\nvs\n%s", opts.workers(), h.Encoding, h2.Encoding)
-			}
-		case budgetExhausted(err2):
-			r.Skipped = append(r.Skipped, "heuristic-parallel: "+err2.Error())
-		default:
-			r.fail("heuristic-parallel-determinism", "parallel re-solve errored: %v", err2)
+	hOpts.Workers = opts.workers()
+	h2, err2 := heuristic.EncodeCtx(ctx, inputOnly, hOpts)
+	switch {
+	case err2 == nil:
+		if !sameEncoding(h.Encoding, h2.Encoding) {
+			r.fail("heuristic-parallel-determinism",
+				"workers=1 and workers=%d disagree:\n%s\nvs\n%s", opts.workers(), h.Encoding, h2.Encoding)
 		}
+	case budgetExhausted(err2):
+		r.Skipped = append(r.Skipped, "heuristic-parallel: "+err2.Error())
+	default:
+		r.fail("heuristic-parallel-determinism", "parallel re-solve errored: %v", err2)
 	}
 }
 

@@ -21,8 +21,9 @@
 // scored in parallel. Both fan-outs fold their results deterministically —
 // restarts by (cost, restart index), combinations by (cost, enumeration
 // index) — so the encoding returned is identical to the sequential one for
-// any worker count. Each scoring goroutine owns a private cost.Evaluator;
-// the evaluator type itself is not safe for concurrent use.
+// any worker count, unless a canceled context cut the restarts short. Each
+// scoring goroutine owns a private cost.Evaluator; the evaluator type
+// itself is not safe for concurrent use.
 package heuristic
 
 import (
@@ -30,8 +31,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/constraint"
@@ -69,10 +68,6 @@ type Options struct {
 	// polish over the assembled encoding; 0 means DefaultPolishBudget,
 	// negative disables polishing.
 	PolishBudget int
-}
-
-func (o Options) workers() int {
-	return o.WorkerCount()
 }
 
 // ParallelCutoffSymbols is the symbol count below which the restart and
@@ -167,7 +162,7 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 	rsp := trace.StartSpan(ctx, "heuristic.restarts")
 	runs := make([]*run, restarts)
 	workers := opts.WorkersFor(n, parallelCutoffSymbols)
-	forEachIndex(restarts, workers, func(r int) {
+	par.ForEach(restarts, workers, func(r int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -214,37 +209,6 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 		res.Trace = rec.Snapshot()
 	}
 	return res, nil
-}
-
-// forEachIndex runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines pulling from a shared atomic counter; workers <= 1 degrades to
-// a plain loop. fn must only write state owned by index i.
-func forEachIndex(n, workers int, fn func(i int)) {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // polish improves the assembled encoding with pairwise code swaps and
@@ -482,7 +446,7 @@ func (e *encoder) selectBest(p bitset.Set, c int, cands []dichotomy.D) []dichoto
 			workers = 1
 		}
 		wins := make([]scored, max(1, workers))
-		forEachIndex(max(1, workers), workers, func(w int) {
+		par.ForEach(max(1, workers), workers, func(w int) {
 			ev, wsc := evaluator, sc
 			if workers > 1 {
 				// Private evaluator and scratch per goroutine: neither type

@@ -32,12 +32,10 @@ import (
 type Options struct {
 	// Bits fixes the code length; 0 means minimum length ceil(log2 n).
 	Bits int
-	// Passes bounds the improvement passes; 0 means DefaultPasses.
-	Passes int
 }
 
-// DefaultPasses bounds the polish loop.
-const DefaultPasses = 6
+// passes bounds the improvement passes of the polish loop.
+const passes = 6
 
 // Encode produces a minimum-length (or fixed-length) encoding minimizing
 // violated face constraints.
@@ -49,10 +47,6 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, error) {
 	bits := opts.Bits
 	if bits == 0 {
 		bits = hypercube.MinBits(n)
-	}
-	passes := opts.Passes
-	if passes == 0 {
-		passes = DefaultPasses
 	}
 	if n == 0 {
 		return core.NewEncoding(cs.Syms, 0, nil), nil
@@ -98,7 +92,7 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, error) {
 		placedSet = append(placedSet, s)
 	}
 
-	improve(cs, bits, codes, used, passes)
+	improve(cs, bits, codes, used)
 	return core.NewEncoding(cs.Syms, bits, codes), nil
 }
 
@@ -138,7 +132,7 @@ func partialViolations(cs *constraint.Set, bits int, codes []hypercube.Code, pla
 
 // improve runs pairwise-swap and move-to-free passes, accepting strict
 // improvements of the violated-constraint count.
-func improve(cs *constraint.Set, bits int, codes []hypercube.Code, used []bool, passes int) {
+func improve(cs *constraint.Set, bits int, codes []hypercube.Code, used []bool) {
 	n := cs.N()
 	assign := func() cost.Assignment { return cost.FullAssignment(bits, codes) }
 	best := cost.CountViolations(cs, assign())

@@ -3,26 +3,33 @@
 // cover.Options, heuristic.Options, core.ExactOptions) embeds a Parallelism,
 // so the two knobs are spelled — and behave — identically everywhere, and a
 // pipeline-level default can flow into stages with FillFrom instead of
-// hand-copied field assignments.
+// hand-copied field assignments. ForEach is the index fan-out the stages
+// share.
 package par
 
 import (
 	"context"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Parallelism is the worker-count/deadline pair accepted by every parallel
 // solver stage.
 //
-// All engines in this repository are deterministic under parallelism:
-// results are identical for any Workers value. TimeLimit, by contrast, can
-// change results (anytime solvers return the incumbent on expiry), exactly
-// as a caller-supplied context deadline would.
+// Every engine in this repository returns identical results for any
+// Workers value whenever its search completes. A search that a node or
+// time budget cut short (an anytime solve, returned with Optimal=false)
+// may return a different incumbent for another worker count, or on
+// another run, because how far each worker got depends on scheduling.
+// TimeLimit can change results the same way, as a caller-supplied context
+// deadline would.
 type Parallelism struct {
 	// Workers sets the degree of parallelism: 0 means
 	// runtime.GOMAXPROCS(0), 1 forces the sequential code path. Every
-	// stage returns identical results for any value.
+	// stage returns identical results for any value whenever its search
+	// completes; a budget-truncated result may differ.
 	Workers int
 	// TimeLimit bounds wall-clock time; 0 means unlimited. It is applied
 	// as a context deadline, layered under whatever deadline the caller's
@@ -57,9 +64,10 @@ func (p Parallelism) WorkerCount() int {
 // strictly slower through the parallel engine no matter how many CPUs are
 // free, so each stage gates its engine on a size proxy measured against its
 // kernel benchmarks (see the ParallelCutoff* constants in cover, prime and
-// heuristic). Because every engine is deterministic in the worker count,
-// falling back to the sequential path never changes results — it only
-// removes the overhead, so `-j` never regresses small instances.
+// heuristic). Because every completed search is deterministic in the
+// worker count, falling back to the sequential path never changes its
+// result — it only removes the overhead, so `-j` never regresses small
+// instances.
 func (p Parallelism) WorkersFor(size, cutoff int) int {
 	if size < cutoff {
 		return 1
@@ -87,4 +95,34 @@ func (p Parallelism) Context(ctx context.Context) (context.Context, context.Canc
 		return context.WithTimeout(ctx, p.TimeLimit)
 	}
 	return ctx, func() {}
+}
+
+// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines,
+// which pull indices from a shared atomic counter; workers ≤ 1 (or n < 2)
+// degrades to a plain loop on the calling goroutine. fn must only write
+// state owned by index i. ForEach returns once every call has returned.
+func ForEach(n, workers int, fn func(i int)) {
+	if workers <= 1 || n < 2 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,7 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -51,5 +53,32 @@ func TestFillFrom(t *testing.T) {
 	explicit := Parallelism{Workers: 2, TimeLimit: time.Minute}
 	if got := explicit.FillFrom(def); got != explicit {
 		t.Fatalf("FillFrom explicit = %+v, want %+v", got, explicit)
+	}
+}
+
+// TestForEach checks that every index in [0, n) runs exactly once, whatever
+// the worker count: none, one, two, or more workers than indices. Each call
+// writes only its own slot, so the race detector would flag a fan-out that
+// handed one index to two goroutines.
+func TestForEach(t *testing.T) {
+	for _, n := range []int{0, 1, 17} {
+		for _, workers := range []int{0, 1, 2, n + 3} {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				runs := make([]int, n)
+				var calls atomic.Int64
+				ForEach(n, workers, func(i int) {
+					runs[i]++
+					calls.Add(1)
+				})
+				if got := calls.Load(); got != int64(n) {
+					t.Fatalf("%d calls, want %d", got, n)
+				}
+				for i, r := range runs {
+					if r != 1 {
+						t.Fatalf("index %d ran %d times", i, r)
+					}
+				}
+			})
+		}
 	}
 }

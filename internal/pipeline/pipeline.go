@@ -15,10 +15,12 @@
 // decomposes pipeline requests exactly like encode requests.
 //
 // The Report's deterministic fields (everything except the elapsed times)
-// are identical for any worker count and across runs: the strategies
-// are deterministic by construction (the annealer is seeded), which is what
-// lets cmd/paperbench regenerate the EXPERIMENTS.md tables byte-identically
-// from the committed corpus.
+// are identical for any worker count and across runs whenever the encode
+// stage's search completes: the strategies are deterministic by
+// construction (the annealer is seeded), which is what lets
+// cmd/paperbench regenerate the EXPERIMENTS.md tables byte-identically
+// from the committed corpus. An exact encode that a node or time budget
+// cut short (not optimal) may differ between worker counts and runs.
 package pipeline
 
 import (
@@ -86,9 +88,10 @@ type Options struct {
 	// MinimizeStates state-minimizes the machine before synthesis.
 	MinimizeStates bool
 	// Parallelism flows into the encode stage's engines. Results are
-	// identical for any Workers value; TimeLimit bounds the exact
-	// search's wall clock (anytime: the incumbent is returned with
-	// Optimal=false).
+	// identical for any Workers value whenever the search completes;
+	// TimeLimit bounds the exact search's wall clock (anytime: the
+	// incumbent is returned with Optimal=false, and such a truncated
+	// result may differ between worker counts and runs).
 	Parallelism par.Parallelism
 	// PrimeLimit caps maximal-compatible generation in exact mode;
 	// 0 means the engine default.
@@ -96,17 +99,13 @@ type Options struct {
 	// AnnealSeed seeds the annealing strategy; 0 means 1. Fixed seeds
 	// keep anneal rows reproducible.
 	AnnealSeed int64
-	// VerifySequences and VerifyLength size the replay check: how many
-	// random defined-input walks of which length are compared between
-	// the symbolic machine and the synthesized netlist. Zero values mean
-	// DefaultVerifySequences and DefaultVerifyLength.
-	VerifySequences int
-	VerifyLength    int
 	// SkipVerify drops the replay stage (the report's Replay is zero).
 	SkipVerify bool
 }
 
-// Replay-check defaults: 16 walks of 64 steps visit every reachable
+// The replay check compares DefaultVerifySequences random defined-input
+// walks of DefaultVerifyLength steps between the symbolic machine and the
+// synthesized netlist: 16 walks of 64 steps visit every reachable
 // transition of the corpus machines many times over.
 const (
 	DefaultVerifySequences = 16
@@ -121,12 +120,6 @@ func Run(ctx context.Context, m *fsm.FSM, opts Options) (*Report, error) {
 	}
 	if _, ok := ParseStrategy(string(opts.Strategy)); !ok {
 		return nil, fmt.Errorf("pipeline: unknown strategy %q", opts.Strategy)
-	}
-	if opts.VerifySequences == 0 {
-		opts.VerifySequences = DefaultVerifySequences
-	}
-	if opts.VerifyLength == 0 {
-		opts.VerifyLength = DefaultVerifyLength
 	}
 
 	rep := &Report{Machine: m.Name, Strategy: string(opts.Strategy)}
@@ -250,15 +243,15 @@ func Run(ctx context.Context, m *fsm.FSM, opts Options) (*Report, error) {
 	if !opts.SkipVerify {
 		if err := stage("verify", func() error {
 			rep.Replay = &ReplayResult{
-				Sequences: opts.VerifySequences,
-				Length:    opts.VerifyLength,
+				Sequences: DefaultVerifySequences,
+				Length:    DefaultVerifyLength,
 			}
 			nl, err := blif.ParseString(rep.BLIF)
 			if err != nil {
 				rep.Replay.Error = err.Error()
 				return nil
 			}
-			if err := sim.ReplayNetlist(m, nl, opts.VerifySequences, opts.VerifyLength, replaySeed); err != nil {
+			if err := sim.ReplayNetlist(m, nl, DefaultVerifySequences, DefaultVerifyLength, replaySeed); err != nil {
 				rep.Replay.Error = err.Error()
 				return nil
 			}

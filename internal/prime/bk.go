@@ -11,37 +11,6 @@ import (
 	"repro/internal/dichotomy"
 )
 
-// forEachRow runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines, pulling row indices from a shared atomic counter. fn must
-// only write state owned by row i.
-func forEachRow(n, workers int, fn func(i int)) {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // bkCtxStride is how many recursion calls pass between context polls.
 const bkCtxStride = 256
 
@@ -252,7 +221,7 @@ func bronKerboschParallel(ctx context.Context, seeds []dichotomy.D, opts Options
 	}
 	adj := compatibility(seeds, opts)
 	limit := int64(opts.limit())
-	workers := opts.workers()
+	workers := opts.WorkerCount()
 	target := workers * bkTasksPerWorker
 
 	all := bitset.New(n)

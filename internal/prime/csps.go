@@ -34,7 +34,7 @@ func csps(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set,
 	var clauses []clause
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !opts.compatible(seeds[i], seeds[j]) {
+			if !seeds[i].Compatible(seeds[j]) {
 				clauses = append(clauses, clause{i, j})
 			}
 		}

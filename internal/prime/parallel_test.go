@@ -154,32 +154,3 @@ func TestCancellation(t *testing.T) {
 		t.Fatal("ErrTimeout does not wrap context.DeadlineExceeded")
 	}
 }
-
-// TestCachedGenerationMatchesDirect runs both engines with a shared
-// CompatCache and checks the output is unchanged.
-func TestCachedGenerationMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	seeds := randomSeeds(rng, 20, 9)
-	cache := dichotomy.NewCompatCache()
-	for _, engine := range []Engine{BronKerbosch, CSPS} {
-		plain, err := GenerateSetsCtx(context.Background(), seeds, Options{Engine: engine, Parallelism: par.Workers(1)})
-		if err != nil {
-			t.Fatalf("engine %d: %v", engine, err)
-		}
-		cached, err := GenerateSetsCtx(context.Background(), seeds, Options{Engine: engine, Parallelism: par.Workers(1), Cache: cache})
-		if err != nil {
-			t.Fatalf("engine %d cached: %v", engine, err)
-		}
-		if len(plain) != len(cached) {
-			t.Fatalf("engine %d: cached run returned %d primes, want %d", engine, len(cached), len(plain))
-		}
-		for i := range plain {
-			if !plain[i].Equal(cached[i]) {
-				t.Fatalf("engine %d: prime %d differs under cache", engine, i)
-			}
-		}
-	}
-	if cache.Len() == 0 {
-		t.Fatal("cache unused")
-	}
-}

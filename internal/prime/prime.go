@@ -79,12 +79,6 @@ type Options struct {
 	Limit int
 	// Engine selects the algorithm; default BronKerbosch.
 	Engine Engine
-	// Cache, when non-nil, memoizes pairwise compatibility checks in a
-	// shard-locked cache (see dichotomy.CompatCache). Profitable when the
-	// same seed pairs are re-checked across engine runs — e.g. the
-	// BronKerbosch-vs-CSPS ablation, or repeated generation in a GPI
-	// loop; for a one-shot run the direct bitset test is faster.
-	Cache *dichotomy.CompatCache
 }
 
 // DefaultLimit matches the paper's experimental cut-off.
@@ -111,23 +105,10 @@ const ParallelCutoffSeeds = 64
 // parallel engine onto small instances.
 var parallelCutoffSeeds = ParallelCutoffSeeds
 
-func (o Options) workers() int {
-	return o.WorkerCount()
-}
-
 // workersFor applies the adaptive sequential-fallback threshold for a
 // problem of n seeds.
 func (o Options) workersFor(n int) int {
 	return o.WorkersFor(n, parallelCutoffSeeds)
-}
-
-// compatible is the seed-pair compatibility test, routed through the
-// memoizing cache when one is configured.
-func (o Options) compatible(d, e dichotomy.D) bool {
-	if o.Cache != nil {
-		return o.Cache.Compatible(d, e)
-	}
-	return d.Compatible(e)
 }
 
 // GenerateCtx returns the prime encoding-dichotomies of seeds: the unions
@@ -153,9 +134,8 @@ func GenerateCtx(ctx context.Context, seeds []dichotomy.D, opts Options) ([]dich
 // When the context carries a trace recorder (internal/trace), generation
 // records one "prime.generate" span with seed/prime counts, the recursion
 // nodes the engine entered (Bron–Kerbosch calls, the same for every worker
-// count; cs steps for CSPS), the worker count it ran with and — when a
-// CompatCache is configured — its hit/miss totals; with no recorder the
-// instrumentation is a zero-allocation no-op.
+// count; cs steps for CSPS) and the worker count it ran with; with no
+// recorder the instrumentation is a zero-allocation no-op.
 func GenerateSetsCtx(ctx context.Context, seeds []dichotomy.D, opts Options) ([]bitset.Set, error) {
 	ctx, cancel := opts.Context(ctx)
 	defer cancel()
@@ -176,15 +156,9 @@ func GenerateSetsCtx(ctx context.Context, seeds []dichotomy.D, opts Options) ([]
 	default:
 		return nil, fmt.Errorf("prime: unknown engine %d", opts.Engine)
 	}
-	if sp != nil {
-		sp.Set("seeds", len(seeds)).Set("primes", len(sets)).Set("nodes", nodes).
-			Set("workers", workers).SetBool("failed", err != nil)
-		if opts.Cache != nil {
-			hits, misses := opts.Cache.Stats()
-			sp.Set64("compat_hits", hits).Set64("compat_misses", misses)
-		}
-		sp.End()
-	}
+	sp.Set("seeds", len(seeds)).Set("primes", len(sets)).Set("nodes", nodes).
+		Set("workers", workers).SetBool("failed", err != nil)
+	sp.End()
 	return sets, err
 }
 
@@ -218,10 +192,10 @@ func compatibility(seeds []dichotomy.D, opts Options) []bitset.Set {
 	// upper[i] holds the compatible j > i; each row has a single writer, so
 	// the first pass is embarrassingly parallel.
 	upper := make([]bitset.Set, n)
-	forEachRow(n, workers, func(i int) {
+	par.ForEach(n, workers, func(i int) {
 		upper[i] = bitset.New(n)
 		for j := i + 1; j < n; j++ {
-			if opts.compatible(seeds[i], seeds[j]) {
+			if seeds[i].Compatible(seeds[j]) {
 				upper[i].Add(j)
 			}
 		}

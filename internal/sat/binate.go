@@ -66,7 +66,7 @@ func solveBinate(ctx context.Context, p *BinateProblem, opts CoverOptions) (Bina
 		}
 		return f
 	}
-	solver := opts.solver()
+	var solver DPLL
 
 	// Feasibility first: any model bounds the search from above.
 	res := solver.Solve(ctx, base())

@@ -15,29 +15,17 @@ import (
 // branch-and-bound deadline.
 var ErrBudget = errors.New("sat: solver budget exhausted")
 
-// CoverOptions tunes the SAT-backed covering solves.
+// CoverOptions tunes the SAT-backed covering solves. Each SAT call runs
+// the embedded DPLL solver under DefaultMaxConflicts; exhausting it
+// degrades the answer to the incumbent with Optimal=false, mirroring
+// branch-and-bound's anytime contract.
 type CoverOptions struct {
 	// LowerBound is a proven lower bound on the optimal cost (for the
 	// encoder: ceil(log2 n) from the uniqueness rows); the k-search
 	// starts there.
 	LowerBound int
-	// MaxConflicts bounds each individual SAT call; 0 means
-	// DefaultMaxConflicts. Exhaustion degrades the answer to the
-	// incumbent with Optimal=false, mirroring branch-and-bound's anytime
-	// contract.
-	MaxConflicts int64
 	// TimeLimit bounds the whole k-search wall clock; 0 means none.
 	TimeLimit time.Duration
-	// Solver overrides the embedded DPLL solver (e.g. an external DIMACS
-	// solver adapter). It must be deterministic.
-	Solver Solver
-}
-
-func (o CoverOptions) solver() Solver {
-	if o.Solver != nil {
-		return o.Solver
-	}
-	return &DPLL{MaxConflicts: o.MaxConflicts}
 }
 
 func (o CoverOptions) contextFor(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -112,7 +100,7 @@ func solveCover(ctx context.Context, p *cover.Problem, opts CoverOptions) (cover
 	}
 
 	weight := costFunc(core.Cost)
-	solver := opts.solver()
+	var solver DPLL
 	for k := max(opts.LowerBound-essCost, 0); ctx.Err() == nil; k++ {
 		if essCost+k >= incumbent.Cost {
 			// Every cost below the incumbent's is unsatisfiable.

@@ -2,15 +2,6 @@ package sat
 
 import "context"
 
-// Solver decides a CNF formula. Implementations must be deterministic:
-// identical formulas yield identical results (including the model found).
-// The embedded DPLL solver satisfies this; an external solver plugged in
-// through the DIMACS layer must be configured for reproducible runs to
-// keep the differential harness meaningful.
-type Solver interface {
-	Solve(ctx context.Context, f *CNF) Result
-}
-
 // DefaultMaxConflicts bounds search effort when DPLL.MaxConflicts is zero.
 // It mirrors cover.DefaultMaxNodes in spirit: large enough for every
 // instance the encoder builds, small enough that a pathological formula
@@ -20,7 +11,9 @@ const DefaultMaxConflicts = 500_000
 // DPLL is the embedded solver: iterative DPLL with conflict-driven clause
 // learning — unit propagation via two-watched literals, 1UIP learning,
 // non-chronological backjumping, and activity-driven branching with
-// deterministic (lowest-index) tie-breaks and saved phases.
+// deterministic (lowest-index) tie-breaks and saved phases. It is
+// deterministic: identical formulas yield identical results, the model
+// found included, which keeps the differential harness meaningful.
 type DPLL struct {
 	// MaxConflicts bounds the search; 0 means DefaultMaxConflicts.
 	// Exhaustion yields Status Unknown.

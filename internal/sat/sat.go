@@ -12,8 +12,7 @@
 // minimality. A unate problem is lowered after internal/cover's root
 // reductions (cover.Problem.Reduce), so only its cyclic core reaches the
 // solver. Each step's CNF goes to the solver as built: there is no
-// clause-level simplifier. A DIMACS emitter/parser keeps the door open for
-// external solvers behind the same Solver interface.
+// clause-level simplifier.
 package sat
 
 import (

@@ -58,7 +58,8 @@ type encodeRequest struct {
 	// items must leave it 0 (the batch carries one shared budget).
 	TimeoutMS int `json:"timeout_ms"`
 	// Workers sets the engine worker count (0 = all CPUs). Results are
-	// identical for any value, so this never affects caching.
+	// identical for any value whenever the search completes, and only
+	// such results are cached, so this never affects caching.
 	Workers int `json:"workers"`
 	// Decompose requests connected-component decomposition in exact
 	// mode: disconnected sub-problems solve independently, hit the cache
@@ -95,8 +96,9 @@ type pipelineRequest struct {
 // textual arrangement is asking the same question and must hit the cache
 // or coalesce, not burn a second solve. The remaining fields are the knobs
 // that can change the answer. Workers and timeout are deliberately absent:
-// results are worker-invariant, and only successful (budget-independent)
-// results are ever cached or coalesced into. A component solve's key is
+// a search that completes returns the same result for any worker count
+// (one a budget cut short may not), and only successful,
+// budget-independent results are ever cached or coalesced into. A component solve's key is
 // its sub-hash under modeExactComponent (see solveComponent).
 type requestKey struct {
 	set        core.Hash128
