@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diffcheck"
 	"repro/internal/gen"
+	"repro/internal/par"
 )
 
 type family struct {
@@ -111,49 +112,36 @@ func main() {
 		seed   int64
 		report diffcheck.Report
 	}
-	jobsCh := make(chan job)
+	var all []job
+	for _, f := range selected {
+		for i := 0; i < *seeds; i++ {
+			all = append(all, job{f, *baseSeed + int64(i)})
+		}
+	}
 	var mu sync.Mutex
 	var failures []failed
 	checked, skipped := 0, 0
 
-	var wg sync.WaitGroup
-	workers := *jobs
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobsCh {
-				rep := jb.fam.run(context.Background(), jb.seed, *size, opts)
-				mu.Lock()
-				checked++
-				skipped += len(rep.Skipped)
-				if !rep.OK() {
-					failures = append(failures, failed{jb.fam.name, jb.seed, rep})
-				}
-				if *verbose {
-					status := "ok"
-					if !rep.OK() {
-						status = "FAIL"
-					}
-					fmt.Printf("%-12s seed=%-6d feasible=%-5v bits=%-2d %s\n",
-						jb.fam.name, jb.seed, rep.Feasible, rep.ExactBits, status)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
 	start := time.Now()
-	for _, f := range selected {
-		for i := 0; i < *seeds; i++ {
-			jobsCh <- job{f, *baseSeed + int64(i)}
+	par.ForEach(len(all), *jobs, func(i int) {
+		jb := all[i]
+		rep := jb.fam.run(context.Background(), jb.seed, *size, opts)
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		skipped += len(rep.Skipped)
+		if !rep.OK() {
+			failures = append(failures, failed{jb.fam.name, jb.seed, rep})
 		}
-	}
-	close(jobsCh)
-	wg.Wait()
+		if *verbose {
+			status := "ok"
+			if !rep.OK() {
+				status = "FAIL"
+			}
+			fmt.Printf("%-12s seed=%-6d feasible=%-5v bits=%-2d %s\n",
+				jb.fam.name, jb.seed, rep.Feasible, rep.ExactBits, status)
+		}
+	})
 
 	sort.Slice(failures, func(i, j int) bool {
 		if failures[i].fam != failures[j].fam {

@@ -374,34 +374,6 @@ func (s *Set) String() string {
 	return b.String()
 }
 
-// Clone returns a deep copy of the set sharing the symbol table.
-func (s *Set) Clone() *Set {
-	c := NewSet(s.Syms)
-	for _, f := range s.Faces {
-		c.Faces = append(c.Faces, Face{Members: f.Members.Clone(), DontCare: f.DontCare.Clone()})
-	}
-	c.Dominances = append(c.Dominances, s.Dominances...)
-	for _, d := range s.Disjunctives {
-		nd := Disjunctive{Parent: d.Parent, Children: append([]int(nil), d.Children...)}
-		c.Disjunctives = append(c.Disjunctives, nd)
-	}
-	for _, e := range s.ExtDisjunctives {
-		ne := ExtDisjunctive{Parent: e.Parent}
-		for _, conj := range e.Conjunctions {
-			ne.Conjunctions = append(ne.Conjunctions, append([]int(nil), conj...))
-		}
-		c.ExtDisjunctives = append(c.ExtDisjunctives, ne)
-	}
-	c.Distance2s = append(c.Distance2s, s.Distance2s...)
-	for _, nf := range s.NonFaces {
-		c.NonFaces = append(c.NonFaces, NonFace{Members: nf.Members.Clone()})
-	}
-	for _, ch := range s.Chains {
-		c.Chains = append(c.Chains, Chain{Seq: append([]int(nil), ch.Seq...)})
-	}
-	return c
-}
-
 // Restrict returns the constraint set restricted to the symbols in keep
 // (Section 7.1, Definition 7.1 applied to constraints): face and non-face
 // members are intersected with keep, output constraints are retained only

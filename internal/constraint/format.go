@@ -1,6 +1,9 @@
 package constraint
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Format renders the set in the textual constraint language such that
 // Parse(Format(s)) reconstructs s exactly: a "symbols" pre-declaration line
@@ -57,7 +60,7 @@ func Equal(a, b *Set) bool {
 		}
 	}
 	for i, d := range a.Disjunctives {
-		if d.Parent != b.Disjunctives[i].Parent || !equalInts(d.Children, b.Disjunctives[i].Children) {
+		if d.Parent != b.Disjunctives[i].Parent || !slices.Equal(d.Children, b.Disjunctives[i].Children) {
 			return false
 		}
 	}
@@ -67,7 +70,7 @@ func Equal(a, b *Set) bool {
 			return false
 		}
 		for j, conj := range e.Conjunctions {
-			if !equalInts(conj, o.Conjunctions[j]) {
+			if !slices.Equal(conj, o.Conjunctions[j]) {
 				return false
 			}
 		}
@@ -83,19 +86,7 @@ func Equal(a, b *Set) bool {
 		}
 	}
 	for i, ch := range a.Chains {
-		if !equalInts(ch.Seq, b.Chains[i].Seq) {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		if !slices.Equal(ch.Seq, b.Chains[i].Seq) {
 			return false
 		}
 	}

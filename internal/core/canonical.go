@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -78,10 +79,10 @@ func CanonicalHashSet(cs *constraint.Set) Hash128 {
 		faces[i] = [2][]int{remap(f.Members), remap(f.DontCare)}
 	}
 	sort.Slice(faces, func(a, b int) bool {
-		if c := compareInts(faces[a][0], faces[b][0]); c != 0 {
+		if c := slices.Compare(faces[a][0], faces[b][0]); c != 0 {
 			return c < 0
 		}
-		return compareInts(faces[a][1], faces[b][1]) < 0
+		return slices.Compare(faces[a][1], faces[b][1]) < 0
 	})
 	h.word(uint64(len(faces)))
 	for _, f := range faces {
@@ -124,7 +125,7 @@ func CanonicalHashSet(cs *constraint.Set) Hash128 {
 		if disjs[a].parent != disjs[b].parent {
 			return disjs[a].parent < disjs[b].parent
 		}
-		return compareInts(disjs[a].children, disjs[b].children) < 0
+		return slices.Compare(disjs[a].children, disjs[b].children) < 0
 	})
 	h.word(uint64(len(disjs)))
 	for _, d := range disjs {
@@ -149,20 +150,14 @@ func CanonicalHashSet(cs *constraint.Set) Hash128 {
 			conjs[j] = c
 		}
 		// The OR over conjunctions is unordered too.
-		sort.Slice(conjs, func(a, b int) bool { return compareInts(conjs[a], conjs[b]) < 0 })
+		sort.Slice(conjs, func(a, b int) bool { return slices.Compare(conjs[a], conjs[b]) < 0 })
 		exts[i] = extDisj{perm[e.Parent], conjs}
 	}
 	sort.Slice(exts, func(a, b int) bool {
 		if exts[a].parent != exts[b].parent {
 			return exts[a].parent < exts[b].parent
 		}
-		x, y := exts[a].conjs, exts[b].conjs
-		for i := 0; i < len(x) && i < len(y); i++ {
-			if c := compareInts(x[i], y[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return len(x) < len(y)
+		return slices.CompareFunc(exts[a].conjs, exts[b].conjs, slices.Compare[[]int]) < 0
 	})
 	h.word(uint64(len(exts)))
 	for _, e := range exts {
@@ -199,7 +194,7 @@ func CanonicalHashSet(cs *constraint.Set) Hash128 {
 	for i, nf := range cs.NonFaces {
 		nfs[i] = remap(nf.Members)
 	}
-	sort.Slice(nfs, func(a, b int) bool { return compareInts(nfs[a], nfs[b]) < 0 })
+	sort.Slice(nfs, func(a, b int) bool { return slices.Compare(nfs[a], nfs[b]) < 0 })
 	h.word(uint64(len(nfs)))
 	for _, m := range nfs {
 		foldInts(m)
@@ -214,30 +209,11 @@ func CanonicalHashSet(cs *constraint.Set) Hash128 {
 		}
 		chains[i] = seq
 	}
-	sort.Slice(chains, func(a, b int) bool { return compareInts(chains[a], chains[b]) < 0 })
+	sort.Slice(chains, func(a, b int) bool { return slices.Compare(chains[a], chains[b]) < 0 })
 	h.word(uint64(len(chains)))
 	for _, seq := range chains {
 		foldInts(seq)
 	}
 
 	return Hash128{Hi: bitset.Mix64(h.h1 ^ h.h2), Lo: bitset.Mix64(h.h2 + 0x9e3779b97f4a7c15*h.h1)}
-}
-
-// compareInts orders int slices lexicographically, shorter-first on ties.
-func compareInts(a, b []int) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

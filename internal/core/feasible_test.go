@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,5 +155,36 @@ func TestMinimizeInfeasibleHonoursContext(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("minimization ran %v past a 50ms deadline", d)
+	}
+}
+
+// TestMinimizeInfeasibleBoundCountsCheckedClasses: the minimization bound
+// counts the faces and output constraints the P-1 check sees, not the
+// extension constraints it ignores, and the conflict holds none of those.
+// A two-dominance cycle plus 248 repeated faces (250 checked constraints)
+// and 10 distance-2 constraints minimizes to the cycle; seven more faces
+// put the set past the bound.
+func TestMinimizeInfeasibleBoundCountsCheckedClasses(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("dom a > b\ndom b > a\n")
+	for i := 0; i < 248; i++ {
+		b.WriteString("face c d\n")
+	}
+	for i := 0; i < 10; i++ {
+		b.WriteString("dist2 c d\n")
+	}
+	cs := constraint.MustParse(b.String())
+	c := core.MinimizeInfeasible(context.Background(), cs)
+	if c == nil {
+		t.Fatal("250 checked constraints plus 10 distance-2s were not minimized")
+	}
+	if want := "dom a > b\ndom b > a\n"; c.String() != want {
+		t.Fatalf("conflict:\n%s\nwant:\n%s", c, want)
+	}
+	for i := 0; i < 7; i++ {
+		cs.AddFace("c", "d")
+	}
+	if c := core.MinimizeInfeasible(context.Background(), cs); c != nil {
+		t.Fatalf("257 checked constraints were minimized:\n%s", c)
 	}
 }

@@ -68,24 +68,25 @@ func newInfeasibleError(ctx context.Context, cs *constraint.Set, uncovered []dic
 // expired solve stops minimizing within one check. The result shares cs's
 // symbol table.
 func MinimizeInfeasible(ctx context.Context, cs *constraint.Set) *constraint.Set {
-	total := flatLen(cs)
-	if total == 0 || total > conflictMinimizeLimit {
+	// Extensions are invisible to the feasibility check; a conflict subset
+	// containing them would be misleading, and they do not count towards
+	// the bound.
+	checked := &constraint.Set{Syms: cs.Syms, Faces: cs.Faces, Dominances: cs.Dominances,
+		Disjunctives: cs.Disjunctives, ExtDisjunctives: cs.ExtDisjunctives}
+	if n := checked.Len(); n == 0 || n > conflictMinimizeLimit {
 		return nil
 	}
 	if ctx.Err() != nil || CheckFeasible(cs).Feasible {
 		return nil
 	}
-	cur := cs.Clone()
-	// Extensions are invisible to the feasibility check; a conflict subset
-	// containing them would be misleading.
-	cur.Distance2s, cur.NonFaces, cur.Chains = nil, nil, nil
+	cur := checked.Clone()
 	for {
 		removed := false
-		for i := 0; i < flatLen(cur); i++ {
+		for i := 0; i < cur.Len(); i++ {
 			if ctx.Err() != nil {
 				return nil
 			}
-			cand := dropFlat(cur, i)
+			cand := cur.Without(i)
 			if !CheckFeasible(cand).Feasible {
 				cur = cand
 				removed = true
@@ -96,30 +97,4 @@ func MinimizeInfeasible(ctx context.Context, cs *constraint.Set) *constraint.Set
 			return cur
 		}
 	}
-}
-
-// flatLen counts the constraints the feasibility check sees, in the flat
-// order dropFlat indexes: faces, dominances, disjunctives, extended
-// disjunctives.
-func flatLen(cs *constraint.Set) int {
-	return len(cs.Faces) + len(cs.Dominances) + len(cs.Disjunctives) + len(cs.ExtDisjunctives)
-}
-
-// dropFlat clones cs without its i-th constraint in flat order.
-func dropFlat(cs *constraint.Set, i int) *constraint.Set {
-	c := cs.Clone()
-	switch {
-	case i < len(c.Faces):
-		c.Faces = append(c.Faces[:i:i], c.Faces[i+1:]...)
-	case i < len(c.Faces)+len(c.Dominances):
-		i -= len(c.Faces)
-		c.Dominances = append(c.Dominances[:i:i], c.Dominances[i+1:]...)
-	case i < len(c.Faces)+len(c.Dominances)+len(c.Disjunctives):
-		i -= len(c.Faces) + len(c.Dominances)
-		c.Disjunctives = append(c.Disjunctives[:i:i], c.Disjunctives[i+1:]...)
-	default:
-		i -= len(c.Faces) + len(c.Dominances) + len(c.Disjunctives)
-		c.ExtDisjunctives = append(c.ExtDisjunctives[:i:i], c.ExtDisjunctives[i+1:]...)
-	}
-	return c
 }

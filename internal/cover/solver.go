@@ -1,7 +1,7 @@
 // Reusable exact-solver state. The one-shot Problem.SolveExactCtx entry
-// point builds a Solver per call; callers with a solve-in-a-loop shape (the
-// encoding pipeline's column-generation loops, the kernel benchmarks) build
-// one Solver and amortize every structure below across solves.
+// point builds a Solver per call; every solve outside this package goes
+// through it (gpi calls it once per solve). Only the kernel benchmarks
+// build one Solver and amortize every structure below across solves.
 
 package cover
 

@@ -152,58 +152,11 @@ func Split(cs *constraint.Set) (*Plan, error) {
 		c.Set = constraint.NewSet(t)
 	}
 
-	localize := func(m bitset.Set) bitset.Set {
-		var out bitset.Set
-		m.ForEach(func(e int) bool { out.Add(localOf[e]); return true })
-		return out
-	}
-	for _, f := range cs.Faces {
-		first, _ := f.Members.Min()
-		c := comps[compOf[first]]
-		// Project don't-cares onto the component: an out-of-component
-		// don't-care can never lie inside the face once components occupy
-		// disjoint code ranges, so dropping it changes nothing.
-		var dc bitset.Set
-		f.DontCare.ForEach(func(e int) bool {
-			if compOf[e] == c.Index {
-				dc.Add(localOf[e])
-			}
-			return true
-		})
-		c.Set.AddFaceSet(localize(f.Members), dc)
-	}
-	for _, d := range cs.Dominances {
-		c := comps[compOf[d.Big]]
-		c.Set.Dominances = append(c.Set.Dominances, constraint.Dominance{
-			Big: localOf[d.Big], Small: localOf[d.Small],
-		})
-	}
-	for _, d := range cs.Disjunctives {
-		c := comps[compOf[d.Parent]]
-		nd := constraint.Disjunctive{Parent: localOf[d.Parent]}
-		for _, ch := range d.Children {
-			nd.Children = append(nd.Children, localOf[ch])
-		}
-		c.Set.Disjunctives = append(c.Set.Disjunctives, nd)
-	}
-	for _, e := range cs.ExtDisjunctives {
-		c := comps[compOf[e.Parent]]
-		ne := constraint.ExtDisjunctive{Parent: localOf[e.Parent]}
-		for _, conj := range e.Conjunctions {
-			lc := make([]int, len(conj))
-			for i, s := range conj {
-				lc[i] = localOf[s]
-			}
-			ne.Conjunctions = append(ne.Conjunctions, lc)
-		}
-		c.Set.ExtDisjunctives = append(c.Set.ExtDisjunctives, ne)
-	}
-	for _, d := range cs.Distance2s {
-		c := comps[compOf[d.A]]
-		c.Set.Distance2s = append(c.Set.Distance2s, constraint.Distance2{
-			A: localOf[d.A], B: localOf[d.B],
-		})
-	}
+	// Route every constraint to its first symbol's component. Face
+	// don't-cares in another component are projected away: once components
+	// occupy disjoint code ranges such a symbol can never lie inside the
+	// face, so dropping it changes nothing.
+	cs.MapInto(localOf, func(g int) *constraint.Set { return comps[compOf[g]].Set })
 
 	// Simplify before hashing: duplicate constraints are hash-significant,
 	// so two requests differing only in redundant repetition must converge

@@ -7,6 +7,7 @@
 package decomp
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/constraint"
@@ -138,7 +139,7 @@ func dedupeExtDisjunctives(es []constraint.ExtDisjunctive) []constraint.ExtDisju
 			sort.Ints(c)
 			conjs[i] = c
 		}
-		sort.Slice(conjs, func(a, b int) bool { return lessInts(conjs[a], conjs[b]) })
+		sort.Slice(conjs, func(a, b int) bool { return slices.Compare(conjs[a], conjs[b]) < 0 })
 		key := []byte{byte(e.Parent), byte(e.Parent >> 8), ':'}
 		for _, c := range conjs {
 			for _, x := range c {
@@ -214,13 +215,4 @@ func coveringCycle(s *constraint.Set) bool {
 		}
 	}
 	return consumed < n
-}
-
-func lessInts(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -3,14 +3,13 @@ package decomp
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/dichotomy"
 	"repro/internal/hypercube"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -65,23 +64,9 @@ func (p *Plan) Solve(ctx context.Context, workers int, solve ComponentSolver) (*
 	}
 	results := make([]*core.ExactResult, len(p.Components))
 	errs := make([]error, len(p.Components))
-	workers = max(min(workers, len(p.Components)), 1)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(p.Components) {
-					return
-				}
-				results[i], errs[i] = p.Components[i].solve(ctx, solve)
-			}
-		}()
-	}
-	wg.Wait()
+	par.ForEach(len(p.Components), workers, func(i int) {
+		results[i], errs[i] = p.Components[i].solve(ctx, solve)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -144,33 +129,7 @@ func (c *Component) globalizeSet(local *constraint.Set) *constraint.Set {
 		g[i], _ = c.globalSyms.Lookup(local.Syms.Name(i))
 	}
 	out := constraint.NewSet(c.globalSyms)
-	for _, f := range local.Faces {
-		out.AddFaceSet(globalize(g, f.Members), globalize(g, f.DontCare))
-	}
-	for _, d := range local.Dominances {
-		out.Dominances = append(out.Dominances, constraint.Dominance{Big: g[d.Big], Small: g[d.Small]})
-	}
-	for _, d := range local.Disjunctives {
-		nd := constraint.Disjunctive{Parent: g[d.Parent]}
-		for _, ch := range d.Children {
-			nd.Children = append(nd.Children, g[ch])
-		}
-		out.Disjunctives = append(out.Disjunctives, nd)
-	}
-	for _, e := range local.ExtDisjunctives {
-		ne := constraint.ExtDisjunctive{Parent: g[e.Parent]}
-		for _, conj := range e.Conjunctions {
-			nc := make([]int, len(conj))
-			for i, s := range conj {
-				nc[i] = g[s]
-			}
-			ne.Conjunctions = append(ne.Conjunctions, nc)
-		}
-		out.ExtDisjunctives = append(out.ExtDisjunctives, ne)
-	}
-	for _, d := range local.Distance2s {
-		out.Distance2s = append(out.Distance2s, constraint.Distance2{A: g[d.A], B: g[d.B]})
-	}
+	local.MapInto(g, func(int) *constraint.Set { return out })
 	return out
 }
 

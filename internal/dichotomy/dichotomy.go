@@ -70,11 +70,6 @@ func (d D) Covers(e D) bool {
 		(e.L.SubsetOf(d.R) && e.R.SubsetOf(d.L))
 }
 
-// CoversOriented reports whether d covers e without swapping blocks.
-func (d D) CoversOriented(e D) bool {
-	return e.L.SubsetOf(d.L) && e.R.SubsetOf(d.R)
-}
-
 // Equal reports block-wise equality (orientation sensitive).
 func (d D) Equal(e D) bool {
 	return d.L.Equal(e.L) && d.R.Equal(e.R)
@@ -83,15 +78,6 @@ func (d D) Equal(e D) bool {
 // Key returns a canonical orientation-sensitive map key.
 func (d D) Key() string {
 	return d.L.Key() + "|" + d.R.Key()
-}
-
-// CanonicalKey returns a map key identical for d and d.Mirror().
-func (d D) CanonicalKey() string {
-	a, b := d.L.Key(), d.R.Key()
-	if a <= b {
-		return a + "|" + b
-	}
-	return b + "|" + a
 }
 
 // Separates reports whether the dichotomy assigns a and b to opposite

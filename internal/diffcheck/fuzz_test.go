@@ -27,7 +27,7 @@ func fuzzOpts() Options {
 // exact pipeline is exponential in symbols and the chain search is
 // factorial, so both are capped hard.
 func fuzzable(cs *constraint.Set) bool {
-	return cs.N() <= 7 && totalConstraints(cs) <= 16
+	return cs.N() <= 7 && cs.Len() <= 16
 }
 
 // FuzzEncode feeds arbitrary text through the constraint parser and — when

@@ -45,8 +45,8 @@ func Shrink(ctx context.Context, cs *constraint.Set, witness *core.Encoding, opt
 	for pass := 0; pass < 8; pass++ {
 		changed := false
 		// Constraint-level: try dropping each constraint in flat order.
-		for i := 0; i < totalConstraints(cur); i++ {
-			cand := dropConstraint(cur, i)
+		for i := 0; i < cur.Len(); i++ {
+			cand := cur.Without(i)
 			if rep, bad := failsWith(cand, curW); bad {
 				cur, curRep = cand, rep
 				changed = true
@@ -75,42 +75,4 @@ func Shrink(ctx context.Context, cs *constraint.Set, witness *core.Encoding, opt
 		}
 	}
 	return Shrunk{Set: cur, Witness: curW, Invariant: invariant, Report: curRep}
-}
-
-// totalConstraints counts every constraint across all classes, in the flat
-// order dropConstraint indexes.
-func totalConstraints(cs *constraint.Set) int {
-	return len(cs.Faces) + len(cs.Dominances) + len(cs.Disjunctives) +
-		len(cs.ExtDisjunctives) + len(cs.Distance2s) + len(cs.NonFaces) + len(cs.Chains)
-}
-
-// dropConstraint clones cs without its i-th constraint in flat order
-// (faces, dominances, disjunctives, extended disjunctives, distance-2,
-// non-faces, chains).
-func dropConstraint(cs *constraint.Set, i int) *constraint.Set {
-	c := cs.Clone()
-	lens := []int{len(c.Faces), len(c.Dominances), len(c.Disjunctives),
-		len(c.ExtDisjunctives), len(c.Distance2s), len(c.NonFaces), len(c.Chains)}
-	class := 0
-	for class < len(lens) && i >= lens[class] {
-		i -= lens[class]
-		class++
-	}
-	switch class {
-	case 0:
-		c.Faces = append(c.Faces[:i:i], c.Faces[i+1:]...)
-	case 1:
-		c.Dominances = append(c.Dominances[:i:i], c.Dominances[i+1:]...)
-	case 2:
-		c.Disjunctives = append(c.Disjunctives[:i:i], c.Disjunctives[i+1:]...)
-	case 3:
-		c.ExtDisjunctives = append(c.ExtDisjunctives[:i:i], c.ExtDisjunctives[i+1:]...)
-	case 4:
-		c.Distance2s = append(c.Distance2s[:i:i], c.Distance2s[i+1:]...)
-	case 5:
-		c.NonFaces = append(c.NonFaces[:i:i], c.NonFaces[i+1:]...)
-	default:
-		c.Chains = append(c.Chains[:i:i], c.Chains[i+1:]...)
-	}
-	return c
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -76,7 +75,11 @@ func randomMulti(seed int64, cfg Config) Instance {
 
 	cs := constraint.NewSet(table)
 	for _, p := range parts {
-		mergeShifted(cs, p.inst.Set, p.offset)
+		shift := make([]int, p.size)
+		for j := range shift {
+			shift[j] = p.offset + j
+		}
+		p.inst.Set.MapInto(shift, func(int) *constraint.Set { return cs })
 	}
 
 	// Assemble the global witness with the aligned-subcube layout: wider
@@ -110,46 +113,5 @@ func randomMulti(seed int64, cfg Config) Instance {
 		Cfg:     cfg,
 		Set:     cs,
 		Witness: core.NewEncoding(table, bits, codes),
-	}
-}
-
-// mergeShifted appends src's constraints to dst with every symbol index
-// shifted by off. dst's table must already contain the shifted symbols.
-func mergeShifted(dst, src *constraint.Set, off int) {
-	shift := func(m bitset.Set) bitset.Set {
-		var out bitset.Set
-		m.ForEach(func(e int) bool { out.Add(e + off); return true })
-		return out
-	}
-	for _, f := range src.Faces {
-		dst.AddFaceSet(shift(f.Members), shift(f.DontCare))
-	}
-	for _, d := range src.Dominances {
-		dst.Dominances = append(dst.Dominances, constraint.Dominance{
-			Big: d.Big + off, Small: d.Small + off,
-		})
-	}
-	for _, d := range src.Disjunctives {
-		nd := constraint.Disjunctive{Parent: d.Parent + off}
-		for _, c := range d.Children {
-			nd.Children = append(nd.Children, c+off)
-		}
-		dst.Disjunctives = append(dst.Disjunctives, nd)
-	}
-	for _, e := range src.ExtDisjunctives {
-		ne := constraint.ExtDisjunctive{Parent: e.Parent + off}
-		for _, conj := range e.Conjunctions {
-			nc := make([]int, len(conj))
-			for i, s := range conj {
-				nc[i] = s + off
-			}
-			ne.Conjunctions = append(ne.Conjunctions, nc)
-		}
-		dst.ExtDisjunctives = append(dst.ExtDisjunctives, ne)
-	}
-	for _, d := range src.Distance2s {
-		dst.Distance2s = append(dst.Distance2s, constraint.Distance2{
-			A: d.A + off, B: d.B + off,
-		})
 	}
 }

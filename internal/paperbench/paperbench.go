@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/corpus"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 )
 
@@ -34,7 +34,8 @@ type Options struct {
 
 // RunMatrix executes corpus × strategies, preserving corpus order. Any
 // pipeline failure aborts the whole matrix: the tables must never be
-// rendered from partial data.
+// rendered from partial data. The error returned is the failure of the
+// first cell in corpus-then-strategy order.
 func RunMatrix(ctx context.Context, machines []corpus.Machine, opts Options) ([]Result, error) {
 	strategies := opts.Strategies
 	if len(strategies) == 0 {
@@ -45,46 +46,27 @@ func RunMatrix(ctx context.Context, machines []corpus.Machine, opts Options) ([]
 		workers = 4
 	}
 
+	// One run per (machine, strategy) cell, row-major.
+	reps := make([]*pipeline.Report, len(machines)*len(strategies))
+	errs := make([]error, len(reps))
+	par.ForEach(len(reps), workers, func(i int) {
+		m, s := machines[i/len(strategies)], strategies[i%len(strategies)]
+		reps[i], errs[i] = pipeline.Run(ctx, m.FSM, pipeline.Options{Strategy: s})
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("paperbench: %s/%s: %w", m.Name, s, errs[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	results := make([]Result, len(machines))
-	for i := range machines {
-		results[i] = Result{
-			Machine: machines[i],
-			Reports: make(map[pipeline.Strategy]*pipeline.Report, len(strategies)),
+	for mi, m := range machines {
+		results[mi] = Result{Machine: m, Reports: make(map[pipeline.Strategy]*pipeline.Report, len(strategies))}
+		for si, s := range strategies {
+			results[mi].Reports[s] = reps[mi*len(strategies)+si]
 		}
-	}
-
-	type job struct{ mi, si int }
-	jobs := make(chan job)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				m, s := machines[j.mi], strategies[j.si]
-				rep, err := pipeline.Run(ctx, m.FSM, pipeline.Options{Strategy: s})
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("paperbench: %s/%s: %w", m.Name, s, err)
-				}
-				results[j.mi].Reports[s] = rep
-				mu.Unlock()
-			}
-		}()
-	}
-	for mi := range machines {
-		for si := range strategies {
-			jobs <- job{mi, si}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return results, nil
 }

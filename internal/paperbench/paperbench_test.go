@@ -79,7 +79,8 @@ func TestMatrixAndTables(t *testing.T) {
 
 // RunMatrix results must not depend on the worker count (the tables are
 // committed; a scheduling dependence would break byte-identical
-// regeneration).
+// regeneration), and neither may its error: under a canceled context
+// every cell fails, and the first cell's failure is the one reported.
 func TestMatrixWorkerInvariance(t *testing.T) {
 	machines, err := corpus.Load("../../testdata/corpus")
 	if err != nil {
@@ -101,6 +102,14 @@ func TestMatrixWorkerInvariance(t *testing.T) {
 		if b1[name] != b8[name] {
 			t.Fatalf("block %q differs between 1 and 8 workers:\n%s\n----\n%s", name, b1[name], b8[name])
 		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = RunMatrix(ctx, machines, Options{Strategies: strategies, Workers: 8})
+	want := "paperbench: " + machines[0].Name + "/" + string(strategies[0]) + ": "
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("canceled matrix: error %v, want one starting %q", err, want)
 	}
 }
 

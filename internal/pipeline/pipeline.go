@@ -201,7 +201,11 @@ func Run(ctx context.Context, m *fsm.FSM, opts Options) (*Report, error) {
 			return err
 		}
 		rep.Bits = enc.Bits
-		rep.Violations = faceViolations(cs, enc)
+		// Violated face constraints are the strategy-neutral satisfaction
+		// figure: output constraints are only handed to the exact
+		// strategy, so faces are the common denominator of the
+		// comparison tables. CountViolations reads only the faces.
+		rep.Violations = cost.CountViolations(cs, cost.FullAssignment(enc.Bits, enc.Codes))
 		rep.Codes = make(map[string]string, m.NumStates())
 		for s := 0; s < m.NumStates(); s++ {
 			rep.Codes[m.States.Name(s)] = enc.CodeString(s)
@@ -324,15 +328,6 @@ func encode(ctx context.Context, cs *constraint.Set, rep *Report, opts Options) 
 		return nova.Encode(cs, nova.Options{})
 	}
 	return nil, fmt.Errorf("unknown strategy %q", opts.Strategy)
-}
-
-// faceViolations counts violated face constraints — the strategy-neutral
-// satisfaction figure (output constraints are only handed to the exact
-// strategy, so faces are the common denominator of the comparison tables).
-func faceViolations(cs *constraint.Set, enc *core.Encoding) int {
-	faces := constraint.NewSet(cs.Syms)
-	faces.Faces = cs.Faces
-	return cost.CountViolations(faces, cost.FullAssignment(enc.Bits, enc.Codes))
 }
 
 func ms(d time.Duration) float64 {

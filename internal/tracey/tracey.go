@@ -99,7 +99,6 @@ func (ft *FlowTable) columnTransitions(c int) []transition {
 // removed (orientation-insensitively).
 func (ft *FlowTable) Dichotomies() []dichotomy.D {
 	var out []dichotomy.D
-	seen := map[string]bool{}
 	for c := range ft.Columns {
 		trans := ft.columnTransitions(c)
 		for i := 0; i < len(trans); i++ {
@@ -113,16 +112,11 @@ func (ft *FlowTable) Dichotomies() []dichotomy.D {
 				if g1.Intersects(g2) {
 					continue
 				}
-				d := dichotomy.D{L: g1, R: g2}
-				k := d.CanonicalKey()
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, d)
-				}
+				out = append(out, dichotomy.D{L: g1, R: g2})
 			}
 		}
 	}
-	return out
+	return dichotomy.Rows(out)
 }
 
 // Options tunes the assignment search.
