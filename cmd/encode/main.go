@@ -25,7 +25,6 @@ import (
 	"repro/encodingapi"
 	"repro/internal/constraint"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/heuristic"
 	"repro/internal/par"
 	"repro/internal/prime"
@@ -121,7 +120,7 @@ func main() {
 	}
 
 	if *bits > 0 {
-		m, ok := parseMetric(*metric)
+		m, ok := encodingapi.ParseMetric(*metric)
 		if !ok {
 			fatal(fmt.Errorf("unknown metric %q", *metric))
 		}
@@ -247,18 +246,6 @@ func runRemote(ctx context.Context, opt remoteOptions) {
 		fmt.Printf("# exact minimum-length encoding, %d bits\n", res.Bits)
 		fmt.Print(res.Text)
 	}
-}
-
-func parseMetric(s string) (cost.Metric, bool) {
-	switch s {
-	case "violations":
-		return cost.Violations, true
-	case "cubes":
-		return cost.Cubes, true
-	case "literals":
-		return cost.Literals, true
-	}
-	return 0, false
 }
 
 // printTrace renders the recorded stage-time table on stderr, keeping

@@ -1,10 +1,14 @@
-// Client-side surface of the encoding service: a typed HTTP client for
-// the v1 API served by internal/server (cmd/served), covering the
-// synchronous endpoints, batch submission and the async job lifecycle.
-// Service errors decode into RemoteError, which unwraps infeasibility
-// back into the same typed errors the in-process entry points return —
-// errors.Is(err, ErrInfeasible) and AsInfeasible work identically against
-// a remote server.
+// The v1 wire contract of the encoding service and a typed HTTP client
+// for it. The request and answer types below are the contract's only Go
+// definitions: internal/server (cmd/served) decodes its request bodies
+// into them and renders its answers from them, and Client sends and
+// decodes the same types, covering the synchronous endpoints, batch
+// submission and the async job lifecycle. docs/openapi.yaml specifies the
+// contract, and internal/server/testdata/api_shapes.golden snapshots every
+// answer shape. Service errors decode into RemoteError, which unwraps
+// infeasibility back into the same typed errors the in-process entry
+// points return — errors.Is(err, ErrInfeasible) and AsInfeasible work
+// identically against a remote server.
 package encodingapi
 
 import (
@@ -16,6 +20,9 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/jobs"
+	"repro/internal/pipeline"
 )
 
 // Client calls a served instance. The zero value is not usable; set
@@ -37,34 +44,66 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
-// EncodeRequest is the body of POST /v1/encode (and of one batch item,
-// where TimeoutMS must stay 0 — the batch carries the budget).
+// EncodeRequest is the body of POST /v1/encode and of one batch item.
 type EncodeRequest struct {
+	// Constraints is the textual constraint language (same grammar as the
+	// encode CLI input files).
 	Constraints string `json:"constraints"`
-	// Mode is "feasible", "exact" (default) or "heuristic".
-	Mode       string `json:"mode,omitempty"`
-	Bits       int    `json:"bits,omitempty"`
-	Metric     string `json:"metric,omitempty"`
-	PrimeLimit int    `json:"prime_limit,omitempty"`
-	TimeoutMS  int    `json:"timeout_ms,omitempty"`
-	Workers    int    `json:"workers,omitempty"`
-	// Decompose requests connected-component decomposition (exact mode).
+	// Mode selects the problem: "feasible" (P-1), "exact" (P-2, default)
+	// or "heuristic" (P-3).
+	Mode string `json:"mode,omitempty"`
+	// Bits is the code length for heuristic mode (required there,
+	// rejected elsewhere).
+	Bits int `json:"bits,omitempty"`
+	// Metric is the heuristic cost metric: "violations" (default),
+	// "cubes" or "literals".
+	Metric string `json:"metric,omitempty"`
+	// PrimeLimit caps maximal-compatible generation in exact mode;
+	// 0 means the engine default.
+	PrimeLimit int `json:"prime_limit,omitempty"`
+	// TimeoutMS is the solve budget in milliseconds; 0 means the server
+	// default, and values above the server maximum are clamped. Batch
+	// items must leave it 0: a batch sets one shared budget at its top
+	// level (BatchRequest.TimeoutMS), not per item.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
+	// Workers sets the engine worker count (0 = all CPUs). Results are
+	// identical for any value whenever the search completes, and only
+	// such results are cached, so this never affects caching.
+	Workers int `json:"workers,omitempty"`
+	// Decompose requests connected-component decomposition in exact
+	// mode: disconnected sub-problems solve independently, hit the cache
+	// per component, and reassemble. Both answers satisfy the constraints,
+	// but their codes may differ and the assembled width can exceed the
+	// monolithic minimum, so the resolved choice (this field or the server
+	// default, for decomposable sets) is part of the cache identity.
 	Decompose bool `json:"decompose,omitempty"`
-	// Backend selects the exact-mode covering engine: "bb" or "sat";
-	// empty means the server default.
+	// Backend selects the exact-mode covering engine: "bb"
+	// (branch-and-bound) or "sat" (CNF/DPLL); empty means the server
+	// default. Both prove the same optimum but may return different
+	// minimum covers, so the backend is part of the cache identity.
 	Backend string `json:"backend,omitempty"`
 }
 
 // PipelineRequest is the body of POST /v1/pipeline.
 type PipelineRequest struct {
-	Kiss           string `json:"kiss"`
-	Strategy       string `json:"strategy,omitempty"`
-	MinimizeStates bool   `json:"minimize_states,omitempty"`
-	TimeoutMS      int    `json:"timeout_ms,omitempty"`
-	Workers        int    `json:"workers,omitempty"`
+	// Kiss is the machine in KISS2 format.
+	Kiss string `json:"kiss"`
+	// Strategy selects the encoder: exact (default), heuristic, anneal
+	// or nova.
+	Strategy string `json:"strategy,omitempty"`
+	// MinimizeStates state-minimizes the machine before synthesis.
+	MinimizeStates bool `json:"minimize_states,omitempty"`
+	// TimeoutMS and Workers behave exactly as in EncodeRequest.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
+	Workers   int `json:"workers,omitempty"`
 }
 
-// CostBreakdown mirrors the heuristic mode's evaluated metrics.
+// PipelineReport is the per-stage report of one synthesis pipeline run:
+// machine sizes, constraint counts, the encoding, the two-level cover, the
+// emitted BLIF and the replay verdict.
+type PipelineReport = pipeline.Report
+
+// CostBreakdown is the heuristic mode's evaluated metric breakdown.
 type CostBreakdown struct {
 	Violations int `json:"violations"`
 	Cubes      int `json:"cubes"`
@@ -72,28 +111,64 @@ type CostBreakdown struct {
 }
 
 // EncodeResult is a successful solve answer: the mode-independent result
-// plus the service's delivery metadata. Pipeline reports stay raw JSON —
-// their schema belongs to internal/pipeline and is documented in
-// docs/openapi.yaml.
+// plus the service's delivery metadata (Cached, Coalesced, ElapsedMS and
+// TraceID), which describe how this one answer was delivered.
 type EncodeResult struct {
-	Mode      string            `json:"mode"`
-	Feasible  bool              `json:"feasible"`
-	Bits      int               `json:"bits"`
-	Codes     map[string]string `json:"codes,omitempty"`
-	Text      string            `json:"text,omitempty"`
-	Optimal   bool              `json:"optimal,omitempty"`
-	Cost      *CostBreakdown    `json:"cost,omitempty"`
-	Uncovered []string          `json:"uncovered,omitempty"`
-	Pipeline  json.RawMessage   `json:"pipeline,omitempty"`
+	Mode     string `json:"mode"`
+	Feasible bool   `json:"feasible"`
+	Bits     int    `json:"bits"`
+	// Codes maps each symbol to its binary code string (empty in
+	// feasible mode). encoding/json emits map keys sorted, so the
+	// serialized form is deterministic.
+	Codes map[string]string `json:"codes,omitempty"`
+	// Text is the canonical "sym = code" rendering, byte-identical to
+	// what the library's Encoding.String returns.
+	Text string `json:"text,omitempty"`
+	// Optimal reports whether exact mode proved minimality (false when
+	// the budget truncated the covering search to its incumbent).
+	Optimal bool `json:"optimal,omitempty"`
+	// Cost is the heuristic mode's evaluated metric breakdown.
+	Cost *CostBreakdown `json:"cost,omitempty"`
+	// Uncovered lists the unsatisfiable initial dichotomies in feasible
+	// mode when the verdict is negative.
+	Uncovered []string `json:"uncovered,omitempty"`
+	// Pipeline is the full per-stage report in pipeline mode.
+	Pipeline *PipelineReport `json:"pipeline,omitempty"`
 
-	Cached    bool    `json:"cached"`
+	// Cached reports the result came from the service's result cache
+	// without solving.
+	Cached bool `json:"cached"`
+	// Coalesced reports this request attached to an identical in-flight
+	// solve rather than running its own.
 	Coalesced bool    `json:"coalesced"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-	TraceID   uint64  `json:"trace_id,omitempty"`
+	// TraceID names the solve's retained stage trace, fetchable from
+	// GET /v1/trace/{id}; a synchronous answer from the cache or from
+	// another request's solve carries none.
+	TraceID uint64 `json:"trace_id,omitempty"`
 }
+
+// Error codes of ErrorBody.Code. The code is the machine-readable
+// contract: messages may be reworded, codes may only be added.
+const (
+	CodeBadRequest         = "bad_request"         // 400: malformed body, unknown fields, invalid knobs
+	CodeCredentialRequired = "credential_required" // 401: endpoint needs a tenant credential
+	CodeNotFound           = "not_found"           // 404: unknown job or trace id
+	CodeMethodNotAllowed   = "method_not_allowed"  // 405
+	CodeInfeasible         = "infeasible"          // 422: constraints admit no encoding
+	CodeOverloaded         = "overloaded"          // 429: queue or job store full — global backpressure
+	CodeQuotaExhausted     = "quota_exhausted"     // 429: this tenant's quota, not the server's capacity
+	CodeInternal           = "internal"            // 500: panic, verification failure, replay divergence
+	CodeDraining           = "draining"            // 503: shutdown in progress
+	CodeCanceled           = "canceled"            // 503: solve aborted by forced shutdown
+	CodeTimeout            = "timeout"             // 504: solve budget exceeded
+)
 
 // ErrorBody is the service's versioned error shape, shared by every v1
 // endpoint: {"error":{"code","message","retry_after_s","conflict"}}.
+// Conflict carries the minimal infeasible constraint subset (one
+// constraint per line, re-parseable by ParseString) when the solver could
+// compute one.
 type ErrorBody struct {
 	Code        string   `json:"code"`
 	Message     string   `json:"message"`
@@ -123,7 +198,7 @@ func (e *RemoteError) Error() string {
 
 // Unwrap maps the error code back to the library's sentinel errors.
 func (e *RemoteError) Unwrap() error {
-	if e.Body.Code != "infeasible" {
+	if e.Body.Code != CodeInfeasible {
 		return nil
 	}
 	ie := &InfeasibleError{}
@@ -135,15 +210,20 @@ func (e *RemoteError) Unwrap() error {
 	return ie
 }
 
-// BatchRequest is the body of POST /v1/encode/batch: N constraint-solve
-// items under one shared budget.
+// BatchRequest is the body of POST /v1/encode/batch: N independent
+// constraint-solve items under one shared budget. The items leave their
+// TimeoutMS at 0: the batch owns the budget, so one slow item cannot
+// silently extend its siblings'.
 type BatchRequest struct {
-	Items     []EncodeRequest `json:"items"`
-	TimeoutMS int             `json:"timeout_ms,omitempty"`
+	Items []EncodeRequest `json:"items"`
+	// TimeoutMS is the whole batch's solve budget; 0 means the server
+	// default, clamped to the server maximum.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// BatchItemResult is one item's outcome; exactly one of Result and Error
-// is set.
+// BatchItemResult is one item's outcome. Exactly one of Result and Error
+// is set; Status is the HTTP status the item would have received from
+// POST /v1/encode.
 type BatchItemResult struct {
 	Index  int           `json:"index"`
 	Status int           `json:"status"`
@@ -161,35 +241,35 @@ func (it *BatchItemResult) Err() error {
 	return &RemoteError{Status: it.Status, Body: *it.Error}
 }
 
-// BatchResult is the batch answer. Per-item failures live inside Items;
-// the batch call itself only fails when the whole request was rejected.
+// BatchResult is the batch answer. The batch succeeds whenever it was
+// well-formed; per-item failures (including infeasibility) live inside
+// Items and never fail their siblings.
 type BatchResult struct {
 	Items []BatchItemResult `json:"items"`
-	// UniqueItems counts distinct canonical problems dispatched; Deduped
-	// counts items answered by an identical sibling in the same batch.
-	UniqueItems int     `json:"unique_items"`
-	Deduped     int     `json:"deduped"`
-	TraceID     uint64  `json:"trace_id,omitempty"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
+	// UniqueItems counts the distinct canonical problems the batch
+	// dispatched; Deduped counts the items answered by an identical
+	// sibling (UniqueItems + Deduped + parse failures = len(Items)).
+	UniqueItems int `json:"unique_items"`
+	Deduped     int `json:"deduped"`
+	// TraceID names the batch's parent trace entry; every item entry
+	// links back to it via its parent field.
+	TraceID   uint64  `json:"trace_id,omitempty"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// JobState is a job's lifecycle state as rendered by the service.
-type JobState string
+// JobState is a job's lifecycle state; Terminal reports whether it is
+// final.
+type JobState = jobs.State
 
 // The job lifecycle: queued → running → done/failed/cancelled. A job
 // answered from the result cache may go queued → done without running.
 const (
-	JobQueued    JobState = "queued"
-	JobRunning   JobState = "running"
-	JobDone      JobState = "done"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
+	JobQueued    = jobs.Queued
+	JobRunning   = jobs.Running
+	JobDone      = jobs.Done
+	JobFailed    = jobs.Failed
+	JobCancelled = jobs.Cancelled
 )
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
 
 // JobRequest is the body of POST /v1/jobs: exactly one of Encode or
 // Pipeline names the workload. The workload's TimeoutMS bounds the solve
@@ -200,8 +280,10 @@ type JobRequest struct {
 	Pipeline *PipelineRequest `json:"pipeline,omitempty"`
 }
 
-// Job is one job's rendered state. Result is set only in state "done";
-// Error only in "failed" and "cancelled".
+// Job is one job's rendered state: the body of the submit (202), poll and
+// cancel answers. Result is set only in state "done" and has the shape of
+// the synchronous answer; Error only in "failed" and "cancelled", carrying
+// the error body the synchronous path would have returned.
 type Job struct {
 	ID       string        `json:"id"`
 	Kind     string        `json:"kind"`
@@ -224,7 +306,7 @@ func (j *Job) Err() error {
 	case JobCancelled:
 		status = http.StatusServiceUnavailable
 	case JobFailed:
-		if j.Error.Code == "timeout" {
+		if j.Error.Code == CodeTimeout {
 			status = http.StatusGatewayTimeout
 		}
 	}

@@ -5,11 +5,16 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/encodingapi"
+	"repro/internal/corpus"
+	"repro/internal/jobs"
+	"repro/internal/pipeline"
 	"repro/internal/server"
 )
 
@@ -158,6 +163,60 @@ func TestClientJobLifecycle(t *testing.T) {
 	if err != nil || after.State != encodingapi.JobDone {
 		t.Fatalf("Cancel after done: %+v, %v", after, err)
 	}
+}
+
+// TestClientPipelineTypedReport: the typed report Client.Pipeline decodes
+// is pipeline.Run's report on the same corpus machine, and a pipeline job
+// settles in jobs.Done with the same typed report.
+func TestClientPipelineTypedReport(t *testing.T) {
+	const dir = "../testdata/corpus"
+	machines, err := corpus.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := corpus.Find(machines, "dk27")
+	if !ok {
+		t.Fatal("corpus machine dk27 missing")
+	}
+	text, err := os.ReadFile(filepath.Join(dir, m.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := pipeline.Run(ctx, m.FSM, pipeline.Options{})
+	if err != nil {
+		t.Fatalf("pipeline.Run: %v", err)
+	}
+
+	c := startService(t, server.Config{})
+	res, err := c.Pipeline(ctx, encodingapi.PipelineRequest{Kiss: string(text)})
+	if err != nil {
+		t.Fatalf("Pipeline: %v", err)
+	}
+	check := func(label string, rep *encodingapi.PipelineReport) {
+		t.Helper()
+		if rep == nil || rep.Replay == nil {
+			t.Fatalf("%s: no typed report or replay verdict: %+v", label, rep)
+		}
+		if rep.Strategy != want.Strategy || rep.Bits != want.Bits || rep.Replay.OK != want.Replay.OK || !rep.Replay.OK {
+			t.Fatalf("%s: strategy %q, %d bits, replay ok %v; pipeline.Run says %q, %d bits, replay ok %v",
+				label, rep.Strategy, rep.Bits, rep.Replay.OK, want.Strategy, want.Bits, want.Replay.OK)
+		}
+	}
+	check("sync", res.Pipeline)
+
+	job, err := c.Submit(ctx, encodingapi.JobRequest{Pipeline: &encodingapi.PipelineRequest{Kiss: string(text)}})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	done, err := c.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if done.State != jobs.Done || done.Result == nil {
+		t.Fatalf("job: state %s, result %v (err %v)", done.State, done.Result, done.Err())
+	}
+	check("job", done.Result.Pipeline)
 }
 
 func TestClientJobNotFoundAndTenantIsolation(t *testing.T) {

@@ -102,54 +102,17 @@ func Split(cs *constraint.Set) (*Plan, error) {
 	if !Decomposable(cs) {
 		return nil, fmt.Errorf("decomp: set with chain or non-face constraints is not decomposable")
 	}
-	n := cs.N()
-	uf := newUnionFind(n)
-	for _, f := range cs.Faces {
-		unionSet(uf, f.Members)
+	// Each local table interns its symbols in ascending global order.
+	compOf, count := components(cs)
+	comps := make([]*Component, count)
+	for ci := range comps {
+		comps[ci] = &Component{Index: ci, Set: constraint.NewSet(nil), globalSyms: cs.Syms}
 	}
-	for _, d := range cs.Dominances {
-		uf.union(d.Big, d.Small)
-	}
-	for _, d := range cs.Disjunctives {
-		for _, c := range d.Children {
-			uf.union(d.Parent, c)
-		}
-	}
-	for _, e := range cs.ExtDisjunctives {
-		for _, conj := range e.Conjunctions {
-			for _, c := range conj {
-				uf.union(e.Parent, c)
-			}
-		}
-	}
-	for _, d := range cs.Distance2s {
-		uf.union(d.A, d.B)
-	}
-
-	// Number components by smallest member, and build the local index map.
-	compOf := make([]int, n)  // global symbol -> component index
-	localOf := make([]int, n) // global symbol -> local index
-	var comps []*Component
-	rootComp := make(map[int]int, n)
-	for s := 0; s < n; s++ {
-		r := uf.find(s)
-		ci, ok := rootComp[r]
-		if !ok {
-			ci = len(comps)
-			rootComp[r] = ci
-			comps = append(comps, &Component{Index: ci, globalSyms: cs.Syms})
-		}
+	localOf := make([]int, len(compOf)) // global symbol -> local index
+	for g, ci := range compOf {
 		c := comps[ci]
-		compOf[s] = ci
-		localOf[s] = len(c.GlobalOf)
-		c.GlobalOf = append(c.GlobalOf, s)
-	}
-	for _, c := range comps {
-		t := sym.NewTable()
-		for _, g := range c.GlobalOf {
-			t.Intern(cs.Syms.Name(g))
-		}
-		c.Set = constraint.NewSet(t)
+		localOf[g] = c.Set.Syms.Intern(cs.Syms.Name(g))
+		c.GlobalOf = append(c.GlobalOf, g)
 	}
 
 	// Route every constraint to its first symbol's component. Face
@@ -194,14 +157,51 @@ func (p *Plan) ForcedInfeasible(ctx context.Context) *core.InfeasibleError {
 // validation. Intended for reporting (benchmark tables, stats), not
 // solving.
 func Count(cs *constraint.Set) int {
-	if !Decomposable(cs) {
+	if !Decomposable(cs) || cs.Validate() != nil {
 		return 1
 	}
-	plan, err := Split(cs)
-	if err != nil {
-		return 1
+	_, count := components(cs)
+	return count
+}
+
+// components numbers the connected components of a valid, decomposable
+// set's symbol graph by their smallest member: compOf[s] is symbol s's
+// component, and count is the number of components.
+func components(cs *constraint.Set) (compOf []int, count int) {
+	n := cs.N()
+	uf := newUnionFind(n)
+	for _, f := range cs.Faces {
+		unionSet(uf, f.Members)
 	}
-	return len(plan.Components)
+	for _, d := range cs.Dominances {
+		uf.union(d.Big, d.Small)
+	}
+	for _, d := range cs.Disjunctives {
+		for _, c := range d.Children {
+			uf.union(d.Parent, c)
+		}
+	}
+	for _, e := range cs.ExtDisjunctives {
+		for _, conj := range e.Conjunctions {
+			for _, c := range conj {
+				uf.union(e.Parent, c)
+			}
+		}
+	}
+	for _, d := range cs.Distance2s {
+		uf.union(d.A, d.B)
+	}
+	compOf = make([]int, n)
+	rootComp := make([]int, n) // root symbol -> component index + 1
+	for s := 0; s < n; s++ {
+		r := uf.find(s)
+		if rootComp[r] == 0 {
+			count++
+			rootComp[r] = count
+		}
+		compOf[s] = rootComp[r] - 1
+	}
+	return compOf, count
 }
 
 // unionFind is a plain union-by-size disjoint-set forest with path halving.

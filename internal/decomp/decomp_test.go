@@ -3,6 +3,7 @@ package decomp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -305,6 +306,33 @@ func TestSimplifyDedupe(t *testing.T) {
 	}
 	if !sub.Faces[0].DontCare.IsEmpty() {
 		t.Error("kept the weaker (don't-care-superset) face")
+	}
+}
+
+// TestSimplifyKeysWholeIndices: dedupe keys must tell apart symbol
+// indices that agree in their low 16 bits. s0 = s1 | s2 and
+// s65536 = s65537 | s65538 (and their extended-disjunctive twins) are
+// distinct constraints, and dropping either one loses a solution
+// constraint.
+func TestSimplifyKeysWholeIndices(t *testing.T) {
+	const n = 1<<16 + 3
+	cs := constraint.NewSet(nil)
+	for i := 0; i < n; i++ {
+		cs.Syms.Intern(fmt.Sprintf("s%d", i))
+	}
+	const hi = 1 << 16
+	cs.Disjunctives = []constraint.Disjunctive{
+		{Parent: 0, Children: []int{1, 2}},
+		{Parent: hi, Children: []int{hi + 1, hi + 2}},
+	}
+	cs.ExtDisjunctives = []constraint.ExtDisjunctive{
+		{Parent: 0, Conjunctions: [][]int{{1, 2}, {2}}},
+		{Parent: hi, Conjunctions: [][]int{{hi + 1, hi + 2}, {hi + 2}}},
+	}
+	simplify(cs)
+	if len(cs.Disjunctives) != 2 || len(cs.ExtDisjunctives) != 2 {
+		t.Fatalf("after simplify: %d disjunctives and %d extended disjunctives, want 2 each",
+			len(cs.Disjunctives), len(cs.ExtDisjunctives))
 	}
 }
 

@@ -9,6 +9,7 @@ package decomp
 import (
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/constraint"
 )
@@ -120,11 +121,18 @@ func dedupeDisjunctives(s *constraint.Set) (singleChild bool) {
 func disjKey(parent int, children []int) string {
 	sorted := append([]int(nil), children...)
 	sort.Ints(sorted)
-	key := []byte{byte(parent), byte(parent >> 8), ':'}
+	key := appendIndex(nil, parent, ':')
 	for _, c := range sorted {
-		key = append(key, byte(c), byte(c>>8), ',')
+		key = appendIndex(key, c, ',')
 	}
 	return string(key)
+}
+
+// appendIndex appends symbol index x in decimal, then sep. Dedupe keys
+// spell out whole indices: a fixed-width truncation would give distinct
+// constraints one key, and the dedupe would drop one of them.
+func appendIndex(key []byte, x int, sep byte) []byte {
+	return append(strconv.AppendInt(key, int64(x), 10), sep)
 }
 
 func dedupeExtDisjunctives(es []constraint.ExtDisjunctive) []constraint.ExtDisjunctive {
@@ -140,10 +148,10 @@ func dedupeExtDisjunctives(es []constraint.ExtDisjunctive) []constraint.ExtDisju
 			conjs[i] = c
 		}
 		sort.Slice(conjs, func(a, b int) bool { return slices.Compare(conjs[a], conjs[b]) < 0 })
-		key := []byte{byte(e.Parent), byte(e.Parent >> 8), ':'}
+		key := appendIndex(nil, e.Parent, ':')
 		for _, c := range conjs {
 			for _, x := range c {
-				key = append(key, byte(x), byte(x>>8), ',')
+				key = appendIndex(key, x, ',')
 			}
 			key = append(key, ';')
 		}

@@ -17,6 +17,7 @@ package gpi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -291,21 +292,9 @@ func SelectEncodableCover(f *Function, gpis []GPI, opts cover.Options) ([]int, *
 		}
 		sel = append(sel, bestG)
 	}
-	sel = dedupeInts(sel)
+	slices.Sort(sel)
+	sel = slices.Compact(sel)
 	return sel, Constraints(f, gpis, sel), nil
-}
-
-func dedupeInts(xs []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Constraints emits the extended disjunctive constraints induced by a
@@ -337,7 +326,7 @@ func Constraints(f *Function, gpis []GPI, selected []int) *constraint.Set {
 		if trivial || len(conjs) == 0 {
 			continue
 		}
-		sort.Slice(conjs, func(i, j int) bool { return lessIntSlice(conjs[i], conjs[j]) })
+		sort.Slice(conjs, func(i, j int) bool { return slices.Compare(conjs[i], conjs[j]) < 0 })
 		k := fmt.Sprintf("%d|%v", m.Symbol, conjs)
 		if seen[k] {
 			continue
@@ -355,15 +344,6 @@ func Constraints(f *Function, gpis []GPI, selected []int) *constraint.Set {
 		})
 	}
 	return cs
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // VerifyCover checks the defining property of a GPI selection under an

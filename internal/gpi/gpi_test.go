@@ -237,15 +237,6 @@ func TestGPIString(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if got := dedupeInts([]int{3, 1, 3, 2, 1}); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("dedupeInts = %v", got)
-	}
-	if !lessIntSlice([]int{1, 2}, []int{1, 3}) || lessIntSlice([]int{1, 3}, []int{1, 2}) {
-		t.Fatal("lessIntSlice ordering wrong")
-	}
-	if !lessIntSlice([]int{1}, []int{1, 0}) {
-		t.Fatal("prefix must order first")
-	}
 	if joinComma([]string{"a", "b"}) != "a,b" || joinComma(nil) != "" {
 		t.Fatal("joinComma wrong")
 	}

@@ -99,8 +99,6 @@ type Options struct {
 	// AnnealSeed seeds the annealing strategy; 0 means 1. Fixed seeds
 	// keep anneal rows reproducible.
 	AnnealSeed int64
-	// SkipVerify drops the replay stage (the report's Replay is zero).
-	SkipVerify bool
 }
 
 // The replay check compares DefaultVerifySequences random defined-input
@@ -244,26 +242,24 @@ func Run(ctx context.Context, m *fsm.FSM, opts Options) (*Report, error) {
 	// verify: parse the emitted netlist back and replay it against the
 	// symbolic machine. A divergence is reported in Replay, not as an
 	// error: the report (with the offending netlist) is the evidence.
-	if !opts.SkipVerify {
-		if err := stage("verify", func() error {
-			rep.Replay = &ReplayResult{
-				Sequences: DefaultVerifySequences,
-				Length:    DefaultVerifyLength,
-			}
-			nl, err := blif.ParseString(rep.BLIF)
-			if err != nil {
-				rep.Replay.Error = err.Error()
-				return nil
-			}
-			if err := sim.ReplayNetlist(m, nl, DefaultVerifySequences, DefaultVerifyLength, replaySeed); err != nil {
-				rep.Replay.Error = err.Error()
-				return nil
-			}
-			rep.Replay.OK = true
-			return nil
-		}); err != nil {
-			return rep, err
+	if err := stage("verify", func() error {
+		rep.Replay = &ReplayResult{
+			Sequences: DefaultVerifySequences,
+			Length:    DefaultVerifyLength,
 		}
+		nl, err := blif.ParseString(rep.BLIF)
+		if err != nil {
+			rep.Replay.Error = err.Error()
+			return nil
+		}
+		if err := sim.ReplayNetlist(m, nl, DefaultVerifySequences, DefaultVerifyLength, replaySeed); err != nil {
+			rep.Replay.Error = err.Error()
+			return nil
+		}
+		rep.Replay.OK = true
+		return nil
+	}); err != nil {
+		return rep, err
 	}
 	return rep, nil
 }

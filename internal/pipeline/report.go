@@ -43,7 +43,8 @@ type Report struct {
 	// BLIF is the emitted netlist text.
 	BLIF string `json:"blif,omitempty"`
 
-	// Replay is the end-to-end verification outcome (nil when skipped).
+	// Replay is the end-to-end verification outcome (nil only when an
+	// earlier stage failed).
 	Replay *ReplayResult `json:"replay,omitempty"`
 
 	// Stages records per-stage wall time in pipeline order.

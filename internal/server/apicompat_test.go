@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"repro/encodingapi"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the API-compat golden file")
@@ -144,7 +146,7 @@ func TestAPICompatGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		record("job submitted", 202, marshalShape(canonicalShape(v)))
-		var jv jobView
+		var jv encodingapi.Job
 		if err := json.Unmarshal(data, &jv); err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +160,7 @@ func TestAPICompatGolden(t *testing.T) {
 	{
 		release := make(chan struct{})
 		started := make(chan struct{}, 1)
-		s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+		s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 			started <- struct{}{}
 			select {
 			case <-release:
@@ -171,7 +173,7 @@ func TestAPICompatGolden(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit: %d: %s", resp.StatusCode, data)
 		}
-		var jv jobView
+		var jv encodingapi.Job
 		if err := json.Unmarshal(data, &jv); err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +198,7 @@ func TestAPICompatGolden(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("trace batch: %d: %s", resp.StatusCode, data)
 		}
-		var out batchResponse
+		var out encodingapi.BatchResult
 		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatal(err)
 		}

@@ -6,44 +6,9 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/encodingapi"
 )
-
-// batchRequest is the JSON body of POST /v1/encode/batch: N independent
-// constraint-solve items under one shared budget. Items are
-// encodeRequests minus the per-request timeout (the batch owns the
-// budget, so one slow item cannot silently extend its siblings').
-type batchRequest struct {
-	Items []encodeRequest `json:"items"`
-	// TimeoutMS is the whole batch's solve budget; 0 means the server
-	// default, clamped to the server maximum.
-	TimeoutMS int `json:"timeout_ms"`
-}
-
-// batchItemResult is one item's outcome. Exactly one of Result and Error
-// is set; Status is the HTTP status the item would have received from
-// POST /v1/encode.
-type batchItemResult struct {
-	Index  int             `json:"index"`
-	Status int             `json:"status"`
-	Result *encodeResponse `json:"result,omitempty"`
-	Error  *errorBody      `json:"error,omitempty"`
-}
-
-// batchResponse is the body of a 200 batch answer. The batch itself
-// succeeds whenever it was well-formed; per-item failures (including
-// infeasibility) live inside Items and never fail their siblings.
-type batchResponse struct {
-	Items []batchItemResult `json:"items"`
-	// UniqueItems counts the distinct canonical problems the batch
-	// dispatched; Deduped counts the items answered by an identical
-	// sibling (UniqueItems + Deduped + parse failures = len(Items)).
-	UniqueItems int `json:"unique_items"`
-	Deduped     int `json:"deduped"`
-	// TraceID names the batch's parent trace entry; every item entry
-	// links back to it via its parent field.
-	TraceID   uint64  `json:"trace_id,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
 
 // handleBatch serves POST /v1/encode/batch. Items are parsed
 // individually (a malformed item fails that item, not the batch), deduped
@@ -60,22 +25,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	dec := newBodyDecoder(w, r, s.cfg.MaxBodyBytes)
-	var body batchRequest
+	var body encodingapi.BatchRequest
 	if err := dec.Decode(&body); err != nil {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, fmt.Sprintf("decoding request: %v", err)))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, fmt.Sprintf("decoding request: %v", err)))
 		return
 	}
 	if len(body.Items) == 0 {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, "batch needs at least one item"))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, "batch needs at least one item"))
 		return
 	}
 	if len(body.Items) > s.cfg.MaxBatchItems {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest,
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest,
 			fmt.Sprintf("batch has %d items, limit is %d", len(body.Items), s.cfg.MaxBatchItems)))
 		return
 	}
 	if body.TimeoutMS < 0 {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, "timeout_ms must be non-negative"))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, "timeout_ms must be non-negative"))
 		return
 	}
 	s.metrics.BatchRequests.Add(1)
@@ -88,13 +53,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range body.Items {
 		it := &body.Items[i]
 		if it.TimeoutMS != 0 {
-			itemErrs[i] = apiErr(http.StatusBadRequest, codeBadRequest,
+			itemErrs[i] = apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest,
 				"timeout_ms is per-batch: set it at the top level, not on items")
 			continue
 		}
 		sreq, err := s.parseRequest(it)
 		if err != nil {
-			itemErrs[i] = apiErr(http.StatusBadRequest, codeBadRequest, err.Error())
+			itemErrs[i] = apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, err.Error())
 			continue
 		}
 		parsed[i] = sreq
@@ -130,7 +95,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	type outcome struct {
-		res       *solveResult
+		res       *encodingapi.EncodeResult
 		meta      execMeta
 		err       error
 		elapsedMS float64 // this item's own wall-clock, not the batch's
@@ -148,22 +113,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res, meta, err := s.execute(ctx, sreq, tenant, parentID, true)
 			outs[i] = &outcome{
 				res: res, meta: meta, err: err,
-				elapsedMS: float64(time.Since(itemStart).Microseconds()) / 1000,
+				elapsedMS: sinceMS(itemStart),
 			}
 		}(i, sreq)
 	}
 	wg.Wait()
 
-	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
-	resp := batchResponse{
-		Items:       make([]batchItemResult, len(parsed)),
+	resp := encodingapi.BatchResult{
+		Items:       make([]encodingapi.BatchItemResult, len(parsed)),
 		UniqueItems: len(leaderOf),
 		Deduped:     deduped,
 		TraceID:     parentID,
-		ElapsedMS:   elapsedMS,
+		ElapsedMS:   sinceMS(start),
 	}
 	for i := range parsed {
-		item := batchItemResult{Index: i}
+		item := encodingapi.BatchItemResult{Index: i}
 		switch {
 		case itemErrs[i] != nil:
 			item.Status = itemErrs[i].status
@@ -184,39 +148,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// solved already have one; cache hits, coalesced followers
 			// and in-batch duplicates get a stub entry whose parent and
 			// origin say where the answer came from.
-			traceID := out.meta.traceID
-			if dup || traceID == 0 {
+			meta := out.meta
+			if dup || meta.traceID == 0 {
 				origin := "cache"
 				switch {
 				case dup:
 					origin = "duplicate"
-				case out.meta.coalesced:
+				case meta.coalesced:
 					origin = "coalesced"
 				}
-				traceID = s.traces.add(&traceEntry{
+				meta.traceID = s.traces.add(&traceEntry{
 					Mode:   parsed[i].mode,
 					Parent: parentID,
 					Origin: origin,
 					Start:  start,
 				})
 			}
+			meta.coalesced = meta.coalesced || dup
 			// ElapsedMS is the item's own latency (duplicates report their
 			// leader's — the time the answer actually took to produce);
 			// the top-level ElapsedMS carries the batch wall-clock.
 			item.Status = http.StatusOK
-			item.Result = &encodeResponse{
-				solveResult: *out.res,
-				Cached:      out.meta.cached,
-				Coalesced:   out.meta.coalesced || dup,
-				ElapsedMS:   out.elapsedMS,
-				TraceID:     traceID,
-			}
+			item.Result = meta.deliver(out.res, out.elapsedMS)
 		}
 		resp.Items[i] = item
 	}
 
 	s.traces.complete(parentID, func(e *traceEntry) {
-		e.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+		e.ElapsedMS = sinceMS(start)
 	})
 	s.metrics.OK.Add(1)
 	writeJSON(w, http.StatusOK, resp)

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/encodingapi"
 )
 
 // postJSON posts a JSON body to an arbitrary path with optional tenant key.
@@ -63,7 +65,7 @@ func TestBatchDedupesToOneSolvePerUniqueProblem(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	var out batchResponse
+	var out encodingapi.BatchResult
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +113,12 @@ func TestBatchPartialFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	var out batchResponse
+	var out encodingapi.BatchResult
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	wantStatus := []int{http.StatusOK, http.StatusUnprocessableEntity, http.StatusBadRequest, http.StatusBadRequest}
-	wantCode := []string{"", codeInfeasible, codeBadRequest, codeBadRequest}
+	wantCode := []string{"", encodingapi.CodeInfeasible, encodingapi.CodeBadRequest, encodingapi.CodeBadRequest}
 	for i, it := range out.Items {
 		if it.Status != wantStatus[i] {
 			t.Fatalf("item %d: status = %d, want %d (error %+v)", i, it.Status, wantStatus[i], it.Error)
@@ -161,7 +163,7 @@ func TestBatchValidation(t *testing.T) {
 				t.Fatalf("status = %d, want %d: %s", resp.StatusCode, tc.status, data)
 			}
 			var er errorResponse
-			if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != codeBadRequest {
+			if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != encodingapi.CodeBadRequest {
 				t.Fatalf("error body = %s (%v)", data, err)
 			}
 		})
@@ -174,11 +176,11 @@ func TestBatchValidation(t *testing.T) {
 func TestAsyncJobMatchesSync(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheEntries: -1})
 
-	resp, syncData := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+	resp, syncData := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync status = %d: %s", resp.StatusCode, syncData)
 	}
-	var sync encodeResponse
+	var sync encodingapi.EncodeResult
 	if err := json.Unmarshal(syncData, &sync); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestAsyncJobMatchesSync(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202: %s", resp.StatusCode, data)
 	}
-	var submitted jobView
+	var submitted encodingapi.Job
 	if err := json.Unmarshal(data, &submitted); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestAsyncJobMatchesSync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("poll status = %d: %s", resp.StatusCode, data)
 	}
-	var done jobView
+	var done encodingapi.Job
 	if err := json.Unmarshal(data, &done); err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +229,11 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
-			return &solveResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
+			return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -240,7 +242,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 
 	// Occupy the worker with a sync request. Plain http in the goroutine:
 	// t.Fatalf may only be called from the test goroutine.
-	body := reqBody(t, encodeRequest{Constraints: feasibleText})
+	body := reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText})
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/encode", "application/json", strings.NewReader(body))
 		if err == nil {
@@ -253,7 +255,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
 	}
-	var jv jobView
+	var jv encodingapi.Job
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel = %d: %s", resp.StatusCode, data)
 	}
-	var cancelled jobView
+	var cancelled encodingapi.Job
 	if err := json.Unmarshal(data, &cancelled); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 func TestJobCancelWhileRunning(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: -1})
 	started := make(chan struct{}, 1)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -289,7 +291,7 @@ func TestJobCancelWhileRunning(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
 	}
-	var jv jobView
+	var jv encodingapi.Job
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,7 @@ func TestJobCancelWhileRunning(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel = %d: %s", resp.StatusCode, data)
 	}
-	var mid jobView
+	var mid encodingapi.Job
 	if err := json.Unmarshal(data, &mid); err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +310,11 @@ func TestJobCancelWhileRunning(t *testing.T) {
 	}
 
 	resp, data = doReq(t, ts, http.MethodGet, "/v1/jobs/"+jv.ID+"?wait=5s", "", "")
-	var final jobView
+	var final encodingapi.Job
 	if err := json.Unmarshal(data, &final); err != nil {
 		t.Fatal(err)
 	}
-	if final.State != "cancelled" || final.Error == nil || final.Error.Code != codeCanceled {
+	if final.State != "cancelled" || final.Error == nil || final.Error.Code != encodingapi.CodeCanceled {
 		t.Fatalf("final state: %+v", final)
 	}
 	if st := getStats(t, ts); st.JobsCancelled != 1 {
@@ -334,7 +336,7 @@ func TestJobIDsAreCapabilities(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
 	}
-	var jv jobView
+	var jv encodingapi.Job
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestJobIDsAreCapabilities(t *testing.T) {
 	}
 
 	var listed struct {
-		Jobs []jobView `json:"jobs"`
+		Jobs []encodingapi.Job `json:"jobs"`
 	}
 	_, data = doReq(t, ts, http.MethodGet, "/v1/jobs", "", "tenant-b")
 	if err := json.Unmarshal(data, &listed); err != nil || len(listed.Jobs) != 0 {
@@ -366,12 +368,12 @@ func TestStatsNeverRenderRawTenantCredentials(t *testing.T) {
 	_, ts := newTestServer(t, Config{TenantMaxActive: 2})
 	const secret = "super-secret-api-key"
 
-	resp, data := postJSON(t, ts, "/v1/encode", reqBody(t, encodeRequest{Constraints: feasibleText}), secret)
+	resp, data := postJSON(t, ts, "/v1/encode", reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}), secret)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("x-api-key solve = %d: %s", resp.StatusCode, data)
 	}
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/encode",
-		strings.NewReader(reqBody(t, encodeRequest{Constraints: "face m n\n"})))
+		strings.NewReader(reqBody(t, encodingapi.EncodeRequest{Constraints: "face m n\n"})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +419,7 @@ func TestJobListingRequiresCredential(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("anonymous submit = %d: %s", resp.StatusCode, data)
 	}
-	var jv jobView
+	var jv encodingapi.Job
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +429,7 @@ func TestJobListingRequiresCredential(t *testing.T) {
 		t.Fatalf("anonymous list = %d, want 401: %s", resp.StatusCode, data)
 	}
 	var er errorResponse
-	if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != codeCredentialRequired {
+	if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != encodingapi.CodeCredentialRequired {
 		t.Fatalf("error body = %s (%v)", data, err)
 	}
 
@@ -437,7 +439,7 @@ func TestJobListingRequiresCredential(t *testing.T) {
 	}
 	// Credentialed listings still work (and exclude anonymous jobs).
 	var listed struct {
-		Jobs []jobView `json:"jobs"`
+		Jobs []encodingapi.Job `json:"jobs"`
 	}
 	resp, data = doReq(t, ts, http.MethodGet, "/v1/jobs", "", "tenant-a")
 	if resp.StatusCode != http.StatusOK {
@@ -453,11 +455,11 @@ func TestJobListingRequiresCredential(t *testing.T) {
 func TestBatchPerItemElapsed(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, CacheEntries: -1})
 	const slowDelay = 150 * time.Millisecond
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		if req.primeLimit == 7 { // the marked slow item
 			time.Sleep(slowDelay)
 		}
-		return &solveResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
 	}
 
 	body := fmt.Sprintf(`{"items": [{"constraints": %q}, {"constraints": "face m n\n", "prime_limit": 7}]}`,
@@ -466,7 +468,7 @@ func TestBatchPerItemElapsed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	var out batchResponse
+	var out encodingapi.BatchResult
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -492,25 +494,25 @@ func TestTenantQuotaShedsSyncTraffic(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, CacheEntries: -1, TenantMaxActive: 1, RetryAfter: 2 * time.Second})
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return &solveResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
 	}
 	defer close(release)
 
-	go postJSON(t, ts, "/v1/encode", reqBody(t, encodeRequest{Constraints: feasibleText}), "tenant-a")
+	go postJSON(t, ts, "/v1/encode", reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}), "tenant-a")
 	<-started
 
-	resp, data := postJSON(t, ts, "/v1/encode", reqBody(t, encodeRequest{Constraints: "face p q\n"}), "tenant-a")
+	resp, data := postJSON(t, ts, "/v1/encode", reqBody(t, encodingapi.EncodeRequest{Constraints: "face p q\n"}), "tenant-a")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("same-tenant second solve = %d, want 429: %s", resp.StatusCode, data)
 	}
 	var er errorResponse
-	if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != codeQuotaExhausted {
+	if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != encodingapi.CodeQuotaExhausted {
 		t.Fatalf("error body = %s (%v)", data, err)
 	}
 	if resp.Header.Get("Retry-After") == "" || er.Error.RetryAfterS <= 0 {
@@ -520,7 +522,7 @@ func TestTenantQuotaShedsSyncTraffic(t *testing.T) {
 	// A different tenant is admitted (its solve just parks on the pool).
 	otherDone := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts, "/v1/encode", reqBody(t, encodeRequest{Constraints: "face m n\n"}), "tenant-b")
+		resp, _ := postJSON(t, ts, "/v1/encode", reqBody(t, encodingapi.EncodeRequest{Constraints: "face m n\n"}), "tenant-b")
 		otherDone <- resp.StatusCode
 	}()
 	<-started
@@ -546,13 +548,13 @@ func TestTenantJobQuota(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: -1, TenantMaxJobs: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return &solveResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
 	}
 	defer close(release)
 
@@ -561,7 +563,7 @@ func TestTenantJobQuota(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit = %d: %s", resp.StatusCode, data)
 	}
-	var first jobView
+	var first encodingapi.Job
 	if err := json.Unmarshal(data, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +574,7 @@ func TestTenantJobQuota(t *testing.T) {
 		t.Fatalf("second submit = %d, want 429: %s", resp.StatusCode, data)
 	}
 	var er errorResponse
-	if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != codeQuotaExhausted {
+	if err := json.Unmarshal(data, &er); err != nil || er.Error.Code != encodingapi.CodeQuotaExhausted {
 		t.Fatalf("error body = %s (%v)", data, err)
 	}
 
@@ -593,18 +595,18 @@ func TestErrorShapeTable(t *testing.T) {
 		status                   int
 		code                     string
 	}{
-		{"encode bad json", http.MethodPost, "/v1/encode", "{", http.StatusBadRequest, codeBadRequest},
-		{"encode infeasible", http.MethodPost, "/v1/encode", fmt.Sprintf(`{"constraints": %q}`, infeasibleText), http.StatusUnprocessableEntity, codeInfeasible},
-		{"encode bad method", http.MethodGet, "/v1/encode", "", http.StatusMethodNotAllowed, codeMethodNotAllowed},
-		{"batch bad json", http.MethodPost, "/v1/encode/batch", "{", http.StatusBadRequest, codeBadRequest},
-		{"pipeline bad json", http.MethodPost, "/v1/pipeline", "{", http.StatusBadRequest, codeBadRequest},
-		{"jobs bad method", http.MethodDelete, "/v1/jobs", "", http.StatusMethodNotAllowed, codeMethodNotAllowed},
-		{"jobs anonymous list", http.MethodGet, "/v1/jobs", "", http.StatusUnauthorized, codeCredentialRequired},
-		{"jobs missing workload", http.MethodPost, "/v1/jobs", "{}", http.StatusBadRequest, codeBadRequest},
-		{"jobs both workloads", http.MethodPost, "/v1/jobs", fmt.Sprintf(`{"encode": {"constraints": %q}, "pipeline": {"kiss": "x"}}`, feasibleText), http.StatusBadRequest, codeBadRequest},
-		{"job unknown id", http.MethodGet, "/v1/jobs/j-missing", "", http.StatusNotFound, codeNotFound},
-		{"job bad method", http.MethodPut, "/v1/jobs/j-missing", "", http.StatusNotFound, codeNotFound},
-		{"trace unknown id", http.MethodGet, "/v1/trace/999999", "", http.StatusNotFound, codeNotFound},
+		{"encode bad json", http.MethodPost, "/v1/encode", "{", http.StatusBadRequest, encodingapi.CodeBadRequest},
+		{"encode infeasible", http.MethodPost, "/v1/encode", fmt.Sprintf(`{"constraints": %q}`, infeasibleText), http.StatusUnprocessableEntity, encodingapi.CodeInfeasible},
+		{"encode bad method", http.MethodGet, "/v1/encode", "", http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed},
+		{"batch bad json", http.MethodPost, "/v1/encode/batch", "{", http.StatusBadRequest, encodingapi.CodeBadRequest},
+		{"pipeline bad json", http.MethodPost, "/v1/pipeline", "{", http.StatusBadRequest, encodingapi.CodeBadRequest},
+		{"jobs bad method", http.MethodDelete, "/v1/jobs", "", http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed},
+		{"jobs anonymous list", http.MethodGet, "/v1/jobs", "", http.StatusUnauthorized, encodingapi.CodeCredentialRequired},
+		{"jobs missing workload", http.MethodPost, "/v1/jobs", "{}", http.StatusBadRequest, encodingapi.CodeBadRequest},
+		{"jobs both workloads", http.MethodPost, "/v1/jobs", fmt.Sprintf(`{"encode": {"constraints": %q}, "pipeline": {"kiss": "x"}}`, feasibleText), http.StatusBadRequest, encodingapi.CodeBadRequest},
+		{"job unknown id", http.MethodGet, "/v1/jobs/j-missing", "", http.StatusNotFound, encodingapi.CodeNotFound},
+		{"job bad method", http.MethodPut, "/v1/jobs/j-missing", "", http.StatusNotFound, encodingapi.CodeNotFound},
+		{"trace unknown id", http.MethodGet, "/v1/trace/999999", "", http.StatusNotFound, encodingapi.CodeNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -633,7 +635,7 @@ func TestNoGoroutineLeaksWithJobsOutstandingAtDrain(t *testing.T) {
 	s := New(Config{Workers: 2, CacheEntries: -1})
 	ts := httptest.NewServer(s.Handler())
 	started := make(chan struct{}, 16)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-ctx.Done() // only shutdown can end these solves
 		return nil, ctx.Err()
@@ -646,7 +648,7 @@ func TestNoGoroutineLeaksWithJobsOutstandingAtDrain(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d = %d: %s", i, resp.StatusCode, data)
 		}
-		var jv jobView
+		var jv encodingapi.Job
 		if err := json.Unmarshal(data, &jv); err != nil {
 			t.Fatal(err)
 		}
@@ -698,7 +700,7 @@ func TestJobStoreEvictionSurfacesAs404(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
 	}
-	var jv jobView
+	var jv encodingapi.Job
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +723,7 @@ func TestBatchSharesOneParentTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	var out batchResponse
+	var out encodingapi.BatchResult
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}

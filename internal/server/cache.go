@@ -3,6 +3,8 @@ package server
 import (
 	"container/list"
 	"sync"
+
+	"repro/encodingapi"
 )
 
 // resultCache is a bounded LRU of finished solve results keyed by the
@@ -11,7 +13,8 @@ import (
 // pool. Only successful, deterministic results are stored (the server never
 // caches timed-out, canceled or overloaded outcomes), so a hit is always
 // byte-identical to what a fresh solve would return. Cached results are
-// shared and never mutated.
+// shared and never mutated, and carry no delivery metadata: each response
+// renders its own copy (execMeta.deliver).
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -21,7 +24,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key requestKey
-	res *solveResult
+	res *encodingapi.EncodeResult
 }
 
 // newResultCache returns a cache bounded to capacity entries; capacity <= 0
@@ -36,7 +39,7 @@ func newResultCache(capacity int) *resultCache {
 
 // Get returns the cached result for k, if any, marking it most recently
 // used.
-func (c *resultCache) Get(k requestKey) (*solveResult, bool) {
+func (c *resultCache) Get(k requestKey) (*encodingapi.EncodeResult, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -52,7 +55,7 @@ func (c *resultCache) Get(k requestKey) (*solveResult, bool) {
 
 // Add stores res under k, evicting the least recently used entry beyond
 // capacity.
-func (c *resultCache) Add(k requestKey, res *solveResult) {
+func (c *resultCache) Add(k requestKey, res *encodingapi.EncodeResult) {
 	if c.cap <= 0 {
 		return
 	}

@@ -19,7 +19,7 @@ import (
 // A request whose components are all cached never reaches the pool: every
 // component rebuilds from its cache entry, and the result is assembled and
 // verified without a kernel solve.
-func (s *Server) solveDecomposed(ctx context.Context, sreq *solveRequest, wait bool) (*solveResult, error) {
+func (s *Server) solveDecomposed(ctx context.Context, sreq *solveRequest, wait bool) (*encodingapi.EncodeResult, error) {
 	ssp := trace.StartSpan(ctx, "server.decompose")
 	plan, err := decomp.Split(sreq.cs)
 	if err != nil {
@@ -43,7 +43,7 @@ func (s *Server) solveDecomposed(ctx context.Context, sreq *solveRequest, wait b
 	if v := encodingapi.Verify(sreq.cs, full.Encoding); len(v) != 0 {
 		return nil, fmt.Errorf("internal error: encoding failed verification: %s: %s", v[0].Kind, v[0].Detail)
 	}
-	res := &solveResult{Mode: modeExact, Feasible: true, Optimal: full.Optimal}
+	res := &encodingapi.EncodeResult{Mode: modeExact, Feasible: true, Optimal: full.Optimal}
 	fillEncoding(res, full.Encoding)
 	return res, nil
 }
@@ -74,7 +74,7 @@ func (s *Server) solveComponent(ctx context.Context, sreq *solveRequest, c *deco
 	}
 	res, err, leader := s.flights.do(ctx, key,
 		func() { s.metrics.Coalesced.Add(1) },
-		func() (*solveResult, error) { return s.runSolve(ctx, creq, wait) },
+		func() (*encodingapi.EncodeResult, error) { return s.runSolve(ctx, creq, wait) },
 	)
 	if err != nil {
 		return nil, err

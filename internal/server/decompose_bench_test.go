@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/encodingapi"
 )
 
 // benchDecomposedRequest builds a decomposed exact request over k
@@ -16,7 +18,7 @@ func benchDecomposedRequest(b *testing.B, s *Server, k int) *solveRequest {
 		fmt.Fprintf(&sb, "face g%d.a g%d.b\nface g%d.a g%d.c\nface g%d.c g%d.d\n",
 			i, i, i, i, i, i)
 	}
-	sreq, err := s.parseRequest(&encodeRequest{Constraints: sb.String(), Decompose: true})
+	sreq, err := s.parseRequest(&encodingapi.EncodeRequest{Constraints: sb.String(), Decompose: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/encodingapi"
 )
 
 func TestDecomposedEncode(t *testing.T) {
@@ -16,7 +18,7 @@ func TestDecomposedEncode(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	var out encodeResponse
+	var out encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("monolithic: %d: %s", resp.StatusCode, data)
 	}
-	var mono encodeResponse
+	var mono encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &mono); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decomposed: %d: %s", resp.StatusCode, data)
 	}
-	var dec encodeResponse
+	var dec encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &dec); err != nil {
 		t.Fatal(err)
 	}

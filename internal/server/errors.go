@@ -12,50 +12,25 @@ import (
 	"repro/internal/jobs"
 )
 
-// Error codes of the v1 error body. The code is the machine-readable
-// contract: messages may be reworded, codes may only be added.
-const (
-	codeBadRequest         = "bad_request"         // 400: malformed body, unknown fields, invalid knobs
-	codeCredentialRequired = "credential_required" // 401: endpoint needs a tenant credential
-	codeNotFound           = "not_found"           // 404: unknown job or trace id
-	codeMethodNotAllowed   = "method_not_allowed"  // 405
-	codeInfeasible         = "infeasible"          // 422: constraints admit no encoding
-	codeOverloaded         = "overloaded"          // 429: queue or job store full — global backpressure
-	codeQuotaExhausted     = "quota_exhausted"     // 429: this tenant's quota, not the server's capacity
-	codeInternal           = "internal"            // 500: panic, verification failure, replay divergence
-	codeDraining           = "draining"            // 503: shutdown in progress
-	codeCanceled           = "canceled"            // 503: solve aborted by forced shutdown
-	codeTimeout            = "timeout"             // 504: solve budget exceeded
-)
-
-// errorBody is the one versioned error shape every v1 endpoint renders,
-// wrapped as {"error": {...}}. Conflict carries the minimal infeasible
-// constraint subset (one constraint per line, re-parseable by
-// encodingapi.ParseString) when the solver could compute one.
-type errorBody struct {
-	Code        string   `json:"code"`
-	Message     string   `json:"message"`
-	RetryAfterS int64    `json:"retry_after_s,omitempty"`
-	Conflict    []string `json:"conflict,omitempty"`
-}
-
+// errorResponse is the {"error": {...}} envelope around the one versioned
+// error body every v1 endpoint renders.
 type errorResponse struct {
-	Error errorBody `json:"error"`
+	Error encodingapi.ErrorBody `json:"error"`
 }
 
-// apiError pairs an errorBody with the HTTP status that delivers it. It
+// apiError pairs an error body with the HTTP status that delivers it. It
 // implements error so the batch and job paths can carry it through
 // result channels and render it per-item.
 type apiError struct {
 	status int
-	body   errorBody
+	body   encodingapi.ErrorBody
 }
 
 func (e *apiError) Error() string { return e.body.Message }
 
 // apiErr builds a plain apiError.
 func apiErr(status int, code, msg string) *apiError {
-	return &apiError{status: status, body: errorBody{Code: code, Message: msg}}
+	return &apiError{status: status, body: encodingapi.ErrorBody{Code: code, Message: msg}}
 }
 
 // withRetry attaches a Retry-After hint (rendered both as the header and
@@ -100,28 +75,28 @@ func (s *Server) asAPIError(err error) *apiError {
 	}
 	switch {
 	case errors.Is(err, encodingapi.ErrInfeasible):
-		e := apiErr(http.StatusUnprocessableEntity, codeInfeasible, err.Error())
+		e := apiErr(http.StatusUnprocessableEntity, encodingapi.CodeInfeasible, err.Error())
 		if ie, ok := encodingapi.AsInfeasible(err); ok && ie.Conflict != nil {
 			e.body.Conflict = strings.Split(strings.TrimRight(ie.Conflict.String(), "\n"), "\n")
 		}
 		return e
 	case errors.Is(err, errOverloaded):
-		return apiErr(http.StatusTooManyRequests, codeOverloaded,
+		return apiErr(http.StatusTooManyRequests, encodingapi.CodeOverloaded,
 			"server overloaded, retry later").withRetry(s.cfg.RetryAfter)
 	case errors.Is(err, errTenantBusy):
-		return apiErr(http.StatusTooManyRequests, codeQuotaExhausted,
+		return apiErr(http.StatusTooManyRequests, encodingapi.CodeQuotaExhausted,
 			err.Error()).withRetry(s.cfg.RetryAfter)
 	case errors.Is(err, jobs.ErrStoreFull):
-		return apiErr(http.StatusTooManyRequests, codeOverloaded,
+		return apiErr(http.StatusTooManyRequests, encodingapi.CodeOverloaded,
 			"job store full, retry later").withRetry(s.cfg.RetryAfter)
 	case errors.Is(err, errPoolClosed):
-		return apiErr(http.StatusServiceUnavailable, codeDraining, "server is shutting down")
+		return apiErr(http.StatusServiceUnavailable, encodingapi.CodeDraining, "server is shutting down")
 	case errors.Is(err, context.DeadlineExceeded):
-		return apiErr(http.StatusGatewayTimeout, codeTimeout, "solve budget exceeded")
+		return apiErr(http.StatusGatewayTimeout, encodingapi.CodeTimeout, "solve budget exceeded")
 	case errors.Is(err, context.Canceled):
-		return apiErr(http.StatusServiceUnavailable, codeCanceled, "solve canceled by shutdown")
+		return apiErr(http.StatusServiceUnavailable, encodingapi.CodeCanceled, "solve canceled by shutdown")
 	default:
-		return apiErr(http.StatusInternalServerError, codeInternal, err.Error())
+		return apiErr(http.StatusInternalServerError, encodingapi.CodeInternal, err.Error())
 	}
 }
 

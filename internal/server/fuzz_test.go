@@ -71,18 +71,18 @@ func checkServeAnswer(t *testing.T, path string, body []byte, status int, data [
 	dec := json.NewDecoder(bytes.NewReader(body))
 	switch path {
 	case "/v1/encode":
-		var req encodeRequest
-		var res encodeResponse
+		var req encodingapi.EncodeRequest
+		var res encodingapi.EncodeResult
 		if err := dec.Decode(&req); err != nil {
 			t.Fatalf("%s: 200 for a body that does not decode: %v\nbody: %q", path, err, body)
 		}
 		if err := json.Unmarshal(data, &res); err != nil {
 			t.Fatalf("%s: undecodable 200: %v: %s", path, err, data)
 		}
-		checkExactCodes(t, req.Constraints, &res.solveResult)
+		checkExactCodes(t, req.Constraints, &res)
 	case "/v1/encode/batch":
-		var req batchRequest
-		var res batchResponse
+		var req encodingapi.BatchRequest
+		var res encodingapi.BatchResult
 		if err := dec.Decode(&req); err != nil {
 			t.Fatalf("%s: 200 for a body that does not decode: %v\nbody: %q", path, err, body)
 		}
@@ -92,7 +92,7 @@ func checkServeAnswer(t *testing.T, path string, body []byte, status int, data [
 		for i, it := range res.Items {
 			switch {
 			case it.Status == http.StatusOK && it.Result != nil:
-				checkExactCodes(t, req.Items[i].Constraints, &it.Result.solveResult)
+				checkExactCodes(t, req.Items[i].Constraints, it.Result)
 			case it.Error == nil || it.Error.Code == "":
 				t.Fatalf("%s: item %d status %d without a versioned error body: %s", path, i, it.Status, data)
 			default:
@@ -104,7 +104,7 @@ func checkServeAnswer(t *testing.T, path string, body []byte, status int, data [
 
 // checkErrorStatus fails on a 500: every input is either solvable, the
 // client's fault or too expensive for the budget.
-func checkErrorStatus(t *testing.T, path string, status int, e *errorBody, body []byte) {
+func checkErrorStatus(t *testing.T, path string, status int, e *encodingapi.ErrorBody, body []byte) {
 	t.Helper()
 	if status == http.StatusInternalServerError {
 		t.Fatalf("%s: status %d (%s: %s)\nbody: %q", path, status, e.Code, e.Message, body)
@@ -113,7 +113,7 @@ func checkErrorStatus(t *testing.T, path string, status int, e *errorBody, body 
 
 // checkExactCodes verifies an exact-mode answer against the constraints it
 // was asked for. Other modes promise no constraint satisfaction.
-func checkExactCodes(t *testing.T, text string, res *solveResult) {
+func checkExactCodes(t *testing.T, text string, res *encodingapi.EncodeResult) {
 	t.Helper()
 	if res.Mode != modeExact {
 		return

@@ -36,59 +36,6 @@ const (
 	modeExactComponent = "exact/component"
 )
 
-// encodeRequest is the JSON body of POST /v1/encode and of one batch item.
-type encodeRequest struct {
-	// Constraints is the textual constraint language (same grammar as the
-	// encode CLI input files).
-	Constraints string `json:"constraints"`
-	// Mode selects the problem: "feasible" (P-1), "exact" (P-2, default)
-	// or "heuristic" (P-3).
-	Mode string `json:"mode"`
-	// Bits is the code length for heuristic mode (required there,
-	// rejected elsewhere).
-	Bits int `json:"bits"`
-	// Metric is the heuristic cost metric: "violations" (default),
-	// "cubes" or "literals".
-	Metric string `json:"metric"`
-	// PrimeLimit caps maximal-compatible generation in exact mode;
-	// 0 means the engine default.
-	PrimeLimit int `json:"prime_limit"`
-	// TimeoutMS is the solve budget in milliseconds; 0 means the server
-	// default, and values above the server maximum are clamped. Batch
-	// items must leave it 0 (the batch carries one shared budget).
-	TimeoutMS int `json:"timeout_ms"`
-	// Workers sets the engine worker count (0 = all CPUs). Results are
-	// identical for any value whenever the search completes, and only
-	// such results are cached, so this never affects caching.
-	Workers int `json:"workers"`
-	// Decompose requests connected-component decomposition in exact
-	// mode: disconnected sub-problems solve independently, hit the cache
-	// per component, and reassemble. Both answers satisfy the constraints,
-	// but their codes may differ and the assembled width can exceed the
-	// monolithic minimum, so the resolved choice (this field or the server
-	// default, for decomposable sets) is part of the cache identity.
-	Decompose bool `json:"decompose"`
-	// Backend selects the exact-mode covering engine: "bb"
-	// (branch-and-bound) or "sat" (CNF/DPLL); empty means the server
-	// default. Both prove the same optimum but may return different
-	// minimum covers, so the backend is part of the cache identity.
-	Backend string `json:"backend,omitempty"`
-}
-
-// pipelineRequest is the JSON body of POST /v1/pipeline.
-type pipelineRequest struct {
-	// Kiss is the machine in KISS2 format.
-	Kiss string `json:"kiss"`
-	// Strategy selects the encoder: exact (default), heuristic, anneal
-	// or nova.
-	Strategy string `json:"strategy"`
-	// MinimizeStates state-minimizes the machine before synthesis.
-	MinimizeStates bool `json:"minimize_states"`
-	// TimeoutMS and Workers behave exactly as in encodeRequest.
-	TimeoutMS int `json:"timeout_ms"`
-	Workers   int `json:"workers"`
-}
-
 // requestKey canonically identifies a solve. Constraint-solve requests
 // contribute the set's order-invariant 128-bit content hash
 // (CanonicalHashSet); pipeline requests hash the machine's canonical KISS2
@@ -159,56 +106,6 @@ func (r *solveRequest) key() requestKey {
 	return k
 }
 
-// costBreakdown mirrors encodingapi.Cost for the JSON response.
-type costBreakdown struct {
-	Violations int `json:"violations"`
-	Cubes      int `json:"cubes"`
-	Literals   int `json:"literals"`
-}
-
-// solveResult is the mode-independent solve outcome: the cacheable part of
-// an encode response.
-type solveResult struct {
-	Mode     string `json:"mode"`
-	Feasible bool   `json:"feasible"`
-	Bits     int    `json:"bits"`
-	// Codes maps each symbol to its binary code string (empty in
-	// feasible mode). encoding/json emits map keys sorted, so the
-	// serialized form is deterministic.
-	Codes map[string]string `json:"codes,omitempty"`
-	// Text is the canonical "sym = code" rendering, byte-identical to
-	// what the library's Encoding.String returns.
-	Text string `json:"text,omitempty"`
-	// Optimal reports whether exact mode proved minimality (false when
-	// the budget truncated the covering search to its incumbent).
-	Optimal bool `json:"optimal,omitempty"`
-	// Cost is the heuristic mode's evaluated metric breakdown.
-	Cost *costBreakdown `json:"cost,omitempty"`
-	// Uncovered lists the unsatisfiable initial dichotomies in feasible
-	// mode when the verdict is negative.
-	Uncovered []string `json:"uncovered,omitempty"`
-	// Pipeline is the full per-stage report in pipeline mode.
-	Pipeline *pipeline.Report `json:"pipeline,omitempty"`
-}
-
-// encodeResponse is solveResult plus per-request delivery metadata. The
-// result is embedded by value: encoding/json refuses to allocate an
-// embedded pointer to an unexported type when decoding, and clients (and
-// the tests) decode this shape.
-type encodeResponse struct {
-	solveResult
-	// Cached reports the result came from the LRU without solving.
-	Cached bool `json:"cached"`
-	// Coalesced reports this request attached to an identical in-flight
-	// solve rather than running its own.
-	Coalesced bool    `json:"coalesced"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// TraceID names the solve's retained stage trace, fetchable from
-	// GET /v1/trace/{id}; 0 for cache hits and coalesced followers,
-	// which ran no solve of their own.
-	TraceID uint64 `json:"trace_id,omitempty"`
-}
-
 // newBodyDecoder wraps a request body in the size guard and strict-field
 // decoder every POST endpoint shares.
 func newBodyDecoder(w http.ResponseWriter, r *http.Request, maxBytes int64) *json.Decoder {
@@ -227,7 +124,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // parseRequest validates the decoded body into a solveRequest. Errors are
 // client errors (400).
-func (s *Server) parseRequest(req *encodeRequest) (*solveRequest, error) {
+func (s *Server) parseRequest(req *encodingapi.EncodeRequest) (*solveRequest, error) {
 	mode := req.Mode
 	if mode == "" {
 		mode = modeExact
@@ -314,7 +211,7 @@ func (s *Server) parseRequest(req *encodeRequest) (*solveRequest, error) {
 // normalized: state codes are assigned by first-mention index, so a
 // reordered table is an equivalent but distinct question whose answer may
 // legitimately differ.
-func (s *Server) parsePipelineRequest(req *pipelineRequest) (*solveRequest, error) {
+func (s *Server) parsePipelineRequest(req *encodingapi.PipelineRequest) (*solveRequest, error) {
 	if req.Kiss == "" {
 		return nil, errors.New("missing kiss machine")
 	}
@@ -355,11 +252,11 @@ func (s *Server) parsePipelineRequest(req *pipelineRequest) (*solveRequest, erro
 
 // solveLibrary runs req against the real engines; it is the default solveFn
 // and the single place where the service calls into the encoding library.
-func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveResult, error) {
+func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 	switch req.mode {
 	case modeFeasible:
 		f := encodingapi.CheckFeasible(req.cs)
-		res := &solveResult{Mode: modeFeasible, Feasible: f.Feasible}
+		res := &encodingapi.EncodeResult{Mode: modeFeasible, Feasible: f.Feasible}
 		for _, d := range f.Uncovered {
 			res.Uncovered = append(res.Uncovered, d.Format(req.cs.Syms))
 		}
@@ -378,7 +275,7 @@ func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveRes
 		if v := encodingapi.Verify(req.cs, r.Encoding); len(v) != 0 {
 			return nil, fmt.Errorf("internal error: encoding failed verification: %s: %s", v[0].Kind, v[0].Detail)
 		}
-		res := &solveResult{Mode: modeExact, Feasible: true, Optimal: r.Optimal}
+		res := &encodingapi.EncodeResult{Mode: modeExact, Feasible: true, Optimal: r.Optimal}
 		fillEncoding(res, r.Encoding)
 		return res, nil
 
@@ -391,10 +288,10 @@ func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveRes
 		if err != nil {
 			return nil, err
 		}
-		res := &solveResult{
+		res := &encodingapi.EncodeResult{
 			Mode:     modeHeuristic,
 			Feasible: true,
-			Cost: &costBreakdown{
+			Cost: &encodingapi.CostBreakdown{
 				Violations: r.Cost.Violations,
 				Cubes:      r.Cost.Cubes,
 				Literals:   r.Cost.Literals,
@@ -417,7 +314,7 @@ func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveRes
 		if rep.Replay != nil && !rep.Replay.OK {
 			return nil, fmt.Errorf("internal error: netlist replay failed: %s", rep.Replay.Error)
 		}
-		return &solveResult{
+		return &encodingapi.EncodeResult{
 			Mode:     modePipeline,
 			Feasible: true,
 			Bits:     rep.Bits,
@@ -429,7 +326,7 @@ func (s *Server) solveLibrary(ctx context.Context, req *solveRequest) (*solveRes
 	return nil, fmt.Errorf("internal error: unknown mode %q", req.mode)
 }
 
-func fillEncoding(res *solveResult, enc *encodingapi.Encoding) {
+func fillEncoding(res *encodingapi.EncodeResult, enc *encodingapi.Encoding) {
 	res.Bits = enc.Bits
 	res.Text = enc.String()
 	res.Codes = make(map[string]string, enc.Syms.Len())
@@ -444,7 +341,7 @@ func fillEncoding(res *solveResult, enc *encodingapi.Encoding) {
 // later request with a larger budget must not be served the stale
 // truncation; the same applies to a pipeline report whose exact encode
 // stage was truncated.
-func cacheable(res *solveResult) bool {
+func cacheable(res *encodingapi.EncodeResult) bool {
 	switch {
 	case res == nil:
 		return false
@@ -459,7 +356,7 @@ func cacheable(res *solveResult) bool {
 
 func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	s.serveSolve(w, r, func(dec *json.Decoder) (*solveRequest, int, error) {
-		var body encodeRequest
+		var body encodingapi.EncodeRequest
 		if err := dec.Decode(&body); err != nil {
 			return nil, 0, fmt.Errorf("decoding request: %w", err)
 		}
@@ -473,7 +370,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	s.serveSolve(w, r, func(dec *json.Decoder) (*solveRequest, int, error) {
-		var body pipelineRequest
+		var body encodingapi.PipelineRequest
 		if err := dec.Decode(&body); err != nil {
 			return nil, 0, fmt.Errorf("decoding request: %w", err)
 		}
@@ -506,11 +403,11 @@ func (s *Server) beginRequest() (end func()) {
 // answered.
 func (s *Server) intake(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
-		s.writeError(w, apiErr(http.StatusMethodNotAllowed, codeMethodNotAllowed, "use "+method))
+		s.writeError(w, apiErr(http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed, "use "+method))
 		return false
 	}
 	if s.isDraining() {
-		s.writeError(w, apiErr(http.StatusServiceUnavailable, codeDraining, "server is shutting down"))
+		s.writeError(w, apiErr(http.StatusServiceUnavailable, encodingapi.CodeDraining, "server is shutting down"))
 		return false
 	}
 	s.metrics.Requests.Add(1)
@@ -523,6 +420,22 @@ type execMeta struct {
 	cached    bool
 	coalesced bool
 	traceID   uint64
+}
+
+// deliver renders one delivery of the shared result res: a copy carrying
+// this delivery's metadata and elapsed time. res itself — the cache
+// entry, the singleflight answer, the solveFn return — carries none and
+// is never mutated.
+func (m execMeta) deliver(res *encodingapi.EncodeResult, elapsedMS float64) *encodingapi.EncodeResult {
+	out := *res
+	out.Cached, out.Coalesced, out.ElapsedMS, out.TraceID = m.cached, m.coalesced, elapsedMS, m.traceID
+	return &out
+}
+
+// sinceMS is the wall-clock time since start in milliseconds, at the
+// microsecond resolution every elapsed_ms field renders.
+func sinceMS(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
 }
 
 // execute is the one solve spine shared by the sync endpoints, batch
@@ -538,7 +451,7 @@ type execMeta struct {
 // async jobs block for their turn — absorbing contention is what the
 // batch/async surface is for. parent, when non-zero, links the solve's
 // trace entry to an enclosing batch span.
-func (s *Server) execute(ctx context.Context, sreq *solveRequest, tenant string, parent uint64, wait bool) (*solveResult, execMeta, error) {
+func (s *Server) execute(ctx context.Context, sreq *solveRequest, tenant string, parent uint64, wait bool) (*encodingapi.EncodeResult, execMeta, error) {
 	var meta execMeta
 	key := sreq.key()
 
@@ -576,9 +489,9 @@ func (s *Server) execute(ctx context.Context, sreq *solveRequest, tenant string,
 	rec := trace.New()
 	ctx = trace.NewContext(ctx, rec)
 
-	solve := func() (*solveResult, error) { return s.runSolve(ctx, sreq, wait) }
+	solve := func() (*encodingapi.EncodeResult, error) { return s.runSolve(ctx, sreq, wait) }
 	if sreq.decompose {
-		solve = func() (*solveResult, error) { return s.solveDecomposed(ctx, sreq, wait) }
+		solve = func() (*encodingapi.EncodeResult, error) { return s.solveDecomposed(ctx, sreq, wait) }
 	}
 	res, err, leader := s.flights.do(ctx, key, func() { s.metrics.Coalesced.Add(1) }, solve)
 	meta.coalesced = !leader
@@ -608,7 +521,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, parse func(*
 	dec := newBodyDecoder(w, r, s.cfg.MaxBodyBytes)
 	sreq, timeoutMS, err := parse(dec)
 	if err != nil {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, err.Error()))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, err.Error()))
 		return
 	}
 
@@ -626,13 +539,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, parse func(*
 		return
 	}
 	s.metrics.OK.Add(1)
-	writeJSON(w, http.StatusOK, encodeResponse{
-		solveResult: *res,
-		Cached:      meta.cached,
-		Coalesced:   meta.coalesced,
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-		TraceID:     meta.traceID,
-	})
+	writeJSON(w, http.StatusOK, meta.deliver(res, sinceMS(start)))
 }
 
 // publishTrace retains one finished solve's trace, counts and logs it when

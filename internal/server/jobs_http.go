@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/encodingapi"
 	"repro/internal/jobs"
 )
 
@@ -16,41 +17,10 @@ const (
 	jobKindPipeline = "pipeline"
 )
 
-// jobSubmitRequest is the JSON body of POST /v1/jobs: exactly one of
-// Encode or Pipeline names the workload, carrying the same fields as the
-// synchronous endpoints — including timeout_ms, which for a job bounds
-// the solve itself rather than any HTTP response.
-type jobSubmitRequest struct {
-	Encode   *encodeRequest   `json:"encode,omitempty"`
-	Pipeline *pipelineRequest `json:"pipeline,omitempty"`
-}
-
-// jobView is the JSON rendering of one job for submit (202), poll (200)
-// and cancel (200) responses. Result is present only in state "done" and
-// is byte-identical in shape to the synchronous encodeResponse; Error is
-// present in "failed" and "cancelled" and carries the same versioned
-// error body the sync path would have returned.
-type jobView struct {
-	ID       string          `json:"id"`
-	Kind     string          `json:"kind"`
-	State    jobs.State      `json:"state"`
-	Created  time.Time       `json:"created"`
-	Started  *time.Time      `json:"started,omitempty"`
-	Finished *time.Time      `json:"finished,omitempty"`
-	Result   *encodeResponse `json:"result,omitempty"`
-	Error    *errorBody      `json:"error,omitempty"`
-}
-
-// jobOutcome is what a runner parks in the job store on success.
-type jobOutcome struct {
-	res       *solveResult
-	meta      execMeta
-	elapsedMS float64
-}
-
-// jobView renders a store snapshot.
-func (s *Server) jobView(snap jobs.Snapshot) jobView {
-	v := jobView{
+// renderJob renders a store snapshot. A done job's result was stamped with
+// its delivery metadata when the runner finished (see runJob).
+func (s *Server) renderJob(snap jobs.Snapshot) encodingapi.Job {
+	v := encodingapi.Job{
 		ID:      snap.ID,
 		Kind:    snap.Kind,
 		State:   snap.State,
@@ -64,14 +34,8 @@ func (s *Server) jobView(snap jobs.Snapshot) jobView {
 		t := snap.Finished
 		v.Finished = &t
 	}
-	if out, ok := snap.Result.(*jobOutcome); ok && snap.State == jobs.Done {
-		v.Result = &encodeResponse{
-			solveResult: *out.res,
-			Cached:      out.meta.cached,
-			Coalesced:   out.meta.coalesced,
-			ElapsedMS:   out.elapsedMS,
-			TraceID:     out.meta.traceID,
-		}
+	if res, ok := snap.Result.(*encodingapi.EncodeResult); ok && snap.State == jobs.Done {
+		v.Result = res
 	}
 	if snap.Err != nil && snap.State != jobs.Done {
 		ae := s.asAPIError(snap.Err)
@@ -90,7 +54,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		if s.isDraining() {
-			s.writeError(w, apiErr(http.StatusServiceUnavailable, codeDraining, "server is shutting down"))
+			s.writeError(w, apiErr(http.StatusServiceUnavailable, encodingapi.CodeDraining, "server is shutting down"))
 			return
 		}
 		s.metrics.Requests.Add(1)
@@ -104,18 +68,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			// id is the capability to poll, read and cancel it. Refusing
 			// the listing keeps anonymous jobs reachable only by the id
 			// returned at submit time.
-			s.writeError(w, apiErr(http.StatusUnauthorized, codeCredentialRequired,
+			s.writeError(w, apiErr(http.StatusUnauthorized, encodingapi.CodeCredentialRequired,
 				"job listing requires a credential (Authorization: Bearer or X-API-Key); anonymous jobs are reachable only by id"))
 			return
 		}
 		s.jobs.Sweep() // expired jobs must not resurface in listings
-		views := []jobView{}
+		views := []encodingapi.Job{}
 		for _, snap := range s.jobs.List(tenant) {
-			views = append(views, s.jobView(snap))
+			views = append(views, s.renderJob(snap))
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 	default:
-		s.writeError(w, apiErr(http.StatusMethodNotAllowed, codeMethodNotAllowed, "use POST or GET"))
+		s.writeError(w, apiErr(http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed, "use POST or GET"))
 	}
 }
 
@@ -126,9 +90,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // shutdown both cut.
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	dec := newBodyDecoder(w, r, s.cfg.MaxBodyBytes)
-	var body jobSubmitRequest
+	var body encodingapi.JobRequest
 	if err := dec.Decode(&body); err != nil {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, fmt.Sprintf("decoding request: %v", err)))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, fmt.Sprintf("decoding request: %v", err)))
 		return
 	}
 
@@ -140,27 +104,25 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case body.Encode != nil && body.Pipeline != nil:
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, "provide exactly one of encode or pipeline"))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, "provide exactly one of encode or pipeline"))
 		return
 	case body.Encode != nil:
 		kind = jobKindEncode
 		timeoutMS = body.Encode.TimeoutMS
-		body.Encode.TimeoutMS = 0
 		sreq, err = s.parseRequest(body.Encode)
 	case body.Pipeline != nil:
 		kind = jobKindPipeline
 		timeoutMS = body.Pipeline.TimeoutMS
-		body.Pipeline.TimeoutMS = 0
 		sreq, err = s.parsePipelineRequest(body.Pipeline)
 	default:
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, "missing workload: provide encode or pipeline"))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, "missing workload: provide encode or pipeline"))
 		return
 	}
 	if timeoutMS < 0 {
 		err = fmt.Errorf("timeout_ms must be non-negative")
 	}
 	if err != nil {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, err.Error()))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, err.Error()))
 		return
 	}
 
@@ -168,7 +130,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.TenantMaxJobs > 0 && s.jobs.Active(tenant) >= s.cfg.TenantMaxJobs {
 		s.tenants.noteRejection(tenant)
 		s.metrics.QuotaRejections.Add(1)
-		s.writeError(w, apiErr(http.StatusTooManyRequests, codeQuotaExhausted,
+		s.writeError(w, apiErr(http.StatusTooManyRequests, encodingapi.CodeQuotaExhausted,
 			"tenant job quota exhausted, retry later").withRetry(s.cfg.RetryAfter))
 		return
 	}
@@ -186,7 +148,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	// job store close only after every runner has finished.
 	s.reqWG.Add(1)
 	go s.runJob(id, jctx, s.budget(time.Duration(timeoutMS)*time.Millisecond), sreq, tenant)
-	writeJSON(w, http.StatusAccepted, s.jobView(snap))
+	writeJSON(w, http.StatusAccepted, s.renderJob(snap))
 }
 
 // runJob executes one job through the shared spine and parks the outcome
@@ -202,11 +164,7 @@ func (s *Server) runJob(id string, jctx context.Context, budget time.Duration, s
 	res, meta, err := s.execute(ctx, sreq, tenant, 0, true)
 	var result any
 	if err == nil {
-		result = &jobOutcome{
-			res:       res,
-			meta:      meta,
-			elapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		}
+		result = meta.deliver(res, sinceMS(start))
 	}
 	snap, ok := s.jobs.Finish(id, result, err)
 	if !ok {
@@ -240,7 +198,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.jobs.Sweep()
 	snap, ok := s.jobs.Get(id)
 	if id == "" || strings.Contains(id, "/") || !ok || snap.Tenant != tenantFrom(r) {
-		s.writeError(w, apiErr(http.StatusNotFound, codeNotFound, "job not found"))
+		s.writeError(w, apiErr(http.StatusNotFound, encodingapi.CodeNotFound, "job not found"))
 		return
 	}
 
@@ -250,7 +208,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		s.cancelJob(w, id)
 	default:
-		s.writeError(w, apiErr(http.StatusMethodNotAllowed, codeMethodNotAllowed, "use GET or DELETE"))
+		s.writeError(w, apiErr(http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed, "use GET or DELETE"))
 	}
 }
 
@@ -263,7 +221,7 @@ func (s *Server) pollJob(w http.ResponseWriter, r *http.Request, snap jobs.Snaps
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" && !snap.State.Terminal() {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil || d < 0 {
-			s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest,
+			s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest,
 				"wait must be a non-negative duration (e.g. 5s)"))
 			return
 		}
@@ -283,12 +241,12 @@ func (s *Server) pollJob(w http.ResponseWriter, r *http.Request, snap jobs.Snaps
 		}()
 		got, err := s.jobs.Wait(ctx, snap.ID)
 		if err != nil {
-			s.writeError(w, apiErr(http.StatusNotFound, codeNotFound, "job not found"))
+			s.writeError(w, apiErr(http.StatusNotFound, encodingapi.CodeNotFound, "job not found"))
 			return
 		}
 		snap = got
 	}
-	writeJSON(w, http.StatusOK, s.jobView(snap))
+	writeJSON(w, http.StatusOK, s.renderJob(snap))
 }
 
 // cancelJob requests cancellation and renders the resulting state: a
@@ -300,12 +258,12 @@ func (s *Server) cancelJob(w http.ResponseWriter, id string) {
 	snap, changed := s.jobs.Cancel(id)
 	if snap.ID == "" {
 		// Evicted between the existence check and now.
-		s.writeError(w, apiErr(http.StatusNotFound, codeNotFound, "job not found"))
+		s.writeError(w, apiErr(http.StatusNotFound, encodingapi.CodeNotFound, "job not found"))
 		return
 	}
 	if changed && snap.State == jobs.Cancelled {
 		// Cancelled while queued: no runner Finish will count it.
 		s.metrics.JobsCancelled.Add(1)
 	}
-	writeJSON(w, http.StatusOK, s.jobView(snap))
+	writeJSON(w, http.StatusOK, s.renderJob(snap))
 }

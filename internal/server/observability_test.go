@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/encodingapi"
 )
 
 // TestRetryAfterRoundsUp is the regression test for the truncation bug:
@@ -43,21 +45,21 @@ func TestRetryAfterHeaderSubSecond(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1, RetryAfter: 500 * time.Millisecond})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-release
-		return &solveResult{Mode: req.mode, Feasible: true}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true}, nil
 	}
 	defer close(release)
 
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
-		post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\n"}))
+		post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face a b\n"}))
 	}()
 	<-started
 
-	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: "face c d\n"}))
+	resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face c d\n"}))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body: %s", resp.StatusCode, body)
 	}
@@ -158,11 +160,11 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestQueueWaitSeparateFromSolveTime(t *testing.T) {
 	const solveSleep = 30 * time.Millisecond
 	s, ts := newTestServer(t, Config{Workers: 1})
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		time.Sleep(solveSleep)
-		return &solveResult{Mode: req.mode, Feasible: true}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true}, nil
 	}
-	post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+	post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 	st := getStats(t, ts)
 
 	count := func(buckets []LatencyBucket, pred func(le int64) bool) int64 {
@@ -208,13 +210,13 @@ func traceGet(t *testing.T, ts *httptest.Server, id uint64) (*traceEntry, int) {
 // the list endpoint shows it, and cache hits don't mint new traces.
 func TestTraceEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := reqBody(t, encodeRequest{Constraints: feasibleText, Mode: modeExact})
+	body := reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, Mode: modeExact})
 
 	resp, data := post(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("encode = %d: %s", resp.StatusCode, data)
 	}
-	var er encodeResponse
+	var er encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestTraceEndpoints(t *testing.T) {
 
 	// A cache hit must not mint a trace.
 	resp2, data2 := post(t, ts, body)
-	var er2 encodeResponse
+	var er2 encodingapi.EncodeResult
 	if err := json.Unmarshal(data2, &er2); err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +331,12 @@ func TestSlowSolveLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	s, ts := newTestServer(t, Config{SlowSolveThreshold: time.Nanosecond, Logger: logger})
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		time.Sleep(2 * time.Millisecond)
-		return &solveResult{Mode: req.mode, Feasible: true}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true}, nil
 	}
-	_, data := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
-	var er encodeResponse
+	_, data := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
+	var er encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +355,7 @@ func TestSlowSolveLog(t *testing.T) {
 	buf.Reset()
 	s2, ts2 := newTestServer(t, Config{SlowSolveThreshold: -1, Logger: logger})
 	s2.solveFn = s.solveFn
-	post(t, ts2, reqBody(t, encodeRequest{Constraints: feasibleText}))
+	post(t, ts2, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 	if buf.Len() != 0 {
 		t.Fatalf("disabled threshold still logged: %q", buf.String())
 	}
@@ -371,15 +373,15 @@ func TestPermutedRequestHitsCache(t *testing.T) {
 	// order becomes a,d,c,b instead of a,b,c,d.
 	permutedText := "dom a > d\nface c b\nface b a\n"
 
-	resp1, data1 := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+	resp1, data1 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("first request = %d: %s", resp1.StatusCode, data1)
 	}
-	resp2, data2 := post(t, ts, reqBody(t, encodeRequest{Constraints: permutedText}))
+	resp2, data2 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: permutedText}))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("permuted request = %d: %s", resp2.StatusCode, data2)
 	}
-	var er2 encodeResponse
+	var er2 encodingapi.EncodeResult
 	if err := json.Unmarshal(data2, &er2); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +393,7 @@ func TestPermutedRequestHitsCache(t *testing.T) {
 	}
 
 	// A genuinely different problem must still miss.
-	resp3, _ := post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\nface b c\ndom d > a\n"}))
+	resp3, _ := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face a b\nface b c\ndom d > a\n"}))
 	resp3.Body.Close()
 	if st := getStats(t, ts); st.Solves != 2 {
 		t.Fatalf("reversed dominance coalesced with the original: solves = %d, want 2", st.Solves)

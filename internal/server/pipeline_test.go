@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/encodingapi"
 )
 
 const lionKISS = `.i 2
@@ -67,7 +69,7 @@ func postPipeline(t *testing.T, ts *httptest.Server, body string) (*http.Respons
 	return resp, data
 }
 
-func pipelineBody(t *testing.T, req pipelineRequest) string {
+func pipelineBody(t *testing.T, req encodingapi.PipelineRequest) string {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -76,9 +78,9 @@ func pipelineBody(t *testing.T, req pipelineRequest) string {
 	return string(b)
 }
 
-func decodePipeline(t *testing.T, data []byte) encodeResponse {
+func decodePipeline(t *testing.T, data []byte) encodingapi.EncodeResult {
 	t.Helper()
-	var er encodeResponse
+	var er encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatalf("decoding response %s: %v", data, err)
 	}
@@ -88,7 +90,7 @@ func decodePipeline(t *testing.T, data []byte) encodeResponse {
 func TestPipelineEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, strategy := range []string{"exact", "heuristic", "anneal", "nova"} {
-		resp, data := postPipeline(t, ts, pipelineBody(t, pipelineRequest{Kiss: lionKISS, Strategy: strategy}))
+		resp, data := postPipeline(t, ts, pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, Strategy: strategy}))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", strategy, resp.StatusCode, data)
 		}
@@ -116,20 +118,20 @@ func TestPipelineEndpoint(t *testing.T) {
 // the cache; a different strategy must not.
 func TestPipelineCacheKeyCanonical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	_, data := postPipeline(t, ts, pipelineBody(t, pipelineRequest{Kiss: lionKISS}))
+	_, data := postPipeline(t, ts, pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS}))
 	if er := decodePipeline(t, data); er.Cached {
 		t.Fatal("first request was cached")
 	}
-	_, data = postPipeline(t, ts, pipelineBody(t, pipelineRequest{Kiss: lionNoisyKISS}))
+	_, data = postPipeline(t, ts, pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionNoisyKISS}))
 	if er := decodePipeline(t, data); !er.Cached {
 		t.Fatalf("reformatted resubmission missed the cache: %s", data)
 	}
-	_, data = postPipeline(t, ts, pipelineBody(t, pipelineRequest{Kiss: lionKISS, Strategy: "nova"}))
+	_, data = postPipeline(t, ts, pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, Strategy: "nova"}))
 	if er := decodePipeline(t, data); er.Cached {
 		t.Fatal("different strategy hit the exact strategy's cache entry")
 	}
 	// minimize_states changes the answer, so it must be part of the key.
-	_, data = postPipeline(t, ts, pipelineBody(t, pipelineRequest{Kiss: lionKISS, MinimizeStates: true}))
+	_, data = postPipeline(t, ts, pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, MinimizeStates: true}))
 	if er := decodePipeline(t, data); er.Cached {
 		t.Fatal("minimize_states=true hit the unminimized cache entry")
 	}
@@ -142,7 +144,7 @@ func TestPipelineClientErrors(t *testing.T) {
 		body string
 	}{
 		{"missing kiss", `{}`},
-		{"bad strategy", pipelineBody(t, pipelineRequest{Kiss: lionKISS, Strategy: "bogus"})},
+		{"bad strategy", pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, Strategy: "bogus"})},
 		{"malformed kiss", `{"kiss":".i 1\n.o 1\nnot a row\n"}`},
 		{"negative timeout", `{"kiss":"x","timeout_ms":-1}`},
 		{"unknown field", `{"kiss":"x","bogus":1}`},
@@ -170,7 +172,7 @@ func TestPipelineClientErrors(t *testing.T) {
 // carries a trace id whose spans include the pipeline stages.
 func TestPipelineTraced(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, data := postPipeline(t, ts, pipelineBody(t, pipelineRequest{Kiss: lionKISS, Strategy: "nova"}))
+	resp, data := postPipeline(t, ts, pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, Strategy: "nova"}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}

@@ -99,11 +99,6 @@ func (p *pool) submitWait(ctx context.Context, task func()) error {
 	}
 }
 
-// queued reports the number of tasks waiting for a worker.
-func (p *pool) queued() int {
-	return len(p.tasks)
-}
-
 // close stops intake and blocks until every accepted task has finished.
 // Safe to call more than once.
 func (p *pool) close() {

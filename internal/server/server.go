@@ -56,6 +56,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/encodingapi"
 	"repro/internal/jobs"
 	"repro/internal/trace"
 )
@@ -86,7 +87,7 @@ type Server struct {
 	// solveFn runs one parsed request to completion; defaults to the
 	// real engines (solveLibrary) and is replaceable by tests that need
 	// deterministic slow/blocking/panicking solves.
-	solveFn func(ctx context.Context, req *solveRequest) (*solveResult, error)
+	solveFn func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error)
 }
 
 // New returns a Server for cfg (zero fields defaulted via
@@ -266,9 +267,9 @@ func (s *Server) budget(requested time.Duration) time.Duration {
 // separate histograms (Stats decomposes latency into contention vs. solve
 // time), and when ctx carries a trace recorder the same split is recorded
 // as "server.queue" and "server.solve" spans bracketing the engine stages.
-func (s *Server) runSolve(ctx context.Context, req *solveRequest, wait bool) (*solveResult, error) {
+func (s *Server) runSolve(ctx context.Context, req *solveRequest, wait bool) (*encodingapi.EncodeResult, error) {
 	type outcome struct {
-		res *solveResult
+		res *encodingapi.EncodeResult
 		err error
 	}
 	done := make(chan outcome, 1)

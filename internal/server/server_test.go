@@ -65,7 +65,7 @@ func getStats(t *testing.T, ts *httptest.Server) Stats {
 	return st
 }
 
-func reqBody(t *testing.T, req encodeRequest) string {
+func reqBody(t *testing.T, req encodingapi.EncodeRequest) string {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -139,8 +139,8 @@ func TestByteIdenticalToLibrary(t *testing.T) {
 			wg.Add(1)
 			go func(workers int) {
 				defer wg.Done()
-				resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText, Mode: modeExact, Workers: workers}))
-				var out encodeResponse
+				resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, Mode: modeExact, Workers: workers}))
+				var out encodingapi.EncodeResult
 				if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("exact workers=%d: status %d err %v", workers, resp.StatusCode, err)
 					return
@@ -152,10 +152,10 @@ func TestByteIdenticalToLibrary(t *testing.T) {
 			wg.Add(1)
 			go func(workers int) {
 				defer wg.Done()
-				resp, body := post(t, ts, reqBody(t, encodeRequest{
+				resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{
 					Constraints: feasibleText, Mode: modeHeuristic, Bits: 3, Metric: "literals", Workers: workers,
 				}))
-				var out encodeResponse
+				var out encodingapi.EncodeResult
 				if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("heuristic workers=%d: status %d err %v", workers, resp.StatusCode, err)
 					return
@@ -167,8 +167,8 @@ func TestByteIdenticalToLibrary(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText, Mode: modeFeasible}))
-				var out encodeResponse
+				resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, Mode: modeFeasible}))
+				var out encodingapi.EncodeResult
 				if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK || !out.Feasible {
 					errs <- fmt.Errorf("feasible: status %d err %v", resp.StatusCode, err)
 				}
@@ -186,14 +186,14 @@ func TestByteIdenticalToLibrary(t *testing.T) {
 // without another solve.
 func TestCacheHit(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := reqBody(t, encodeRequest{Constraints: feasibleText})
+	body := reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText})
 
 	resp1, data1 := post(t, ts, body)
 	resp2, data2 := post(t, ts, body)
 	if resp1.StatusCode != http.StatusOK || resp2.StatusCode != http.StatusOK {
 		t.Fatalf("statuses %d, %d", resp1.StatusCode, resp2.StatusCode)
 	}
-	var out1, out2 encodeResponse
+	var out1, out2 encodingapi.EncodeResult
 	if err := json.Unmarshal(data1, &out1); err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestCacheHit(t *testing.T) {
 	}
 	// Formatting differences in the constraint text must hit the same
 	// cache entry (canonical hashing).
-	_, data3 := post(t, ts, reqBody(t, encodeRequest{Constraints: "face  a , b\nface b c\ndom a > d\n"}))
-	var out3 encodeResponse
+	_, data3 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face  a , b\nface b c\ndom a > d\n"}))
+	var out3 encodingapi.EncodeResult
 	if err := json.Unmarshal(data3, &out3); err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +229,9 @@ func TestCacheHit(t *testing.T) {
 func TestBackendCacheIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	_, data1 := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
-	_, data2 := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText, Backend: "sat"}))
-	var out1, out2 encodeResponse
+	_, data1 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
+	_, data2 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, Backend: "sat"}))
+	var out1, out2 encodingapi.EncodeResult
 	if err := json.Unmarshal(data1, &out1); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +250,9 @@ func TestBackendCacheIdentity(t *testing.T) {
 
 	// Repeating the sat request must now hit its own entry, and an
 	// explicit "bb" must alias the default-backend entry.
-	_, data3 := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText, Backend: "sat"}))
-	_, data4 := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText, Backend: "bb"}))
-	var out3, out4 encodeResponse
+	_, data3 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, Backend: "sat"}))
+	_, data4 := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, Backend: "bb"}))
+	var out3, out4 encodingapi.EncodeResult
 	if err := json.Unmarshal(data3, &out3); err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +270,11 @@ func TestBackendCacheIdentity(t *testing.T) {
 // TestDeadlineExpiry checks a solve that outlives its budget maps to 504.
 func TestDeadlineExpiry(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		<-ctx.Done() // simulate a solve that never beats the deadline
 		return nil, ctx.Err()
 	}
-	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText, TimeoutMS: 30}))
+	resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText, TimeoutMS: 30}))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body: %s", resp.StatusCode, body)
 	}
@@ -293,11 +293,11 @@ func TestChainSolveFreesWorker(t *testing.T) {
 
 	// The direct chain search on this set runs for minutes.
 	heavy := "chain a b\nface a c\nface a d\nface b c\nface b d\nface a b e\nface c d e\nface f g\nface g h\n"
-	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: heavy, TimeoutMS: 200}))
+	resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: heavy, TimeoutMS: 200}))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("chain request: status = %d, want 504; body: %s", resp.StatusCode, body)
 	}
-	resp, body = post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\nface b c\n", TimeoutMS: 5000}))
+	resp, body = post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face a b\nface b c\n", TimeoutMS: 5000}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after the chain timeout: status = %d, want 200; body: %s", resp.StatusCode, body)
 	}
@@ -325,11 +325,11 @@ func TestInfeasibleMinimizeFreesWorker(t *testing.T) {
 	defer ts.Close()
 
 	heavy := gen.Random(1, gen.Config{Symbols: 56, Faces: 56, Dominances: 112, Disjunctives: 3, ExtDisjunctives: 2, DontCareProb: 0.3}).Set.String()
-	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: heavy, TimeoutMS: 200}))
+	resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: heavy, TimeoutMS: 200}))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("infeasible request: status = %d, want 504; body: %s", resp.StatusCode, body)
 	}
-	resp, body = post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\nface b c\n", TimeoutMS: 1500}))
+	resp, body = post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face a b\nface b c\n", TimeoutMS: 1500}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after the infeasible one timed out: status = %d, want 200; body: %s", resp.StatusCode, body)
 	}
@@ -350,22 +350,22 @@ func TestOverload(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1, RetryAfter: 2 * time.Second})
 	release := make(chan struct{})
 	started := make(chan struct{}, 16)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-release
-		return &solveResult{Mode: req.mode, Feasible: true}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true}, nil
 	}
 	defer close(release)
 
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
-		post(t, ts, reqBody(t, encodeRequest{Constraints: "face a b\n"}))
+		post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face a b\n"}))
 	}()
 	<-started // the single worker is now occupied
 
 	// A different problem cannot coalesce and finds the queue full.
-	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: "face c d\n"}))
+	resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face c d\n"}))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body: %s", resp.StatusCode, body)
 	}
@@ -386,14 +386,14 @@ func TestCoalescing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, CacheEntries: -1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-release
-		return &solveResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true, Text: "x = 0\n"}, nil
 	}
 
-	body := reqBody(t, encodeRequest{Constraints: feasibleText})
-	results := make(chan encodeResponse, followers+1)
+	body := reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText})
+	results := make(chan encodingapi.EncodeResult, followers+1)
 	var wg sync.WaitGroup
 	for i := 0; i < followers+1; i++ {
 		wg.Add(1)
@@ -404,7 +404,7 @@ func TestCoalescing(t *testing.T) {
 				t.Errorf("status = %d: %s", resp.StatusCode, data)
 				return
 			}
-			var out encodeResponse
+			var out encodingapi.EncodeResult
 			if err := json.Unmarshal(data, &out); err != nil {
 				t.Error(err)
 				return
@@ -453,13 +453,13 @@ func TestCoalescing(t *testing.T) {
 // pool serving later requests.
 func TestPanicIsolation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		if strings.Contains(req.cs.Syms.Name(0), "boom") {
 			panic("kaboom")
 		}
 		return s.solveLibrary(ctx, req)
 	}
-	resp, body := post(t, ts, reqBody(t, encodeRequest{Constraints: "face boom other\n"}))
+	resp, body := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face boom other\n"}))
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500; body: %s", resp.StatusCode, body)
 	}
@@ -467,7 +467,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("panic message missing: %s", body)
 	}
 	// The worker survived; a normal request still succeeds.
-	resp, body = post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+	resp, body = post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic status = %d; body: %s", resp.StatusCode, body)
 	}
@@ -485,10 +485,10 @@ func TestGracefulShutdown(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-release
-		return &solveResult{Mode: req.mode, Feasible: true, Text: "drained\n"}, nil
+		return &encodingapi.EncodeResult{Mode: req.mode, Feasible: true, Text: "drained\n"}, nil
 	}
 
 	type reply struct {
@@ -497,7 +497,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	inflight := make(chan reply, 1)
 	go func() {
-		resp, data := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+		resp, data := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 		inflight <- reply{resp.StatusCode, data}
 	}()
 	<-started
@@ -517,7 +517,7 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, _ := post(t, ts, reqBody(t, encodeRequest{Constraints: "face x y\n"}))
+	resp, _ := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: "face x y\n"}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("during drain: status = %d, want 503", resp.StatusCode)
 	}
@@ -538,7 +538,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if in.status != http.StatusOK {
 		t.Fatalf("in-flight request lost during drain: status %d, body %s", in.status, in.data)
 	}
-	var out encodeResponse
+	var out encodingapi.EncodeResult
 	if err := json.Unmarshal(in.data, &out); err != nil {
 		t.Fatalf("unmarshal in-flight response: %v", err)
 	}
@@ -555,14 +555,14 @@ func TestShutdownCancelsOnExpiredBudget(t *testing.T) {
 	defer ts.Close()
 
 	started := make(chan struct{}, 1)
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		started <- struct{}{}
 		<-ctx.Done() // only the shutdown cancel can end this solve
 		return nil, ctx.Err()
 	}
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+		resp, _ := post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 		done <- resp.StatusCode
 	}()
 	<-started
@@ -590,7 +590,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			mode := []string{modeFeasible, modeExact, modeHeuristic}[i%3]
-			req := encodeRequest{Constraints: feasibleText, Mode: mode}
+			req := encodingapi.EncodeRequest{Constraints: feasibleText, Mode: mode}
 			if mode == modeHeuristic {
 				req.Bits = 2
 			}
@@ -630,7 +630,7 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	post(t, ts, reqBody(t, encodeRequest{Constraints: feasibleText}))
+	post(t, ts, reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText}))
 	st := getStats(t, ts)
 	if st.Requests != 1 || st.OK != 1 || st.Solves != 1 {
 		t.Fatalf("stats after one request: %+v", st)
@@ -657,10 +657,10 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 // (Optimal=false) bypass the cache so a richer budget can retry.
 func TestTruncatedExactNotCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
-		return &solveResult{Mode: modeExact, Feasible: true, Optimal: false, Text: "truncated\n"}, nil
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
+		return &encodingapi.EncodeResult{Mode: modeExact, Feasible: true, Optimal: false, Text: "truncated\n"}, nil
 	}
-	body := reqBody(t, encodeRequest{Constraints: feasibleText})
+	body := reqBody(t, encodingapi.EncodeRequest{Constraints: feasibleText})
 	post(t, ts, body)
 	post(t, ts, body)
 	if st := getStats(t, ts); st.Solves != 2 || st.CacheEntries != 0 {
@@ -712,7 +712,7 @@ func TestInfeasibleInputsReturn422(t *testing.T) {
 		if err := json.Unmarshal(body, &er); err != nil {
 			t.Fatalf("case %d: 422 body is not the structured error shape: %v: %s", i, err, body)
 		}
-		if er.Error.Code != codeInfeasible || !strings.Contains(er.Error.Message, "infeasible") {
+		if er.Error.Code != encodingapi.CodeInfeasible || !strings.Contains(er.Error.Message, "infeasible") {
 			t.Fatalf("case %d: error does not name infeasibility: %+v", i, er.Error)
 		}
 

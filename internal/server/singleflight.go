@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"sync"
+
+	"repro/encodingapi"
 )
 
 // flightGroup coalesces concurrent identical requests: the first caller for
@@ -21,7 +23,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{} // closed when res/err are final
-	res  *solveResult
+	res  *encodingapi.EncodeResult
 	err  error
 }
 
@@ -33,7 +35,7 @@ func newFlightGroup() *flightGroup {
 // leader reports whether this call actually ran fn. onAttach, when
 // non-nil, runs for every follower before it starts waiting (metrics
 // hook).
-func (g *flightGroup) do(ctx context.Context, key requestKey, onAttach func(), fn func() (*solveResult, error)) (res *solveResult, err error, leader bool) {
+func (g *flightGroup) do(ctx context.Context, key requestKey, onAttach func(), fn func() (*encodingapi.EncodeResult, error)) (res *encodingapi.EncodeResult, err error, leader bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/encodingapi"
 )
 
 // disjointFaces returns k two-symbol face constraints over disjoint
@@ -22,13 +24,13 @@ func disjointFaces(k int) string {
 }
 
 // encodeOK posts body to /v1/encode and decodes the 200 answer.
-func encodeOK(t *testing.T, ts *httptest.Server, body string) encodeResponse {
+func encodeOK(t *testing.T, ts *httptest.Server, body string) encodingapi.EncodeResult {
 	t.Helper()
 	resp, data := post(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
-	var out encodeResponse
+	var out encodingapi.EncodeResult
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestCoalescedComponentConflictNamesOwnSymbols(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	s.solveFn = func(ctx context.Context, req *solveRequest) (*solveResult, error) {
+	s.solveFn = func(ctx context.Context, req *solveRequest) (*encodingapi.EncodeResult, error) {
 		entered <- struct{}{}
 		<-release
 		return s.solveLibrary(ctx, req)
@@ -180,7 +182,7 @@ func TestDecomposedJobRuns(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
 	}
-	var job jobView
+	var job encodingapi.Job
 	if err := json.Unmarshal(data, &job); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestHeuristicBitsBounded(t *testing.T) {
 	}
 	for _, body := range bodies {
 		resp, data := postJSON(t, ts, "/v1/encode", body, "")
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), codeBadRequest) {
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), encodingapi.CodeBadRequest) {
 			t.Errorf("encode %s: status %d: %s", body, resp.StatusCode, data)
 		}
 		resp, data = postJSON(t, ts, "/v1/jobs", `{"encode":`+body+`}`, "")
@@ -218,11 +220,11 @@ func TestHeuristicBitsBounded(t *testing.T) {
 			t.Errorf("job %s: status %d: %s", body, resp.StatusCode, data)
 		}
 		resp, data = postJSON(t, ts, "/v1/encode/batch", `{"items":[`+body+`]}`, "")
-		var out batchResponse
+		var out encodingapi.BatchResult
 		if err := json.Unmarshal(data, &out); err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %s: status %d: %s", body, resp.StatusCode, data)
 		}
-		if it := out.Items[0]; it.Status != http.StatusBadRequest || it.Error == nil || it.Error.Code != codeBadRequest {
+		if it := out.Items[0]; it.Status != http.StatusBadRequest || it.Error == nil || it.Error.Code != encodingapi.CodeBadRequest {
 			t.Errorf("batch item %s: %+v", body, it)
 		}
 	}

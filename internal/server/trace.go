@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/encodingapi"
 	"repro/internal/trace"
 )
 
@@ -169,7 +170,7 @@ func (r *traceRing) list() []traceEntry {
 // first.
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, apiErr(http.StatusMethodNotAllowed, codeMethodNotAllowed, "use GET"))
+		s.writeError(w, apiErr(http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed, "use GET"))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"traces": s.traces.list()})
@@ -178,18 +179,18 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 // handleTraceGet serves GET /v1/trace/{id}: one retained solve trace.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, apiErr(http.StatusMethodNotAllowed, codeMethodNotAllowed, "use GET"))
+		s.writeError(w, apiErr(http.StatusMethodNotAllowed, encodingapi.CodeMethodNotAllowed, "use GET"))
 		return
 	}
 	idStr := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	id, err := strconv.ParseUint(idStr, 10, 64)
 	if err != nil || id == 0 {
-		s.writeError(w, apiErr(http.StatusBadRequest, codeBadRequest, "trace id must be a positive integer"))
+		s.writeError(w, apiErr(http.StatusBadRequest, encodingapi.CodeBadRequest, "trace id must be a positive integer"))
 		return
 	}
 	e, ok := s.traces.get(id)
 	if !ok {
-		s.writeError(w, apiErr(http.StatusNotFound, codeNotFound, "trace not found (never existed, evicted, or retention disabled)"))
+		s.writeError(w, apiErr(http.StatusNotFound, encodingapi.CodeNotFound, "trace not found (never existed, evicted, or retention disabled)"))
 		return
 	}
 	writeJSON(w, http.StatusOK, e)

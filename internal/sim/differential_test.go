@@ -59,10 +59,10 @@ func corpusNetlists(tb testing.TB) []synthesized {
 	return corpusNets
 }
 
-// synthesize runs the pipeline up to the emitted netlist.
+// synthesize runs the pipeline and returns its emitted netlist.
 func synthesize(mach corpus.Machine, s pipeline.Strategy) (synthesized, error) {
 	name := mach.Name + "/" + string(s)
-	rep, err := pipeline.Run(context.Background(), mach.FSM, pipeline.Options{Strategy: s, SkipVerify: true})
+	rep, err := pipeline.Run(context.Background(), mach.FSM, pipeline.Options{Strategy: s})
 	if err != nil {
 		return synthesized{}, fmt.Errorf("%s: %w", name, err)
 	}
