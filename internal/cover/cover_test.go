@@ -134,12 +134,17 @@ func TestGreedyFeasible(t *testing.T) {
 	}
 }
 
+// TestLowerBoundEarlyExit: 4 disjoint rows each with one column, so the
+// optimum 4 is the lower bound. The first greedy cover meets it, so the
+// upper bound builds no other cover and the search enters no node.
 func TestLowerBoundEarlyExit(t *testing.T) {
-	// 4 disjoint rows each with one column: optimum 4 = lower bound.
 	p := &Problem{NumCols: 4, RowCols: [][]int{{0}, {1}, {2}, {3}}}
-	sol, err := p.SolveExactCtx(context.Background(), Options{LowerBound: 4})
-	if err != nil || sol.Cost != 4 {
-		t.Fatalf("sol=%+v err=%v", sol, err)
+	sol, sp := solveSpan(t, p, Options{LowerBound: 4})
+	if sol.Cost != 4 || !sol.Optimal {
+		t.Fatalf("sol=%+v", sol)
+	}
+	if greedy, nodes := spanAttr(t, sp, "greedy"), spanAttr(t, sp, "nodes"); greedy != 1 || nodes != 0 {
+		t.Fatalf("%d greedy covers and %d nodes, want 1 and 0", greedy, nodes)
 	}
 }
 

@@ -2,11 +2,13 @@ package cover
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // hardInstance builds a dense feasible instance whose exact search runs for
@@ -94,5 +96,63 @@ func TestCancelMidSearchAnytime(t *testing.T) {
 			t.Fatalf("workers=%d: canceled search claimed optimality", workers)
 		}
 		assertValidCover(t, p, sol, "cancel")
+	}
+}
+
+// TestCanceledBeforeSearch: a context done before the solve starts yields
+// the first greedy cover, which always completes: no further cover is
+// built and no search node entered, on either engine. That cover is
+// reported optimal only when it meets Options.LowerBound.
+func TestCanceledBeforeSearch(t *testing.T) {
+	forceParallel(t)
+	cases := []struct {
+		name    string
+		p       *Problem
+		lb      int
+		optimal bool
+	}{
+		{"wide", wideProblem(), 0, false},
+		{"wide/unmet lower bound", wideProblem(), 4, false},
+		{"lower bound met", &Problem{NumCols: 4, RowCols: [][]int{{0}, {1}, {2}, {3}}}, 4, true},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			canceled, cancel := context.WithCancel(context.Background())
+			cancel()
+			ctx, rec := trace.Start(canceled)
+			sol, err := tc.p.SolveExactCtx(ctx, Options{Parallelism: par.Workers(workers), LowerBound: tc.lb})
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
+			}
+			if sol.Optimal != tc.optimal {
+				t.Fatalf("%s, workers=%d: Optimal=%v, want %v", tc.name, workers, sol.Optimal, tc.optimal)
+			}
+			assertValidCover(t, tc.p, sol, tc.name)
+			sp := rec.Snapshot().Spans[0]
+			if greedy, nodes := spanAttr(t, sp, "greedy"), spanAttr(t, sp, "nodes"); greedy != 1 || nodes != 0 {
+				t.Fatalf("%s, workers=%d: %d greedy covers and %d nodes, want 1 and 0", tc.name, workers, greedy, nodes)
+			}
+		}
+	}
+}
+
+// TestRootPassesPoll: the root's dominance passes poll the search control
+// as they go, and a root that reports halted is pruned, so a context that
+// expires during the root reductions stops the solve there.
+func TestRootPassesPoll(t *testing.T) {
+	sv, err := NewSolver(wideProblem(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The first node is the one the sequential solver polls the context at.
+	ctl := &solver{ctx: canceled, maxNodes: DefaultMaxNodes, bestCost: math.MaxInt, nodes: 1}
+	rows := sv.rootRows.Clone()
+	if sv.m.reduceRowDominance(rows, sv.rootCols, ctl) || !rows.Equal(sv.rootRows) {
+		t.Fatal("a halted row pass removed rows")
+	}
+	if _, _, verdict := sv.m.reduce(ctl, sv.sc, sv.rootRows.Clone(), sv.rootCols.Clone(), nil, 0, true); verdict != coverPrune || !ctl.budget {
+		t.Fatalf("halted root: verdict %d, budget %v; want a budget prune", verdict, ctl.budget)
 	}
 }

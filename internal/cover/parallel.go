@@ -73,6 +73,7 @@ type parShared struct {
 	maxNodes    int64
 	nodes       atomic.Int64
 	entryPruned atomic.Int64 // workers' entry-test prunes, added as each exits
+	terminal    atomic.Int64 // workers' terminal children, added as each exits
 	budget      atomic.Bool  // node/time budget tripped somewhere
 	stopAfter   atomic.Int64 // lowest item index whose record met LowerBound
 	results     []taskResult
@@ -172,7 +173,7 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 	// the sequential prelude on skinny trees.
 	items := []*coverItem{{rows: rows, cols: cols, root: true}}
 	tasks := 1
-	expBound := s.bestCost
+	ectl := &expandCtl{sh: sh, limit: s.bestCost}
 	esc := newScratch(m) // expansion runs sequentially: one scratch serves it
 	target := workers * coverTasksPerWorker
 	first := 0 // index of the first task; everything before it is a leaf
@@ -185,15 +186,15 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 			break
 		}
 		it := items[first]
-		sel, cost, verdict := m.reduce(fixedBound(expBound), esc, it.rows, it.cols, it.sel, it.cost, it.root)
+		sel, cost, verdict := m.reduce(ectl, esc, it.rows, it.cols, it.sel, it.cost, it.root)
 		tasks--
 		switch verdict {
 		case coverPrune:
 			items = append(items[:first], items[first+1:]...)
 		case coverLeaf:
-			// cost < expBound is guaranteed by reduce, so this mirrors the
+			// cost < ectl.limit is guaranteed by reduce, so this mirrors the
 			// sequential strict-improvement record.
-			expBound = cost
+			ectl.limit = cost
 			items[first] = &coverItem{leaf: true, cost: cost, sel: append([]int(nil), sel...)}
 			if s.lb > 0 && cost <= s.lb {
 				// Sequential search stops here; drop the unreachable tail.
@@ -202,7 +203,8 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 			}
 		default:
 			remCols := it.cols.Clone()
-			order := m.branchOrder(esc, it.rows, it.cols)
+			row, _ := m.hardestRow(it.rows, it.cols)
+			order := m.branchOrder(esc, row, it.rows, it.cols)
 			children := make([]*coverItem, 0, len(order))
 			for _, o := range order {
 				c := o.c
@@ -246,7 +248,10 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 			// drains; scratches are single-walker state and must not be
 			// shared.
 			sc := newScratch(m)
-			defer func() { sh.entryPruned.Add(int64(sc.entryPruned)) }()
+			defer func() {
+				sh.entryPruned.Add(int64(sc.entryPruned))
+				sh.terminal.Add(int64(sc.terminal))
+			}()
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(taskIdx) || sh.budget.Load() {
@@ -292,14 +297,29 @@ func (s *solver) solveParallel(rows, cols bitset.Set, workers int) {
 	// span (and any other diagnostics) read one field on either path.
 	s.nodes = int(sh.nodes.Load())
 	s.entryPruned = esc.entryPruned + int(sh.entryPruned.Load())
+	s.terminal = int(sh.terminal.Load())
 }
 
-// fixedBound is the searchCtl used while reducing frontier nodes during
-// expansion: a frozen pruning bound, no budgets (the expansion loop does its
-// own node accounting) and no recording (reduce never records).
-type fixedBound int
+// expandCtl is the searchCtl used while reducing frontier nodes during
+// expansion: the exact sequential incumbent's cost as the pruning bound, no
+// node budget (the expansion loop does its own node accounting) and no
+// recording (reduce never records). halted polls the context, which
+// reduce asks only inside the root's dominance passes, and marks the
+// solve budget-stopped when it is done.
+type expandCtl struct {
+	sh    *parShared
+	limit int
+}
 
-func (fixedBound) enter() bool       { return true }
-func (fixedBound) halted() bool      { return false }
-func (b fixedBound) bound() int      { return int(b) }
-func (fixedBound) record([]int, int) {}
+func (*expandCtl) enter() bool { return true }
+
+func (e *expandCtl) halted() bool {
+	if e.sh.s.ctx.Err() == nil {
+		return false
+	}
+	e.sh.budget.Store(true)
+	return true
+}
+
+func (e *expandCtl) bound() int      { return e.limit }
+func (*expandCtl) record([]int, int) {}

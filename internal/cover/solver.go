@@ -92,6 +92,8 @@ func (sv *Solver) SolveCtx(ctx context.Context) (Solution, error) {
 type searchStats struct {
 	nodes       int // branch-and-bound nodes entered
 	entryPruned int // of those, nodes the entry test pruned
+	terminal    int // of those, terminal children entered without being built
+	greedy      int // greedy covers the upper bound built
 }
 
 // endSpan annotates and ends a cover.solve span; sp may be nil.
@@ -100,8 +102,8 @@ func endSpan(sp *trace.Span, p *Problem, sol Solution, st searchStats, err error
 		return
 	}
 	sp.Set("rows", len(p.RowCols)).Set("cols", p.NumCols).Set("nodes", st.nodes).
-		Set("entry_pruned", st.entryPruned).SetBool("optimal", sol.Optimal).Set("cost", sol.Cost).
-		SetBool("failed", err != nil)
+		Set("entry_pruned", st.entryPruned).Set("terminal", st.terminal).Set("greedy", st.greedy).
+		SetBool("optimal", sol.Optimal).Set("cost", sol.Cost).SetBool("failed", err != nil)
 	sp.End()
 }
 
@@ -112,24 +114,13 @@ func (sv *Solver) solve(ctx context.Context) (Solution, searchStats, error) {
 	m := sv.m
 	sv.rows.CopyFrom(sv.rootRows)
 	sv.cols.CopyFrom(sv.rootCols)
-	sv.sc.entryPruned = 0
+	sv.sc.entryPruned, sv.sc.terminal = 0, 0
 
-	// Upper bound: several diversified greedy runs plus a
-	// multiplicative-weights greedy loop, each cover cleaned by redundancy
-	// elimination; the incumbent drives branch-and-bound pruning.
+	// The greedy incumbent drives branch-and-bound pruning.
 	ub := &sv.ub
-	ub.cost, ub.found = -1, false
-	for variant := 0; variant < 8; variant++ {
-		g, ok := m.greedyVariant(ub, sv.rows, sv.cols, variant)
-		if !ok {
-			if variant == 0 {
-				return Solution{}, searchStats{}, ErrInfeasible
-			}
-			continue
-		}
-		m.consider(ub, sv.rows, g)
+	if err := m.upperBound(ctx, ub, sv.rows, sv.cols, sv.opts.LowerBound); err != nil {
+		return Solution{}, searchStats{}, err
 	}
-	m.weightedGreedy(ub, sv.rows, sv.cols, 24)
 
 	s := &sv.seq
 	bestSel := append(s.bestSel[:0], ub.sel...)
@@ -142,16 +133,19 @@ func (sv *Solver) solve(ctx context.Context) (Solution, searchStats, error) {
 		bestSel:  bestSel,
 		found:    ub.found,
 	}
-	if s.lb <= 0 || s.bestCost > s.lb {
-		if w := sv.opts.WorkersFor(len(sv.p.RowCols)*sv.p.NumCols, parallelCutoffCells); w > 1 {
-			s.solveParallel(sv.rows, sv.cols, w)
-		} else {
-			m.branch(s, sv.sc, sv.rows, sv.cols, sv.selBuf[:0], 0, true)
-			s.entryPruned = sv.sc.entryPruned
-		}
+	switch w := sv.opts.WorkersFor(len(sv.p.RowCols)*sv.p.NumCols, parallelCutoffCells); {
+	case s.lb > 0 && s.bestCost <= s.lb:
+		// The incumbent meets the lower bound: nothing to search.
+	case ctx.Err() != nil:
+		s.budget = true
+	case w > 1:
+		s.solveParallel(sv.rows, sv.cols, w)
+	default:
+		m.branch(s, sv.sc, sv.rows, sv.cols, sv.selBuf[:0], 0, true)
+		s.entryPruned, s.terminal = sv.sc.entryPruned, sv.sc.terminal
 	}
 
-	st := searchStats{nodes: s.nodes, entryPruned: s.entryPruned}
+	st := searchStats{nodes: s.nodes, entryPruned: s.entryPruned, terminal: s.terminal, greedy: ub.covers}
 	if !s.found {
 		return Solution{}, st, ErrInfeasible
 	}

@@ -7,14 +7,32 @@
 // Section-4 abstraction and the Section-8 extension constraints — is
 // solved by internal/sat.
 //
+// # Search work
+//
+// Three mechanisms cut the work per node without changing the tree: the
+// search visits the same nodes in the same order and returns the same
+// cover. The dominance passes test a row only against the active rows of
+// its first active column, and a column only against the active columns of
+// its rarest active row, since every dominating partner lies there. On a
+// unit-cost problem, a node that can afford only one more column and has
+// no column covering every active row is a terminal node: none of its
+// children can be a leaf, and the entry test prunes each of them, so they
+// are entered and counted without being built. The greedy upper bound
+// stops once its incumbent meets a positive Options.LowerBound, and its
+// weighted rounds re-score a column only while its last score could still
+// win the step.
+//
 // # Cancellation
 //
 // The exact solver is an anytime algorithm: Problem.SolveExactCtx and
-// Solver.SolveCtx poll the context between search nodes, and when it
-// expires or is canceled they return the best feasible solution found so
-// far with Optimal=false — exactly the behavior the TimeLimit option has
-// always had, which is now implemented as a context deadline layered under
-// the caller's context.
+// Solver.SolveCtx poll the context after each greedy cover of the upper
+// bound, inside the root dominance passes and between search nodes, and
+// when it expires or is canceled they return the best feasible solution
+// found so far with Optimal=false (unless it meets Options.LowerBound) —
+// exactly the behavior the TimeLimit option has always had, which is now
+// implemented as a context deadline layered under the caller's context.
+// The first greedy cover always completes, so there is always an
+// incumbent.
 //
 // # Parallelism
 //
@@ -138,28 +156,20 @@ type matrix struct {
 
 // scratch is the reusable working memory of one branch-and-bound walker:
 // an arena for the per-node row/column sets, per-depth branch-order buffers
-// and flat buffers for the dominance scans and the lower bound. Exactly one
-// walker may use a scratch at a time — the sequential solver owns one, and
-// every parallel worker goroutine builds its own — so steady-state search
-// nodes allocate nothing.
+// and flat buffers for the column dominance pass and the lower bound.
+// Exactly one walker may use a scratch at a time — the sequential solver
+// owns one, and every parallel worker goroutine builds its own — so
+// steady-state search nodes allocate nothing.
 type scratch struct {
 	arena  *bitset.Arena
 	depth  int           // current branch recursion depth
 	orders [][]scoredCol // orders[depth]: branch-order buffer reused at that depth
 	used   bitset.Set    // lowerBound's column-accumulator set
+	colsOf []int         // colsOf[r]: row r's active columns when a column pass began
 
-	members []member // the active rows or columns of one dominance pass
-
-	entryPruned int // nodes the entry test cut, for the cover.solve span
-}
-
-// member is one active row or column in a dominance pass, with the filters
-// its pairs are screened by.
-type member struct {
-	id    int
-	count int    // size of its projection
-	fold  uint64 // OR of its projection's words
-	alive bool   // not yet removed by this pass
+	// Work counters for the cover.solve span.
+	entryPruned int // nodes the entry test cut
+	terminal    int // children countTerminal entered without building them
 }
 
 // scoredCol is one branch candidate: a column and its active coverage.
@@ -173,7 +183,7 @@ func newScratch(m *matrix) *scratch {
 	if m.p.NumCols > n {
 		n = m.p.NumCols
 	}
-	return &scratch{arena: bitset.NewArena(n)}
+	return &scratch{arena: bitset.NewArena(n), colsOf: make([]int, len(m.rowSets))}
 }
 
 // orderBuf returns the (empty) branch-order buffer for the current depth.
@@ -217,8 +227,9 @@ type solver struct {
 	found    bool
 	done     bool // stop flag: budget exhausted or lower bound met
 	budget   bool // true when a budget (not LB) stopped the search
-	// entryPruned is summed from the walkers' scratches after the search.
-	entryPruned int
+	// entryPruned and terminal are summed from the walkers' scratches
+	// after the search.
+	entryPruned, terminal int
 }
 
 func (s *solver) enter() bool {
@@ -269,8 +280,10 @@ func (s *solver) expired() bool {
 //
 // When the context carries a trace recorder (internal/trace), the solve
 // records one "cover.solve" span with row/column counts, branch-and-bound
-// nodes, the nodes the entry test pruned (entry_pruned) and the outcome;
-// with no recorder the instrumentation is a zero-allocation no-op.
+// nodes, the nodes the entry test pruned (entry_pruned), the terminal
+// children entered without being built (terminal), the greedy covers the
+// upper bound built (greedy) and the outcome; with no recorder the
+// instrumentation is a zero-allocation no-op.
 func (p *Problem) SolveExactCtx(ctx context.Context, opts Options) (Solution, error) {
 	ctx, cancel := opts.Context(ctx)
 	defer cancel()
@@ -397,6 +410,10 @@ const (
 // of its own index space creates none, so a pass is skipped until the
 // other space has lost members since it last ran: rowPass and colPass
 // track that. A skipped pass would have removed nothing.
+//
+// The root's first passes are the only ones dominanceLimit does not bound,
+// so they poll ctl.halted as they go; a halted root is pruned, leaving the
+// caller its incumbent.
 func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selected []int, cost int, root bool) ([]int, int, int) {
 	rowPass, colPass := true, true
 	for {
@@ -444,17 +461,24 @@ func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 		// cores.
 		nr, nc := rows.Len(), cols.Len()
 		changed := false
+		var halt searchCtl
+		if root {
+			halt = ctl
+		}
 		if rowPass && (root || nr <= dominanceLimit) {
 			rowPass = false
-			if m.reduceRowDominance(sc, rows, cols) {
+			if m.reduceRowDominance(rows, cols, halt) {
 				changed, colPass = true, true
 			}
 		}
 		if colPass && (root || nc <= dominanceLimit) {
 			colPass = false
-			if m.reduceColDominance(sc, rows, cols) {
+			if m.reduceColDominance(sc, rows, cols, halt) {
 				changed, rowPass = true, true
 			}
+		}
+		if root && ctl.halted() {
+			return selected, cost, coverPrune
 		}
 		root = false
 		if !changed {
@@ -468,23 +492,29 @@ func (m *matrix) reduce(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 	return selected, cost, coverBranch
 }
 
-// branchOrder returns the columns to branch on: the candidates of the
-// hardest (fewest-candidate) active row, widest coverage first, index
-// breaking ties. Deterministic for a given (rows, cols) state. The result
-// lives in sc's buffer for the current depth and is valid until the next
-// branchOrder call at the same depth.
-func (m *matrix) branchOrder(sc *scratch, rows, cols bitset.Set) []scoredCol {
-	bestRow, bestLen := -1, 1<<30
+// hardestRow returns the row a node branches on, the first active row with
+// the fewest active candidates, and that count.
+func (m *matrix) hardestRow(rows, cols bitset.Set) (row, n int) {
+	row, n = -1, 1<<30
 	for wi, wc := 0, rows.WordCount(); wi < wc; wi++ {
 		for w := rows.Word(wi); w != 0; w &= w - 1 {
 			r := wi*64 + bits.TrailingZeros64(w)
-			if l := bitset.IntersectLenUpTo(m.rowSets[r], cols, bestLen); l < bestLen {
-				bestLen, bestRow = l, r
+			if l := bitset.IntersectLenUpTo(m.rowSets[r], cols, n); l < n {
+				n, row = l, r
 			}
 		}
 	}
+	return row, n
+}
+
+// branchOrder returns the columns to branch on: the active candidates of
+// row (the hardest row), widest coverage first, index breaking ties.
+// Deterministic for a given (rows, cols) state. The result lives in sc's
+// buffer for the current depth and is valid until the next branchOrder
+// call at the same depth.
+func (m *matrix) branchOrder(sc *scratch, row int, rows, cols bitset.Set) []scoredCol {
 	order := sc.orderBuf()
-	rs := m.rowSets[bestRow]
+	rs := m.rowSets[row]
 	for wi, wc := 0, rs.WordCount(); wi < wc; wi++ {
 		for w := rs.Word(wi); w != 0; w &= w - 1 {
 			c := wi*64 + bits.TrailingZeros64(w)
@@ -521,11 +551,17 @@ func (m *matrix) branch(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 		return
 	}
 
+	row, n := m.hardestRow(rows, cols)
+	if m.p.Cost == nil && cost+2 >= ctl.bound() && !m.someCoversAll(row, rows, cols) {
+		sc.countTerminal(ctl, cost, n)
+		return
+	}
+
 	// Branch on the columns of the hardest row; remCols excludes columns
 	// whose solutions have been fully explored by earlier siblings. The
 	// child row/col sets are arena scratch, fully overwritten per sibling,
 	// so a whole subtree costs zero steady-state allocations.
-	order := m.branchOrder(sc, rows, cols)
+	order := m.branchOrder(sc, row, rows, cols)
 	remCols := sc.arena.Get()
 	remCols.CopyFrom(cols)
 	newRows := sc.arena.Get()
@@ -548,93 +584,149 @@ func (m *matrix) branch(ctl searchCtl, sc *scratch, rows, cols bitset.Set, selec
 	sc.arena.Put(remCols)
 }
 
-// projection returns |s ∩ within| and the OR of its words. When
-// a ∩ within ⊆ b, a's count is at most b's and a's fold has no bit b's
-// lacks, so a pair failing either filter cannot pass the subset test.
-func projection(s, within bitset.Set) (count int, fold uint64) {
-	for wi, wc := 0, min(s.WordCount(), within.WordCount()); wi < wc; wi++ {
-		w := s.Word(wi) & within.Word(wi)
-		count += bits.OnesCount64(w)
-		fold |= w
-	}
-	return count, fold
-}
-
-// project starts a dominance pass: one alive member per element id of
-// active, filtered by the projection of sets[id] onto within. The result
-// lives in sc and is valid until the next pass.
-func (sc *scratch) project(active bitset.Set, sets []bitset.Set, within bitset.Set) []member {
-	ms := sc.members[:0]
-	for wi, wc := 0, active.WordCount(); wi < wc; wi++ {
-		for w := active.Word(wi); w != 0; w &= w - 1 {
-			id := wi*64 + bits.TrailingZeros64(w)
-			count, fold := projection(sets[id], within)
-			ms = append(ms, member{id: id, count: count, fold: fold, alive: true})
+// someCoversAll reports whether an active candidate of row covers every
+// active row. Any column that does is a candidate of every row, so
+// row's candidates are the only ones to test.
+func (m *matrix) someCoversAll(row int, rows, cols bitset.Set) bool {
+	rs := m.rowSets[row]
+	for wi, n := 0, min(rs.WordCount(), cols.WordCount()); wi < n; wi++ {
+		for w := rs.Word(wi) & cols.Word(wi); w != 0; w &= w - 1 {
+			if rows.SubsetOf(m.colSets[wi*64+bits.TrailingZeros64(w)]) {
+				return true
+			}
 		}
 	}
-	sc.members = ms
-	return ms
+	return false
 }
 
-// reduceRowDominance removes rows whose candidate column set is a superset
-// of another row's (the superset row is easier to cover and thus implied).
-func (m *matrix) reduceRowDominance(sc *scratch, rows, cols bitset.Set) bool {
-	ms := sc.project(rows, m.rowSets, cols)
+// countTerminal enters the n children of a terminal node without building
+// them. The node has a unit-cost problem, cost+2 >= bound and no active
+// column covering every active row, so each child costs cost+1, still has
+// uncovered rows, and reduce's entry test would prune it — or its first
+// test would, if a parallel bound refresh has since lowered the bound to
+// cost+1. The children are interchangeable, so their order does not
+// matter, and enter and halted are called exactly as branch would call
+// them.
+func (sc *scratch) countTerminal(ctl searchCtl, cost, n int) {
+	for i := 0; i < n && !ctl.halted(); i++ {
+		if !ctl.enter() {
+			return
+		}
+		sc.terminal++
+		if cost+1 < ctl.bound() {
+			sc.entryPruned++
+		}
+	}
+}
+
+// pollStride is how many rows or columns a root dominance pass visits
+// between polls of its halt control.
+const pollStride = 64
+
+// reduceRowDominance removes every row whose active candidates include
+// another row's (the superset row is easier to cover and thus implied),
+// keeping the earliest of identical rows. A row that row i dominates
+// covers i's first active column, so only that column's active rows are
+// tested against i. The pass visits the rows still active in ascending
+// order; an earlier row identical to i would have removed i on its own
+// visit, so a row the pass reaches is the earliest of its identical group
+// and may remove every superset row it finds. With halt set, it polls
+// halt.halted every pollStride rows and returns early when it reports
+// true. Every active row must have an active candidate.
+func (m *matrix) reduceRowDominance(rows, cols bitset.Set, halt searchCtl) bool {
 	removed := false
-	for i := range ms {
-		mi := &ms[i]
-		if !mi.alive {
-			continue
-		}
-		for j := range ms {
-			// The filters first: a pair they reject cannot pass the subset
-			// test.
-			mj := &ms[j]
-			if mj.count < mi.count || mi.fold&^mj.fold != 0 || !mj.alive || i == j {
-				continue
+	visited := 0
+	for wi, wc := 0, rows.WordCount(); wi < wc; wi++ {
+		for w := rows.Word(wi); w != 0; {
+			b := bits.TrailingZeros64(w)
+			i := wi*64 + b
+			if halt != nil && visited%pollStride == 0 && halt.halted() {
+				return removed
 			}
-			// Row j dominated by row i: cand(i) ⊆ cand(j).
-			if bitset.IntersectionSubsetOf(m.rowSets[mi.id], m.rowSets[mj.id], cols) {
-				if j < i && mj.count == mi.count {
-					continue // identical rows: keep the earlier
+			visited++
+			first, _ := bitset.FirstOfIntersection(m.rowSets[i], cols)
+			cs := m.colSets[first]
+			for wj, n := 0, min(cs.WordCount(), rows.WordCount()); wj < n; wj++ {
+				for x := cs.Word(wj) & rows.Word(wj); x != 0; x &= x - 1 {
+					j := wj*64 + bits.TrailingZeros64(x)
+					if j != i && bitset.IntersectionSubsetOf(m.rowSets[i], m.rowSets[j], cols) {
+						rows.Remove(j)
+						removed = true
+					}
 				}
-				rows.Remove(mj.id)
-				mj.alive = false
-				removed = true
 			}
+			// Re-read the word past i: this visit may have removed later rows.
+			w = rows.Word(wi) & (^uint64(0) << b << 1)
 		}
 	}
 	return removed
 }
 
-// reduceColDominance removes columns whose active coverage is contained in
-// a no-costlier column's.
-func (m *matrix) reduceColDominance(sc *scratch, rows, cols bitset.Set) bool {
-	ms := sc.project(cols, m.colSets, rows)
+// reduceColDominance removes every column whose active coverage is
+// contained in a no-costlier column's, keeping the earliest of identical
+// columns. A column that dominates ci covers ci's rarest active row, so
+// only that row's active columns are tested; a column covering no active
+// row is tested against every active column. The row counts that pick the
+// rarest row are taken once, when the pass begins: any row of ci is a
+// correct choice, so counts gone stale as columns fall only cost tests.
+// Each visit removes at most ci itself, and only for a live dominator, so
+// the pass leaves the undominated columns whatever order it visits them
+// in. halt works as in reduceRowDominance.
+func (m *matrix) reduceColDominance(sc *scratch, rows, cols bitset.Set, halt searchCtl) bool {
+	for wi, wc := 0, rows.WordCount(); wi < wc; wi++ {
+		for w := rows.Word(wi); w != 0; w &= w - 1 {
+			r := wi*64 + bits.TrailingZeros64(w)
+			sc.colsOf[r] = bitset.IntersectLen(m.rowSets[r], cols)
+		}
+	}
 	removed := false
-	for i := range ms {
-		mi := &ms[i]
-		ci := mi.id
-		for j := range ms {
-			mj := &ms[j]
-			if mj.count < mi.count || mi.fold&^mj.fold != 0 || !mj.alive || i == j {
-				continue
+	visited := 0
+	for wi, wc := 0, cols.WordCount(); wi < wc; wi++ {
+		for w := cols.Word(wi); w != 0; w &= w - 1 {
+			ci := wi*64 + bits.TrailingZeros64(w)
+			if halt != nil && visited%pollStride == 0 && halt.halted() {
+				return removed
 			}
-			// ci dominated by cj.
-			cj := mj.id
-			if m.p.cost(cj) <= m.p.cost(ci) &&
-				bitset.IntersectionSubsetOf(m.colSets[ci], m.colSets[cj], rows) {
-				if j > i && m.p.cost(cj) == m.p.cost(ci) && mj.count == mi.count {
-					continue // identical columns: keep the earlier
+			visited++
+			partners := cols
+			rare := math.MaxInt
+			cs := m.colSets[ci]
+			for wr, n := 0, min(cs.WordCount(), rows.WordCount()); wr < n; wr++ {
+				for x := cs.Word(wr) & rows.Word(wr); x != 0; x &= x - 1 {
+					r := wr*64 + bits.TrailingZeros64(x)
+					if sc.colsOf[r] < rare {
+						rare, partners = sc.colsOf[r], m.rowSets[r]
+					}
 				}
+			}
+			if m.dominated(ci, partners, rows, cols) {
 				cols.Remove(ci)
-				mi.alive = false
 				removed = true
-				break
 			}
 		}
 	}
 	return removed
+}
+
+// dominated reports whether an active column among partners other than ci
+// dominates ci: it costs no more and covers every active row ci covers,
+// and it is not an identical later column (cost and coverage equal), which
+// ci is kept over.
+func (m *matrix) dominated(ci int, partners, rows, cols bitset.Set) bool {
+	cost := m.p.cost(ci)
+	for wj, n := 0, min(partners.WordCount(), cols.WordCount()); wj < n; wj++ {
+		for x := partners.Word(wj) & cols.Word(wj); x != 0; x &= x - 1 {
+			cj := wj*64 + bits.TrailingZeros64(x)
+			if cj == ci || m.p.cost(cj) > cost || !bitset.IntersectionSubsetOf(m.colSets[ci], m.colSets[cj], rows) {
+				continue
+			}
+			if cj > ci && m.p.cost(cj) == cost && bitset.IntersectionSubsetOf(m.colSets[cj], m.colSets[ci], rows) {
+				continue // identical columns: keep the earlier
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // lowerBound: greedily pick pairwise column-disjoint rows; each needs a
@@ -679,24 +771,50 @@ type ubScratch struct {
 	gsel      []int      // current greedy cover under construction
 	weights   []float64  // weightedGreedy row weights
 	counts    []int      // weightedGreedy per-row coverage counts
+	stale     []float64  // weightedGreedy's last score per column this round
 	order     []int      // dropRedundant's sorted scan order
 	kept      []bool     // dropRedundant's keep flags, indexed by column
 	dropBuf   []int      // dropRedundant's output buffer
 	sel       []int      // incumbent cover (owned copy)
 	cost      int
 	found     bool
+	covers    int // greedy covers built, for the cover.solve span
+}
+
+// upperBound builds the incumbent the search starts from: eight
+// diversified greedy covers, then 24 multiplicative-weights rounds. It
+// stops after any cover once the incumbent meets a positive lb, where the
+// search would not run, or once ctx is done; the first cover always
+// completes. ErrInfeasible means plain greedy met a row no column covers.
+func (m *matrix) upperBound(ctx context.Context, ub *ubScratch, rows, cols bitset.Set, lb int) error {
+	ub.cost, ub.found, ub.covers = -1, false, 0
+	for variant := 0; variant < 8; variant++ {
+		g, ok := m.greedyVariant(ub, rows, cols, variant)
+		if !ok {
+			// Every variant completes once plain greedy (variant 0) does.
+			return ErrInfeasible
+		}
+		if m.consider(ub, rows, g, lb) || ctx.Err() != nil {
+			return nil
+		}
+	}
+	m.weightedGreedy(ctx, ub, rows, cols, 24, lb)
+	return nil
 }
 
 // consider offers one greedy cover to the incumbent: redundancy-eliminate,
 // then keep it on strict improvement. g may alias any ub buffer except
-// ub.sel; the incumbent is copied out.
-func (m *matrix) consider(ub *ubScratch, rows bitset.Set, g []int) {
+// ub.sel; the incumbent is copied out. It reports whether the incumbent
+// now meets a positive lb, so no further cover can be worth building.
+func (m *matrix) consider(ub *ubScratch, rows bitset.Set, g []int, lb int) bool {
+	ub.covers++
 	g = m.dropRedundant(ub, rows, g)
 	if c := costOf(m.p, g); !ub.found || c < ub.cost {
 		ub.cost = c
 		ub.sel = append(ub.sel[:0], g...)
 		ub.found = true
 	}
+	return lb > 0 && ub.cost <= lb
 }
 
 // greedyVariant builds a greedy cover — repeatedly pick the column
@@ -759,15 +877,28 @@ func (m *matrix) greedyVariant(ub *ubScratch, rows, cols bitset.Set, variant int
 // bumped, steering subsequent greedy passes toward columns that cover the
 // chronically hard rows together. Each cover built is offered to the
 // incumbent through consider, in construction order, so the loop runs out
-// of ub's reusable buffers without materializing a cover list.
-func (m *matrix) weightedGreedy(ub *ubScratch, rows, cols bitset.Set, iters int) {
+// of ub's reusable buffers without materializing a cover list. It stops
+// early as upperBound does.
+//
+// Each step picks the first column of highest weighted score, as an eager
+// scan of every column would, but re-scores a column only when its last
+// score in this round beats the step's running best. Within a round the
+// weights are fixed and positive and the uncovered rows only shrink, and
+// weightedCoverage sums a column's rows in one fixed order, so a
+// column's floating-point score never rises: a column skipped this way
+// could not have been strictly better than the running best.
+func (m *matrix) weightedGreedy(ctx context.Context, ub *ubScratch, rows, cols bitset.Set, iters, lb int) {
 	nRows := len(m.rowSets)
 	if cap(ub.weights) < nRows {
 		ub.weights = make([]float64, nRows)
 		ub.counts = make([]int, nRows)
 	}
+	if cap(ub.stale) < m.p.NumCols {
+		ub.stale = make([]float64, m.p.NumCols)
+	}
 	weights := ub.weights[:nRows]
 	counts := ub.counts[:nRows]
+	stale := ub.stale[:m.p.NumCols]
 	for r := range weights {
 		weights[r] = 1
 	}
@@ -775,16 +906,23 @@ func (m *matrix) weightedGreedy(ub *ubScratch, rows, cols bitset.Set, iters int)
 		remaining := ub.remaining
 		remaining.CopyFrom(rows)
 		sel := ub.gsel[:0]
+		for c := range stale {
+			stale[c] = math.Inf(1)
+		}
 		for !remaining.IsEmpty() {
 			bestC, bestScore := -1, -1.0
 			for wi, wc := 0, cols.WordCount(); wi < wc; wi++ {
 				for cw := cols.Word(wi); cw != 0; cw &= cw - 1 {
 					c := wi*64 + bits.TrailingZeros64(cw)
-					w := weightedCoverage(m.colSets[c], remaining, weights)
-					if w == 0 {
+					if stale[c] <= bestScore {
 						continue
 					}
-					if score := w / float64(m.p.cost(c)); score > bestScore {
+					score := -1.0 // c covers no uncovered row: never again this round
+					if w := weightedCoverage(m.colSets[c], remaining, weights); w != 0 {
+						score = w / float64(m.p.cost(c))
+					}
+					stale[c] = score
+					if score > bestScore {
 						bestScore, bestC = score, c
 					}
 				}
@@ -797,7 +935,9 @@ func (m *matrix) weightedGreedy(ub *ubScratch, rows, cols bitset.Set, iters int)
 			remaining.DifferenceWith(m.colSets[bestC])
 		}
 		ub.gsel = sel
-		m.consider(ub, rows, sel)
+		if m.consider(ub, rows, sel, lb) || ctx.Err() != nil {
+			return
+		}
 		// Bump rows covered exactly once by this cover.
 		clear(counts)
 		for _, c := range sel {
