@@ -10,12 +10,21 @@ GO ?= go
 # CPU count compares like with like on any machine.
 BENCH_SNAPSHOT ?= BENCH.json
 
-.PHONY: all build fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
+.PHONY: all build loc fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Print the line counts of the Go files outside perfbench/ (its own
+# module) and outside hidden directories such as the benchmark's build
+# state: non-test files, then test files. The non-test count is the size
+# figure CHANGES.md entries and ROADMAP aim 2 quote.
+GO_SOURCES = find . -path './perfbench' -prune -o -path './.*' -prune -o -name '*.go'
+loc:
+	@printf 'non-test Go lines: %s\n' "$$($(GO_SOURCES) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$($(GO_SOURCES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 # Fail when any Go file in the tree, perfbench/ included, is not gofmt
 # clean, naming the offenders.

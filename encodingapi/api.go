@@ -116,10 +116,10 @@ type (
 	// Hash128 is the canonical 128-bit content hash of a constraint set.
 	Hash128 = core.Hash128
 
-	// Trace is the stage-span report of one solve: what the ExactResult
-	// and HeuristicResult Trace fields carry when the solve ran under a
-	// traced context (see StartTrace), what the encode CLIs print under
-	// -trace, and what the server returns from GET /v1/trace/{id}.
+	// Trace is the stage-span report of one solve: what a TraceRecorder's
+	// Snapshot returns after a solve under a traced context (see
+	// StartTrace), what the encode CLIs print under -trace, and what the
+	// server returns from GET /v1/trace/{id}.
 	Trace = trace.Trace
 	// TraceSpan is one recorded stage of a Trace.
 	TraceSpan = trace.SpanRecord
@@ -217,9 +217,9 @@ func ParseBackend(name string) (Backend, bool) { return core.ParseBackend(name) 
 // StartTrace attaches a fresh solve-trace recorder to ctx and returns both.
 // Solver entry points called with the returned context record per-stage
 // spans (prime generation, covering search, heuristic restarts, …) into the
-// recorder and attach a snapshot to their results' Trace field; without a
-// recorder the instrumentation costs nothing. Inspect the report with
-// Trace.Table (the CLIs' stage-time rendering) or walk Trace.Spans.
+// recorder; without a recorder the instrumentation costs nothing. Take the
+// report with the recorder's Snapshot, then render it with Trace.Table (the
+// CLIs' stage-time rendering) or walk Trace.Spans.
 func StartTrace(ctx context.Context) (context.Context, *TraceRecorder) {
 	return trace.Start(ctx)
 }

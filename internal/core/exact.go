@@ -67,9 +67,6 @@ type ExactResult struct {
 	// Optimal is true when the covering solver proved minimality over the
 	// candidate column pool.
 	Optimal bool
-	// Trace is the stage-span report of this solve when the caller's
-	// context carried a trace recorder (internal/trace); empty otherwise.
-	Trace trace.Trace
 }
 
 // ExactEncodeCtx solves P-2: it finds codes of minimum length satisfying all
@@ -186,18 +183,14 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts ExactOptions) 
 		optimal = sol.Optimal
 	}
 
-	res := &ExactResult{
+	return &ExactResult{
 		Encoding:        FromColumns(cs.Syms, cols),
 		Seeds:           seeds,
 		Raised:          raised,
 		Primes:          candidates,
 		SelectedColumns: cols,
 		Optimal:         optimal,
-	}
-	if rec := trace.FromContext(ctx); rec != nil {
-		res.Trace = rec.Snapshot()
-	}
-	return res, nil
+	}, nil
 }
 
 // coverSeeds builds and solves the unate covering of the canonical seed

@@ -12,8 +12,9 @@ import (
 )
 
 // The references below are the all-pairs dominance passes and the eager
-// weighted greedy the search ran before the incidence index and lazy
-// re-scoring: the rewritten code must leave exactly what they leave.
+// plain and weighted greedy covers the search ran before the incidence
+// index and lazy re-scoring: the rewritten code must leave exactly what
+// they leave.
 
 // rowDominanceAllPairs tests every ordered pair of active rows and removes
 // row j when row i's active candidates lie within j's, keeping the earlier
@@ -72,6 +73,53 @@ func (m *matrix) colDominanceAllPairs(rows, cols bitset.Set) bool {
 	return removed
 }
 
+// greedyVariantEager builds greedy cover variant as greedyCover does with
+// nil weights, scoring every active column at every step.
+func (m *matrix) greedyVariantEager(rows, cols bitset.Set, variant int) (selection []int, ok bool) {
+	remaining := rows.Clone()
+	var sel []int
+	step := 0
+	for !remaining.IsEmpty() {
+		// Track the top three scoring columns.
+		type cand struct {
+			c     int
+			score float64
+		}
+		top := [3]cand{{-1, -1}, {-1, -1}, {-1, -1}}
+		for wi, wc := 0, cols.WordCount(); wi < wc; wi++ {
+			for w := cols.Word(wi); w != 0; w &= w - 1 {
+				c := wi*64 + bits.TrailingZeros64(w)
+				k := bitset.IntersectLen(m.colSets[c], remaining)
+				if k == 0 {
+					continue
+				}
+				sc := float64(k) / float64(m.p.cost(c))
+				for i := 0; i < 3; i++ {
+					if sc > top[i].score {
+						copy(top[i+1:], top[i:2])
+						top[i] = cand{c, sc}
+						break
+					}
+				}
+			}
+		}
+		if top[0].c < 0 {
+			return nil, false
+		}
+		pick := 0
+		if variant > 0 && (step+variant)%3 == 0 {
+			pick = variant % 3
+			for pick > 0 && top[pick].c < 0 {
+				pick--
+			}
+		}
+		sel = append(sel, top[pick].c)
+		remaining.DifferenceWith(m.colSets[top[pick].c])
+		step++
+	}
+	return sel, true
+}
+
 // weightedGreedyEager scores every active column at every step.
 func (m *matrix) weightedGreedyEager(ub *ubScratch, rows, cols bitset.Set, iters int) {
 	nRows := len(m.rowSets)
@@ -119,11 +167,12 @@ func (m *matrix) weightedGreedyEager(ub *ubScratch, rows, cols bitset.Set, iters
 	}
 }
 
-// referenceMismatch runs the indexed dominance passes and the lazy
-// weighted greedy against their references on the state (rows, cols) of
-// m, whose active rows must each keep an active column, and describes the
-// first difference, or returns "". The column passes run both on the
-// state itself and on what the row pass leaves, as reduce runs them.
+// referenceMismatch runs the indexed dominance passes and the lazy plain
+// and weighted greedy covers against their references on the state
+// (rows, cols) of m, whose active rows must each keep an active column,
+// and describes the first difference, or returns "". The column passes
+// run both on the state itself and on what the row pass leaves, as reduce
+// runs them.
 func (m *matrix) referenceMismatch(rows, cols bitset.Set) string {
 	sc := newScratch(m)
 	gotRows, wantRows := rows.Clone(), rows.Clone()
@@ -142,6 +191,13 @@ func (m *matrix) referenceMismatch(rows, cols bitset.Set) string {
 		}
 	}
 	lazy, eager := &ubScratch{}, &ubScratch{}
+	for variant := 0; variant < 8; variant++ {
+		got, gotOK := m.greedyCover(lazy, rows, cols, nil, variant)
+		want, wantOK := m.greedyVariantEager(rows, cols, variant)
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			return fmt.Sprintf("lazy greedy variant %d built %v (ok %v), eager %v (ok %v)", variant, got, gotOK, want, wantOK)
+		}
+	}
 	m.weightedGreedy(context.Background(), lazy, rows, cols, 24, 0)
 	m.weightedGreedyEager(eager, rows, cols, 24)
 	if lazy.found != eager.found || lazy.cost != eager.cost || !slices.Equal(lazy.sel, eager.sel) {
@@ -210,7 +266,8 @@ func randomState(m *matrix, rng *rand.Rand) (rows, cols bitset.Set) {
 // TestPassesMatchReference: on random states of random problems — unit,
 // 1–4 and 0–3 costs, with twinned rows and columns — the indexed
 // dominance passes leave exactly the rows and columns the all-pairs passes
-// leave, and the lazy weighted greedy keeps the eager one's incumbent.
+// leave, the lazy greedy variants build the eager ones' covers, and the
+// lazy weighted greedy keeps the eager one's incumbent.
 func TestPassesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 1500; trial++ {

@@ -41,8 +41,9 @@ func table1Matrix(t *testing.T, name string) *cover.Problem {
 
 // TestPassesMatchReferenceTable1: at the root of the six mid-size Table-1
 // covering matrices, the indexed dominance passes leave exactly the rows
-// and columns the all-pairs passes leave, and the lazy weighted greedy
-// keeps the eager one's incumbent.
+// and columns the all-pairs passes leave, the lazy greedy variants build
+// the eager ones' covers, and the lazy weighted greedy keeps the eager
+// one's incumbent.
 func TestPassesMatchReferenceTable1(t *testing.T) {
 	for _, name := range []string{"master", "kirkman", "dk512", "s1a", "exlinp", "cse"} {
 		msg, err := cover.RootReferenceMismatch(table1Matrix(t, name))

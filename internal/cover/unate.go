@@ -18,9 +18,9 @@
 // no column covering every active row is a terminal node: none of its
 // children can be a leaf, and the entry test prunes each of them, so they
 // are entered and counted without being built. The greedy upper bound
-// stops once its incumbent meets a positive Options.LowerBound, and its
-// weighted rounds re-score a column only while its last score could still
-// win the step.
+// stops once its incumbent meets a positive Options.LowerBound, and each
+// of its covers re-scores a column only while its last score could still
+// reach the rank the step picks.
 //
 // # Cancellation
 //
@@ -771,7 +771,7 @@ type ubScratch struct {
 	gsel      []int      // current greedy cover under construction
 	weights   []float64  // weightedGreedy row weights
 	counts    []int      // weightedGreedy per-row coverage counts
-	stale     []float64  // weightedGreedy's last score per column this round
+	stale     []float64  // greedyCover's last score per column this cover
 	order     []int      // dropRedundant's sorted scan order
 	kept      []bool     // dropRedundant's keep flags, indexed by column
 	dropBuf   []int      // dropRedundant's output buffer
@@ -789,7 +789,7 @@ type ubScratch struct {
 func (m *matrix) upperBound(ctx context.Context, ub *ubScratch, rows, cols bitset.Set, lb int) error {
 	ub.cost, ub.found, ub.covers = -1, false, 0
 	for variant := 0; variant < 8; variant++ {
-		g, ok := m.greedyVariant(ub, rows, cols, variant)
+		g, ok := m.greedyCover(ub, rows, cols, nil, variant)
 		if !ok {
 			// Every variant completes once plain greedy (variant 0) does.
 			return ErrInfeasible
@@ -817,56 +817,82 @@ func (m *matrix) consider(ub *ubScratch, rows bitset.Set, g []int, lb int) bool 
 	return lb > 0 && ub.cost <= lb
 }
 
-// greedyVariant builds a greedy cover — repeatedly pick the column
-// covering the most uncovered rows per unit cost — with deterministic
-// tie-breaking diversity: variant 0 is plain greedy, and variant v > 0
-// picks the (v mod 3)-th best column on every (step+v)-th step, giving the
-// restart loop distinct feasible covers. The returned selection
-// lives in ub.gsel and is valid until the next greedy pass; ok=false means
-// some row is uncoverable.
-func (m *matrix) greedyVariant(ub *ubScratch, rows, cols bitset.Set, variant int) (selection []int, ok bool) {
+// greedyCover builds a greedy cover: repeatedly pick the column covering
+// the most uncovered rows per unit cost, counting each row once, or by its
+// weight when weights is non-nil. Columns rank by score, ties by index.
+// Variant 0 picks the best column at every step; variant v > 0 picks the
+// (v mod 3)-th best on every (step+v)-th step, or the last-ranked when
+// fewer columns cover an uncovered row, giving the restart loop distinct
+// feasible covers. The returned selection lives in ub.gsel and is valid
+// until the next greedy pass; ok=false means some row is uncoverable.
+//
+// A step re-scores a column only when its last score in this cover beats
+// the running score at the rank the step picks. The uncovered rows only
+// shrink within a cover, weights are fixed and positive, and
+// weightedCoverage sums a column's rows in one fixed order, so a column's
+// floating-point score never rises: a column skipped this way ranks below
+// the pick, and every pick, ties included, is an eager scan's.
+func (m *matrix) greedyCover(ub *ubScratch, rows, cols bitset.Set, weights []float64, variant int) (selection []int, ok bool) {
+	if cap(ub.stale) < m.p.NumCols {
+		ub.stale = make([]float64, m.p.NumCols)
+	}
+	stale := ub.stale[:m.p.NumCols]
+	for c := range stale {
+		stale[c] = math.Inf(1)
+	}
 	ub.remaining.CopyFrom(rows)
 	remaining := ub.remaining
 	sel := ub.gsel[:0]
-	step := 0
-	for !remaining.IsEmpty() {
-		// Track the top three scoring columns.
+	for step := 0; !remaining.IsEmpty(); step++ {
+		rank := 0
+		if variant > 0 && (step+variant)%3 == 0 {
+			rank = variant % 3
+		}
+		// top[:rank+1] are the best columns scored so far, best first;
+		// bar is top[rank]'s score.
 		type cand struct {
 			c     int
 			score float64
 		}
 		top := [3]cand{{-1, -1}, {-1, -1}, {-1, -1}}
+		bar := -1.0
 		for wi, wc := 0, cols.WordCount(); wi < wc; wi++ {
-			for w := cols.Word(wi); w != 0; w &= w - 1 {
-				c := wi*64 + bits.TrailingZeros64(w)
-				k := bitset.IntersectLen(m.colSets[c], remaining)
-				if k == 0 {
+			for cw := cols.Word(wi); cw != 0; cw &= cw - 1 {
+				c := wi*64 + bits.TrailingZeros64(cw)
+				if stale[c] <= bar {
 					continue
 				}
-				sc := float64(k) / float64(m.p.cost(c))
-				for i := 0; i < 3; i++ {
+				var w float64
+				if weights == nil {
+					w = float64(bitset.IntersectLen(m.colSets[c], remaining))
+				} else {
+					w = weightedCoverage(m.colSets[c], remaining, weights)
+				}
+				sc := -1.0 // c covers no uncovered row: never again this cover
+				if w != 0 {
+					sc = w / float64(m.p.cost(c))
+				}
+				stale[c] = sc
+				for i := 0; i <= rank; i++ {
 					if sc > top[i].score {
-						copy(top[i+1:], top[i:2])
+						copy(top[i+1:rank+1], top[i:rank])
 						top[i] = cand{c, sc}
+						bar = top[rank].score
 						break
 					}
 				}
 			}
 		}
-		if top[0].c < 0 {
+		pick := rank
+		for pick > 0 && top[pick].c < 0 {
+			pick--
+		}
+		if top[pick].c < 0 {
 			ub.gsel = sel
 			return nil, false
 		}
-		pick := 0
-		if variant > 0 && (step+variant)%3 == 0 {
-			pick = variant % 3
-			for pick > 0 && top[pick].c < 0 {
-				pick--
-			}
-		}
 		sel = append(sel, top[pick].c)
 		remaining.DifferenceWith(m.colSets[top[pick].c])
-		step++
 	}
 	ub.gsel = sel
 	return sel, true
@@ -879,63 +905,20 @@ func (m *matrix) greedyVariant(ub *ubScratch, rows, cols bitset.Set, variant int
 // incumbent through consider, in construction order, so the loop runs out
 // of ub's reusable buffers without materializing a cover list. It stops
 // early as upperBound does.
-//
-// Each step picks the first column of highest weighted score, as an eager
-// scan of every column would, but re-scores a column only when its last
-// score in this round beats the step's running best. Within a round the
-// weights are fixed and positive and the uncovered rows only shrink, and
-// weightedCoverage sums a column's rows in one fixed order, so a
-// column's floating-point score never rises: a column skipped this way
-// could not have been strictly better than the running best.
 func (m *matrix) weightedGreedy(ctx context.Context, ub *ubScratch, rows, cols bitset.Set, iters, lb int) {
 	nRows := len(m.rowSets)
 	if cap(ub.weights) < nRows {
 		ub.weights = make([]float64, nRows)
 		ub.counts = make([]int, nRows)
 	}
-	if cap(ub.stale) < m.p.NumCols {
-		ub.stale = make([]float64, m.p.NumCols)
-	}
 	weights := ub.weights[:nRows]
 	counts := ub.counts[:nRows]
-	stale := ub.stale[:m.p.NumCols]
 	for r := range weights {
 		weights[r] = 1
 	}
 	for it := 0; it < iters; it++ {
-		remaining := ub.remaining
-		remaining.CopyFrom(rows)
-		sel := ub.gsel[:0]
-		for c := range stale {
-			stale[c] = math.Inf(1)
-		}
-		for !remaining.IsEmpty() {
-			bestC, bestScore := -1, -1.0
-			for wi, wc := 0, cols.WordCount(); wi < wc; wi++ {
-				for cw := cols.Word(wi); cw != 0; cw &= cw - 1 {
-					c := wi*64 + bits.TrailingZeros64(cw)
-					if stale[c] <= bestScore {
-						continue
-					}
-					score := -1.0 // c covers no uncovered row: never again this round
-					if w := weightedCoverage(m.colSets[c], remaining, weights); w != 0 {
-						score = w / float64(m.p.cost(c))
-					}
-					stale[c] = score
-					if score > bestScore {
-						bestScore, bestC = score, c
-					}
-				}
-			}
-			if bestC < 0 {
-				ub.gsel = sel
-				return
-			}
-			sel = append(sel, bestC)
-			remaining.DifferenceWith(m.colSets[bestC])
-		}
-		ub.gsel = sel
-		if m.consider(ub, rows, sel, lb) || ctx.Err() != nil {
+		sel, ok := m.greedyCover(ub, rows, cols, weights, 0)
+		if !ok || m.consider(ub, rows, sel, lb) || ctx.Err() != nil {
 			return
 		}
 		// Bump rows covered exactly once by this cover.
@@ -1110,7 +1093,7 @@ func (p *Problem) SolveGreedy() (Solution, error) {
 		return Solution{}, err
 	}
 	// newMatrix rejected every row no column covers, so greedy completes.
-	sel, _ := m.greedyVariant(&ubScratch{}, fullSet(len(p.RowCols)), fullSet(p.NumCols), 0)
+	sel, _ := m.greedyCover(&ubScratch{}, fullSet(len(p.RowCols)), fullSet(p.NumCols), nil, 0)
 	sort.Ints(sel)
 	return Solution{Cols: sel, Cost: costOf(p, sel)}, nil
 }

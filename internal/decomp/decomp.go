@@ -9,15 +9,16 @@
 //   - Split builds the symbol graph (union-find over each constraint's
 //     symbol set), extracts one local constraint.Set per connected
 //     component, runs a pre-solve simplification pass (duplicate and
-//     subsumed-constraint elimination, implied code-equality detection) and
-//     computes a canonical per-component sub-hash with
-//     core.CanonicalHashSet, so permuted-but-equal components share one
-//     cache identity.
+//     subsumed-constraint elimination) and computes a canonical
+//     per-component sub-hash with core.CanonicalHashSet, so
+//     permuted-but-equal components share one cache identity.
 //   - Plan.Solve is the one component loop: a bounded fan-out of a
 //     caller-supplied ComponentSolver over the components (ExactEncodeCtx
 //     hands it the plain core solve; the service adds per-component
 //     caching and coalescing), remapping any InfeasibleError back to global
-//     symbol indices before it escapes.
+//     symbol indices before it escapes. An infeasible component fails in
+//     its own solve, which decides P-1 and minimizes the conflict over the
+//     component's constraints.
 //   - Assemble concatenates the component encodings with a prefix-free
 //     aligned-subcube layout (see layout.go) and reports honest optimality:
 //     the result claims Optimal only when every component was solved to
@@ -34,7 +35,6 @@
 package decomp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -62,12 +62,6 @@ type Component struct {
 	// per-component caching hit across permuted requests.
 	Hash core.Hash128
 
-	// forcedInfeasible records that simplification derived an implied code
-	// equality (a dominance/disjunctive covering cycle, or a disjunctive
-	// reduced to a single child): equal codes violate global uniqueness, so
-	// the component admits no encoding.
-	forcedInfeasible bool
-
 	// globalSyms is the source set's symbol table, kept for remapping
 	// errors back to global indices.
 	globalSyms *sym.Table
@@ -93,8 +87,8 @@ func Decomposable(cs *constraint.Set) bool {
 // Each constraint couples exactly the symbols it mentions — for faces the
 // members only: a don't-care symbol is merely *allowed* inside the face, so
 // it induces no coupling and out-of-component don't-cares are projected
-// away. Every local set is simplified and hashed; implied-equality
-// infeasibility is recorded on the component (see Plan.ForcedInfeasible).
+// away. Every local set is simplified and hashed; feasibility is left to
+// each component's solve.
 func Split(cs *constraint.Set) (*Plan, error) {
 	if err := cs.Validate(); err != nil {
 		return nil, err
@@ -125,31 +119,10 @@ func Split(cs *constraint.Set) (*Plan, error) {
 	// so two requests differing only in redundant repetition must converge
 	// on the same sub-hash to share a cache entry.
 	for _, c := range comps {
-		c.forcedInfeasible = simplify(c.Set)
+		simplify(c.Set)
 		c.Hash = core.CanonicalHashSet(c.Set)
 	}
 	return &Plan{Source: cs, Components: comps}, nil
-}
-
-// ForcedInfeasible returns the global infeasibility verdict when
-// simplification proved some component admits no encoding (an implied code
-// equality contradicts uniqueness), nil otherwise. The verdict is
-// double-checked against the polynomial P-1 test on the source set — which
-// also supplies the minimized conflict subset in *global* indices — so a
-// disagreement (defensive; it would indicate a simplifier bug) falls back
-// to the ordinary solve path instead of mis-reporting a feasible set.
-func (p *Plan) ForcedInfeasible(ctx context.Context) *core.InfeasibleError {
-	for _, c := range p.Components {
-		if !c.forcedInfeasible {
-			continue
-		}
-		if core.CheckFeasible(p.Source).Feasible {
-			c.forcedInfeasible = false
-			continue
-		}
-		return &core.InfeasibleError{Conflict: core.MinimizeInfeasible(ctx, p.Source)}
-	}
-	return nil
 }
 
 // Count returns the number of connected components of cs's symbol graph, or

@@ -128,26 +128,27 @@ func TestFreeSymbolSingletons(t *testing.T) {
 	}
 }
 
+// TestImpliedEqualityInfeasible: constraints that force two codes equal
+// contradict uniqueness. The component's own solve rejects them through
+// P-1, and the conflict reaches the caller over the source symbol table.
 func TestImpliedEqualityInfeasible(t *testing.T) {
 	cases := []struct {
 		name, text string
 	}{
 		{"dominance cycle", "dom x > y\ndom y > x\n"},
 		{"single child after dedupe", "disj a = b | b\n"},
+		{"cycle through a disjunctive", "face p q\ndom a > b\ndisj b = a | c\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cs := mustParse(t, tc.text)
-			plan, err := Split(cs)
-			if err != nil {
-				t.Fatal(err)
+			_, err := ExactEncodeCtx(context.Background(), cs, core.ExactOptions{})
+			var ie *core.InfeasibleError
+			if !errors.As(err, &ie) {
+				t.Fatalf("error is %T (%v), want *core.InfeasibleError", err, err)
 			}
-			ie := plan.ForcedInfeasible(context.Background())
-			if ie == nil {
-				t.Fatal("ForcedInfeasible = nil, want infeasible")
-			}
-			if !errors.Is(ie, core.ErrInfeasible) {
-				t.Errorf("error does not unwrap to ErrInfeasible: %v", ie)
+			if !errors.Is(err, core.ErrInfeasible) {
+				t.Errorf("error does not unwrap to ErrInfeasible: %v", err)
 			}
 			if ie.Conflict == nil {
 				t.Fatal("no minimized conflict")
@@ -289,10 +290,7 @@ func TestResultFromCodesRoundTrip(t *testing.T) {
 
 func TestSimplifyDedupe(t *testing.T) {
 	cs := mustParse(t, "face a b\nface a b\ndom a > b\ndom a > b\ndist2 a b\ndist2 b a\n")
-	forced := simplify(cs)
-	if forced {
-		t.Error("simplify reported forced equality on a feasible set")
-	}
+	simplify(cs)
 	if len(cs.Faces) != 1 || len(cs.Dominances) != 1 || len(cs.Distance2s) != 1 {
 		t.Errorf("after simplify: faces=%d dominances=%d dist2=%d, want 1 each",
 			len(cs.Faces), len(cs.Dominances), len(cs.Distance2s))

@@ -1,9 +1,9 @@
-// Pre-solve simplification in the spirit of BEE-style equi-propagation:
-// structurally redundant constraints are eliminated before the exponential
-// kernels run, and implied code equalities — which contradict the global
-// uniqueness requirement — are detected outright. Every rewrite is
-// solution-preserving: the simplified set admits exactly the encodings the
-// original did, so solving the simplified set solves the original.
+// Pre-solve simplification: structurally redundant constraints are
+// eliminated before the exponential kernels run, so requests that differ
+// only in redundant repetition converge on one component hash. Every
+// rewrite is solution-preserving: the simplified set admits exactly the
+// encodings the original did, so solving the simplified set solves the
+// original.
 package decomp
 
 import (
@@ -14,9 +14,7 @@ import (
 	"repro/internal/constraint"
 )
 
-// simplify rewrites s in place and reports whether it derived an implied
-// code equality (which makes the component infeasible: core.Verify requires
-// pairwise-distinct codes). Rewrites:
+// simplify rewrites s in place:
 //
 //   - duplicate elimination across every class (faces by exact
 //     members+don't-cares, dominances by pair, disjunctives by
@@ -25,23 +23,13 @@ import (
 //   - face subsumption: with equal members, a face with a *larger*
 //     don't-care set is strictly weaker and is dropped in favor of the
 //     stricter one;
-//   - disjunctive child deduplication ("a = b | b" is "a = b");
-//   - equality detection: a disjunctive reduced to one child forces
-//     parent = child, and a cycle in the covering digraph (Big→Small per
-//     dominance, Parent→child per disjunctive, since an OR covers each
-//     operand) forces every code on the cycle equal.
-func simplify(s *constraint.Set) (forcedEqual bool) {
+//   - disjunctive child deduplication ("a = b | b" is "a = b").
+func simplify(s *constraint.Set) {
 	simplifyFaces(s)
 	s.Dominances = dedupeDominances(s.Dominances)
-	if dedupeDisjunctives(s) {
-		forcedEqual = true
-	}
+	dedupeDisjunctives(s)
 	s.ExtDisjunctives = dedupeExtDisjunctives(s.ExtDisjunctives)
 	s.Distance2s = dedupeDistance2s(s.Distance2s)
-	if coveringCycle(s) {
-		forcedEqual = true
-	}
-	return forcedEqual
 }
 
 // simplifyFaces drops exact duplicates and don't-care-subsumed faces:
@@ -90,9 +78,8 @@ func dedupeDominances(ds []constraint.Dominance) []constraint.Dominance {
 }
 
 // dedupeDisjunctives removes repeated children within each constraint and
-// duplicate constraints across the list, and reports whether any
-// disjunctive collapsed to a single child (parent = child: an equality).
-func dedupeDisjunctives(s *constraint.Set) (singleChild bool) {
+// duplicate constraints across the list.
+func dedupeDisjunctives(s *constraint.Set) {
 	seen := make(map[string]bool, len(s.Disjunctives))
 	var out []constraint.Disjunctive
 	for _, d := range s.Disjunctives {
@@ -104,9 +91,6 @@ func dedupeDisjunctives(s *constraint.Set) (singleChild bool) {
 				children = append(children, c)
 			}
 		}
-		if len(children) == 1 {
-			singleChild = true
-		}
 		key := disjKey(d.Parent, children)
 		if seen[key] {
 			continue
@@ -115,7 +99,6 @@ func dedupeDisjunctives(s *constraint.Set) (singleChild bool) {
 		out = append(out, constraint.Disjunctive{Parent: d.Parent, Children: children})
 	}
 	s.Disjunctives = out
-	return singleChild
 }
 
 func disjKey(parent int, children []int) string {
@@ -179,48 +162,4 @@ func dedupeDistance2s(ds []constraint.Distance2) []constraint.Distance2 {
 		}
 	}
 	return out
-}
-
-// coveringCycle reports whether the covering digraph — one edge Big→Small
-// per dominance, Parent→child per disjunctive — contains a cycle. A
-// dominance means code(Big) bit-wise covers code(Small), and a disjunctive
-// parent (the OR of its children) covers every child, so a cycle forces all
-// codes on it equal: infeasible under uniqueness. Detected by Kahn's
-// topological sort: nodes left unconsumed lie on (or downstream into) a
-// cycle.
-func coveringCycle(s *constraint.Set) bool {
-	n := s.N()
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	addEdge := func(from, to int) {
-		adj[from] = append(adj[from], to)
-		indeg[to]++
-	}
-	for _, d := range s.Dominances {
-		addEdge(d.Big, d.Small)
-	}
-	for _, d := range s.Disjunctives {
-		for _, c := range d.Children {
-			addEdge(d.Parent, c)
-		}
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	consumed := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		consumed++
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	return consumed < n
 }

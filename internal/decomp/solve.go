@@ -32,16 +32,9 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts core.ExactOpti
 	// A caller-supplied covering lower bound speaks about the global
 	// problem; applied locally it could cut off the true component minimum.
 	opts.Cover.LowerBound = 0
-	res, err := plan.Solve(ctx, opts.WorkerCount(), func(ctx context.Context, c *Component, _ *trace.Span) (*core.ExactResult, error) {
+	return plan.Solve(ctx, opts.WorkerCount(), func(ctx context.Context, c *Component, _ *trace.Span) (*core.ExactResult, error) {
 		return core.ExactEncodeCtx(ctx, c.Set, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if rec := trace.FromContext(ctx); rec != nil {
-		res.Trace = rec.Snapshot()
-	}
-	return res, nil
 }
 
 // ComponentSolver solves one component's local set and returns the result
@@ -49,19 +42,15 @@ func ExactEncodeCtx(ctx context.Context, cs *constraint.Set, opts core.ExactOpti
 // solver may annotate (the service marks cache hits on it).
 type ComponentSolver func(ctx context.Context, c *Component, sp *trace.Span) (*core.ExactResult, error)
 
-// Solve is the one component loop: it reports a forced infeasibility
-// without solving anything, runs every component through solve with at
-// most workers in flight (each under its own "decomp.component" span) and
-// assembles the results.
+// Solve is the one component loop: it runs every component through solve
+// with at most workers in flight (each under its own "decomp.component"
+// span) and assembles the results.
 //
 // Infeasibility surfaces as a core.InfeasibleError in *global* terms:
 // component-local symbol indices never escape (see
 // Component.globalizeError). When several components fail, the error of
 // the lowest-indexed one wins, deterministically.
 func (p *Plan) Solve(ctx context.Context, workers int, solve ComponentSolver) (*core.ExactResult, error) {
-	if ie := p.ForcedInfeasible(ctx); ie != nil {
-		return nil, ie
-	}
 	results := make([]*core.ExactResult, len(p.Components))
 	errs := make([]error, len(p.Components))
 	par.ForEach(len(p.Components), workers, func(i int) {

@@ -105,9 +105,6 @@ const scoreChunk = 16
 type Result struct {
 	Encoding *core.Encoding
 	Cost     cost.Result
-	// Trace is the stage-span report of this solve when the caller's
-	// context carried a trace recorder (internal/trace); empty otherwise.
-	Trace trace.Trace
 }
 
 // EncodeCtx runs the split/merge/select heuristic on the input
@@ -204,9 +201,6 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 	res := &Result{Encoding: best, Cost: cost.Evaluate(cs, a)}
 	if psp != nil {
 		psp.Set("cost", res.Cost.Of(opts.Metric)).End()
-	}
-	if rec := trace.FromContext(ctx); rec != nil {
-		res.Trace = rec.Snapshot()
 	}
 	return res, nil
 }

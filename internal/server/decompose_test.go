@@ -65,7 +65,8 @@ func TestDecomposedInfeasibleComponent(t *testing.T) {
 			neverChecks: []string{"p", "q"},
 		},
 		{
-			// Equality path: a dominance cycle detected by simplification.
+			// Implied equality: a dominance cycle forces code(x) =
+			// code(y), which the component's own solve rejects.
 			name:        "implied equality",
 			text:        "face p q\ndom x > y\ndom y > x\n",
 			wantMention: []string{"x", "y"},

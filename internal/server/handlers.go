@@ -141,20 +141,18 @@ func (s *Server) parseRequest(req *encodingapi.EncodeRequest) (*solveRequest, er
 	if err != nil {
 		return nil, fmt.Errorf("parsing constraints: %w", err)
 	}
+	if req.PrimeLimit < 0 {
+		return nil, errors.New("prime_limit must be non-negative")
+	}
+	workers, err := engineWorkers(req.Workers)
+	if err != nil {
+		return nil, err
+	}
 	sr := &solveRequest{
 		mode:       mode,
 		cs:         cs,
 		primeLimit: req.PrimeLimit,
-		workers:    req.Workers,
-	}
-	if sr.primeLimit < 0 {
-		return nil, errors.New("prime_limit must be non-negative")
-	}
-	if sr.workers < 0 {
-		return nil, errors.New("workers must be non-negative")
-	}
-	if sr.workers > runtime.GOMAXPROCS(0) {
-		sr.workers = runtime.GOMAXPROCS(0)
+		workers:    workers,
 	}
 	if mode == modeHeuristic {
 		if req.Bits <= 0 {
@@ -233,21 +231,28 @@ func (s *Server) parsePipelineRequest(req *encodingapi.PipelineRequest) (*solveR
 	if !m.Deterministic() {
 		return nil, errors.New("machine is non-deterministic")
 	}
-	sr := &solveRequest{
+	workers, err := engineWorkers(req.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &solveRequest{
 		mode:     modePipeline,
 		machine:  m,
 		kissHash: core.HashBytes([]byte(kiss.Format(m))),
 		strategy: strat,
 		minimize: req.MinimizeStates,
-		workers:  req.Workers,
+		workers:  workers,
+	}, nil
+}
+
+// engineWorkers checks a request's engine parallelism, shared by every
+// endpoint that takes "workers": a negative count is a client error, and
+// one above GOMAXPROCS is capped to it.
+func engineWorkers(n int) (int, error) {
+	if n < 0 {
+		return 0, errors.New("workers must be non-negative")
 	}
-	if sr.workers < 0 {
-		return nil, errors.New("workers must be non-negative")
-	}
-	if sr.workers > runtime.GOMAXPROCS(0) {
-		sr.workers = runtime.GOMAXPROCS(0)
-	}
-	return sr, nil
+	return min(n, runtime.GOMAXPROCS(0)), nil
 }
 
 // solveLibrary runs req against the real engines; it is the default solveFn

@@ -147,6 +147,7 @@ func TestPipelineClientErrors(t *testing.T) {
 		{"bad strategy", pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, Strategy: "bogus"})},
 		{"malformed kiss", `{"kiss":".i 1\n.o 1\nnot a row\n"}`},
 		{"negative timeout", `{"kiss":"x","timeout_ms":-1}`},
+		{"negative workers", pipelineBody(t, encodingapi.PipelineRequest{Kiss: lionKISS, Workers: -1})},
 		{"unknown field", `{"kiss":"x","bogus":1}`},
 		{"non-deterministic", `{"kiss":"1 a b 1\n1 a c 1\n-- b a 0\n-- c a 0\n"}`},
 	}

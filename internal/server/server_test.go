@@ -90,6 +90,7 @@ func TestHandleEncodeTable(t *testing.T) {
 		{"bad mode", `{"constraints": "face a b\n", "mode": "zen"}`, http.StatusBadRequest, "unknown mode"},
 		{"parse error", `{"constraints": "face\n"}`, http.StatusBadRequest, "parsing constraints"},
 		{"negative timeout", `{"constraints": "face a b\n", "timeout_ms": -1}`, http.StatusBadRequest, "timeout_ms"},
+		{"negative workers", `{"constraints": "face a b\n", "workers": -1}`, http.StatusBadRequest, "workers must be non-negative"},
 		{"bits outside heuristic", `{"constraints": "face a b\n", "mode": "exact", "bits": 3}`, http.StatusBadRequest, "heuristic"},
 		{"heuristic without bits", `{"constraints": "face a b\n", "mode": "heuristic"}`, http.StatusBadRequest, "requires bits"},
 		{"bad metric", `{"constraints": "face a b\n", "mode": "heuristic", "bits": 2, "metric": "entropy"}`, http.StatusBadRequest, "unknown metric"},

@@ -11,9 +11,9 @@ import (
 // NetlistSim simulates a parsed BLIF netlist cycle by cycle: combinational
 // .names tables are evaluated in topological order each cycle, and .latch
 // registers load their input signals at the clock edge. It is the back end
-// of the pipeline's replay verifier: unlike Hardware, which re-evaluates the
-// in-memory PLA, NetlistSim consumes only the textual netlist, so a
-// divergence implicates the BLIF emission itself.
+// of the pipeline's replay verifier: it consumes only the textual netlist,
+// never the in-memory PLA, so the BLIF emission is checked along with the
+// encoding.
 //
 // NewNetlistSim compiles the netlist once. Every signal name resolves to a
 // dense index into one value vector, and every cube becomes a care mask and

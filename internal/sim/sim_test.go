@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blif"
 	"repro/internal/core"
 	"repro/internal/fsm"
 	"repro/internal/hypercube"
@@ -29,15 +30,46 @@ func toggler(t *testing.T) *fsm.FSM {
 	return m
 }
 
+// outputTrace steps the compiled machine from start over an input
+// sequence and returns the asserted outputs of every step.
+func outputTrace(m *fsm.FSM, start int, inputs []uint64) ([]uint64, error) {
+	c := compileMachine(m)
+	state := start
+	outs := make([]uint64, 0, len(inputs))
+	for _, in := range inputs {
+		next, out, _, err := c.step(state, in)
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, out)
+		state = next
+	}
+	return outs, nil
+}
+
+// encodedNetlist lowers m through enc to the minimized PLA, emits it as
+// BLIF and parses the text back: the netlist the pipeline replays.
+func encodedNetlist(t *testing.T, m *fsm.FSM, enc *core.Encoding) *blif.Netlist {
+	t.Helper()
+	pla := m.Encode(enc)
+	pla.Minimize()
+	text, err := blif.FormatPLA(m, enc, pla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustNetlist(t, text)
+}
+
 func TestSymbolicStep(t *testing.T) {
 	m := toggler(t)
+	c := compileMachine(m)
 	off, _ := m.States.Lookup("off")
 	on, _ := m.States.Lookup("on")
-	next, out, err := SymbolicStep(m, off, 1)
+	next, out, _, err := c.step(off, 1)
 	if err != nil || next != on || out != 1 {
 		t.Fatalf("step: next=%d out=%b err=%v", next, out, err)
 	}
-	next, out, err = SymbolicStep(m, on, 0)
+	next, out, _, err = c.step(on, 0)
 	if err != nil || next != on || out != 1 {
 		t.Fatalf("step: next=%d out=%b err=%v", next, out, err)
 	}
@@ -48,21 +80,21 @@ func TestSymbolicStepErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SymbolicStep(m, 0, 1); err == nil {
+	if _, _, _, err := compileMachine(m).step(0, 1); err == nil {
 		t.Fatal("undefined input must error")
 	}
 	nd, err := kiss.ParseString(".i 1\n.o 1\n- a a 0\n1 a b 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SymbolicStep(nd, 0, 1); err == nil || !strings.Contains(err.Error(), "non-deterministic") {
+	if _, _, _, err := compileMachine(nd).step(0, 1); err == nil || !strings.Contains(err.Error(), "non-deterministic") {
 		t.Fatalf("non-determinism must be detected, got %v", err)
 	}
 }
 
 func TestMachineTrace(t *testing.T) {
 	m := toggler(t)
-	outs, err := Machine(m, 0, []uint64{1, 0, 1, 1})
+	outs, err := outputTrace(m, 0, []uint64{1, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +109,13 @@ func TestMachineTrace(t *testing.T) {
 func TestHardwareMatchesMachine(t *testing.T) {
 	m := toggler(t)
 	enc := core.NewEncoding(m.States, 1, []hypercube.Code{0, 1})
-	if err := Equivalent(m, enc, 10, 30, 42); err != nil {
+	if err := ReplayNetlist(m, encodedNetlist(t, m, enc), 10, 30, 42); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestEncodedSuiteEquivalence is the flow's strongest end-to-end check:
-// the exact encoder's codes drive hardware behaviorally equivalent to the
+// the exact encoder's codes drive a netlist behaviorally equivalent to the
 // symbolic machine.
 func TestEncodedSuiteEquivalence(t *testing.T) {
 	budgets := map[string]int{"dk512": 8, "master": 20, "exlinp": 40}
@@ -98,7 +130,7 @@ func TestEncodedSuiteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Equivalent(m, res.Encoding, 5, 40, 7); err != nil {
+			if err := ReplayNetlist(m, encodedNetlist(t, m, res.Encoding), 5, 40, 7); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -106,12 +138,13 @@ func TestEncodedSuiteEquivalence(t *testing.T) {
 }
 
 // TestBrokenEncodingDetected: assigning two states the same code must make
-// the hardware diverge (and Equivalent must notice).
+// the netlist diverge, and the replay must notice.
 func TestBrokenEncodingDetected(t *testing.T) {
 	m := toggler(t)
 	enc := core.NewEncoding(m.States, 1, []hypercube.Code{0, 0})
-	if err := Equivalent(m, enc, 5, 20, 1); err == nil {
-		t.Fatal("duplicate codes must break equivalence")
+	err := ReplayNetlist(m, encodedNetlist(t, m, enc), 5, 20, 1)
+	if err == nil || !strings.Contains(err.Error(), "netlist outputs") {
+		t.Fatalf("duplicate codes must break equivalence, got %v", err)
 	}
 }
 
@@ -127,7 +160,7 @@ func TestDontCareOutputsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := core.NewEncoding(m.States, 1, []hypercube.Code{0, 1})
-	if err := Equivalent(m, enc, 5, 20, 3); err != nil {
+	if err := ReplayNetlist(m, encodedNetlist(t, m, enc), 5, 20, 3); err != nil {
 		t.Fatalf("don't-care outputs must not cause mismatches: %v", err)
 	}
 }
@@ -146,11 +179,11 @@ func TestMinimizedMachineEquivalent(t *testing.T) {
 		}
 		rngSeed := int64(11)
 		inputs := randomInputs(m.NumInputs, 60, rngSeed)
-		want, err := Machine(m, m.Reset, inputs)
+		want, err := outputTrace(m, m.Reset, inputs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := Machine(q, q.Reset, inputs)
+		got, err := outputTrace(q, q.Reset, inputs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
