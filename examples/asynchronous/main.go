@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("  %s\n", d.Format(ft.States))
 	}
 
-	enc, err := tracey.Assign(ft, tracey.Options{})
+	enc, err := tracey.Assign(ft)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,10 @@
 package constraint
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitset"
@@ -313,65 +316,159 @@ func (s *Set) FaceString(f Face) string {
 // String renders the whole set in the textual constraint language accepted
 // by Parse.
 func (s *Set) String() string {
+	b, _ := s.render(nil)
+	return string(b)
+}
+
+// Canonical renders the set in a normal form that two sets share exactly
+// when they denote the same problem: the same symbol names and the same
+// constraints, whatever order the symbols were interned in, the
+// constraints were listed in, or the members of an unordered group were
+// written in. A header lists the symbol names in sorted order, each
+// prefixed by its length so that no name can alias a run of others. The
+// constraints' lines follow, sorted: each is the constraint's String line
+// with every symbol written as its position in the header and every
+// unordered group sorted (face members and don't-cares, disjunctive
+// children, each conjunction and the list of conjunctions, a distance-2
+// pair, non-face members). Dominance direction and chain order carry
+// meaning and stay as written, and repeated constraints stay significant.
+func (s *Set) Canonical() string {
+	names := s.Syms.SortedNames()
+	text, lines := s.render(names)
+	slices.SortFunc(lines, bytes.Compare)
 	var b strings.Builder
-	for _, f := range s.Faces {
-		b.WriteString("face ")
-		b.WriteString(strings.ReplaceAll(s.symList(f.Members), ",", " "))
-		if !f.DontCare.IsEmpty() {
-			b.WriteString(" [ ")
-			b.WriteString(strings.ReplaceAll(s.symList(f.DontCare), ",", " "))
-			b.WriteString(" ]")
-		}
-		b.WriteByte('\n')
+	b.Grow(len(text) + 12*len(names) + 8)
+	b.WriteString("symbols")
+	for _, name := range names {
+		b.WriteByte(' ')
+		b.WriteString(strconv.Itoa(len(name)))
+		b.WriteByte(':')
+		b.WriteString(name)
 	}
-	for _, d := range s.Dominances {
-		fmt.Fprintf(&b, "dom %s > %s\n", s.Syms.Name(d.Big), s.Syms.Name(d.Small))
-	}
-	for _, d := range s.Disjunctives {
-		fmt.Fprintf(&b, "disj %s =", s.Syms.Name(d.Parent))
-		for i, c := range d.Children {
-			if i > 0 {
-				b.WriteString(" |")
-			}
-			b.WriteByte(' ')
-			b.WriteString(s.Syms.Name(c))
-		}
-		b.WriteByte('\n')
-	}
-	for _, e := range s.ExtDisjunctives {
-		b.WriteString("extdisj")
-		for i, conj := range e.Conjunctions {
-			if i > 0 {
-				b.WriteString(" |")
-			}
-			b.WriteString(" (")
-			for j, c := range conj {
-				if j > 0 {
-					b.WriteString(" & ")
-				}
-				b.WriteString(s.Syms.Name(c))
-			}
-			b.WriteByte(')')
-		}
-		fmt.Fprintf(&b, " >= %s\n", s.Syms.Name(e.Parent))
-	}
-	for _, d := range s.Distance2s {
-		fmt.Fprintf(&b, "dist2 %s %s\n", s.Syms.Name(d.A), s.Syms.Name(d.B))
-	}
-	for _, nf := range s.NonFaces {
-		b.WriteString("nonface ")
-		b.WriteString(strings.ReplaceAll(s.symList(nf.Members), ",", " "))
-		b.WriteByte('\n')
-	}
-	for _, ch := range s.Chains {
-		b.WriteString("chain")
-		for _, e := range ch.Seq {
-			b.WriteByte(' ')
-			b.WriteString(s.Syms.Name(e))
-		}
-		b.WriteByte('\n')
+	b.WriteByte('\n')
+	for _, l := range lines {
+		b.Write(l)
 	}
 	return b.String()
+}
+
+// render writes every constraint as one line of the textual language, in
+// the flat order Len and Without use, and returns the text and each line,
+// newline included. With sorted nil the lines are String's. Otherwise
+// sorted holds the symbol names in order and the lines are Canonical's.
+func (s *Set) render(sorted []string) (b []byte, lines [][]byte) {
+	b, lines = make([]byte, 0, 24*s.Len()), make([][]byte, 0, s.Len())
+	ids := make([]int, 0, s.N())
+	var rank, tmp []int
+	if sorted != nil {
+		rank, tmp = make([]int, len(sorted)), make([]int, 0, len(sorted))
+		for r, name := range sorted {
+			i, _ := s.Syms.Lookup(name)
+			rank[i] = r
+		}
+	}
+	byRank := func(x, y int) int { return rank[x] - rank[y] }
+	sym := func(x int) {
+		if rank == nil {
+			b = append(b, s.Syms.Name(x)...)
+		} else {
+			b = strconv.AppendInt(b, int64(rank[x]), 10)
+		}
+	}
+	group := func(sep string, xs ...int) {
+		if rank != nil {
+			tmp = append(tmp[:0], xs...)
+			slices.SortFunc(tmp, byRank)
+			xs = tmp
+		}
+		for i, x := range xs {
+			if i > 0 {
+				b = append(b, sep...)
+			}
+			sym(x)
+		}
+	}
+	set := func(m bitset.Set) {
+		ids = m.AppendTo(ids[:0])
+		group(" ", ids...)
+	}
+	// Each line is a view of b capped at its end: later appends to b only
+	// write past it, and an append to a line copies it.
+	start := 0
+	end := func() {
+		b = append(b, '\n')
+		lines = append(lines, b[start:len(b):len(b)])
+		start = len(b)
+	}
+	for _, f := range s.Faces {
+		b = append(b, "face "...)
+		set(f.Members)
+		if !f.DontCare.IsEmpty() {
+			b = append(b, " [ "...)
+			set(f.DontCare)
+			b = append(b, " ]"...)
+		}
+		end()
+	}
+	for _, d := range s.Dominances {
+		b = append(b, "dom "...)
+		sym(d.Big)
+		b = append(b, " > "...)
+		sym(d.Small)
+		end()
+	}
+	for _, d := range s.Disjunctives {
+		b = append(b, "disj "...)
+		sym(d.Parent)
+		b = append(b, " ="...)
+		if len(d.Children) > 0 {
+			b = append(b, ' ')
+		}
+		group(" | ", d.Children...)
+		end()
+	}
+	for _, e := range s.ExtDisjunctives {
+		conjs := e.Conjunctions
+		if rank != nil {
+			conjs = make([][]int, len(conjs))
+			for i, c := range e.Conjunctions {
+				conjs[i] = slices.Clone(c)
+				slices.SortFunc(conjs[i], byRank)
+			}
+			slices.SortFunc(conjs, func(x, y []int) int { return slices.CompareFunc(x, y, byRank) })
+		}
+		b = append(b, "extdisj"...)
+		for i, conj := range conjs {
+			if i > 0 {
+				b = append(b, " |"...)
+			}
+			b = append(b, " ("...)
+			group(" & ", conj...)
+			b = append(b, ')')
+		}
+		b = append(b, " >= "...)
+		sym(e.Parent)
+		end()
+	}
+	for _, d := range s.Distance2s {
+		b = append(b, "dist2 "...)
+		group(" ", d.A, d.B)
+		end()
+	}
+	for _, nf := range s.NonFaces {
+		b = append(b, "nonface "...)
+		set(nf.Members)
+		end()
+	}
+	for _, ch := range s.Chains {
+		b = append(b, "chain"...)
+		for _, x := range ch.Seq {
+			b = append(b, ' ')
+			sym(x)
+		}
+		end()
+	}
+	return b, lines
 }
 
 // Restrict returns the constraint set restricted to the symbols in keep

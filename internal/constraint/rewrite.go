@@ -131,6 +131,38 @@ func cut[T any](xs []T, i int) ([]T, int) {
 	return xs, i - len(xs)
 }
 
+// Dedupe drops, in place, every constraint whose canonical line (see
+// Canonical) an earlier constraint already has, so a repeated constraint
+// goes however its unordered groups are spelled.
+func (s *Set) Dedupe() {
+	_, lines := s.render(s.Syms.SortedNames())
+	seen := make(map[string]bool, len(lines))
+	dup := make([]bool, len(lines))
+	for i, l := range lines {
+		dup[i] = seen[string(l)]
+		seen[string(l)] = true
+	}
+	s.Faces, dup = keep(s.Faces, dup)
+	s.Dominances, dup = keep(s.Dominances, dup)
+	s.Disjunctives, dup = keep(s.Disjunctives, dup)
+	s.ExtDisjunctives, dup = keep(s.ExtDisjunctives, dup)
+	s.Distance2s, dup = keep(s.Distance2s, dup)
+	s.NonFaces, dup = keep(s.NonFaces, dup)
+	s.Chains, _ = keep(s.Chains, dup)
+}
+
+// keep filters xs in place to the elements whose dup flag is clear and
+// returns the flags of the lists after it.
+func keep[T any](xs []T, dup []bool) ([]T, []bool) {
+	out := xs[:0]
+	for i, x := range xs {
+		if !dup[i] {
+			out = append(out, x)
+		}
+	}
+	return out, dup[len(xs):]
+}
+
 // Compact returns the set rebuilt over a fresh symbol table containing only
 // the symbols some constraint references, preserving relative index order,
 // together with the mapping from new index to old index. Constraint order

@@ -25,45 +25,24 @@ func (h Hash128) String() string { return fmt.Sprintf("%016x%016x", h.Hi, h.Lo) 
 // "unset").
 func (h Hash128) IsZero() bool { return h == Hash128{} }
 
-// Per-section tags folded into the stream before each constraint kind, so
-// that, e.g., a dominance pair can never collide with a distance-2 pair
-// over the same symbols.
-const (
-	tagSymbols  = 0x53594d42 // "SYMB"
-	tagFace     = 0x46414345 // "FACE"
-	tagDom      = 0x444f4d49 // "DOMI"
-	tagDisj     = 0x44495349 // "DISI"
-	tagExtDisj  = 0x45585444 // "EXTD"
-	tagDistance = 0x44495354 // "DIST"
-	tagNonFace  = 0x4e464143 // "NFAC"
-	tagChain    = 0x4348414e // "CHAN"
-)
-
-// setHasher folds values into a running 128-bit state.
-type setHasher struct {
-	h1, h2 uint64
-}
-
-func (h *setHasher) word(v uint64) {
-	h.h1, h.h2 = bitset.MixWord(h.h1, h.h2, v)
-}
-
-func (h *setHasher) str(s string) {
-	h.word(uint64(len(s)))
-	// Fold eight bytes at a time; the length word above keeps "ab","c"
-	// and "a","bc" apart.
+// hashString folds the length of s, then its bytes eight at a time, into
+// the 128-bit state seeded with (h1, h2). The length tells apart strings
+// whose padded last words agree, such as "\x00a" and "a".
+func hashString(h1, h2 uint64, s string) Hash128 {
+	h1, h2 = bitset.MixWord(h1, h2, uint64(len(s)))
 	var w uint64
 	n := 0
 	for i := 0; i < len(s); i++ {
 		w = w<<8 | uint64(s[i])
 		if n++; n == 8 {
-			h.word(w)
+			h1, h2 = bitset.MixWord(h1, h2, w)
 			w, n = 0, 0
 		}
 	}
 	if n > 0 {
-		h.word(w)
+		h1, h2 = bitset.MixWord(h1, h2, w)
 	}
+	return Hash128{Hi: h1, Lo: h2}
 }
 
 // HashBytes returns the 128-bit content hash of an arbitrary byte string
@@ -73,7 +52,5 @@ func (h *setHasher) str(s string) {
 // constraint sets; the distinct initial state keeps the two key spaces
 // apart.
 func HashBytes(b []byte) Hash128 {
-	h := &setHasher{h1: 0x243f6a8885a308d3, h2: 0x13198a2e03707344}
-	h.str(string(b))
-	return Hash128{Hi: h.h1, Lo: h.h2}
+	return hashString(0x243f6a8885a308d3, 0x13198a2e03707344, string(b))
 }

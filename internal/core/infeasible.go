@@ -59,8 +59,8 @@ func newInfeasibleError(ctx context.Context, cs *constraint.Set, uncovered []dic
 }
 
 // MinimizeInfeasible greedily shrinks cs to a minimal infeasible subset
-// under the polynomial P-1 check: constraints are dropped one at a time
-// whenever the remainder stays infeasible, until no single removal
+// under the polynomial P-1 check: one pass drops each constraint in turn
+// whenever the remainder stays infeasible, after which no single removal
 // preserves infeasibility. Returns nil when cs is feasible by the check
 // (infeasibility lies outside Theorem 6.1's scope, e.g. in extension
 // constraints), when the set exceeds the minimization bound, or when ctx
@@ -79,22 +79,21 @@ func MinimizeInfeasible(ctx context.Context, cs *constraint.Set) *constraint.Set
 	if ctx.Err() != nil || CheckFeasible(cs).Feasible {
 		return nil
 	}
+	// One deletion pass is minimal: dropping a constraint never makes a
+	// feasible set infeasible (fewer output constraints only shrink the
+	// raises, and the uniqueness seeds a dropped face releases are
+	// blockwise subsets of its covered seeds, valid by hereditary
+	// validity). So a constraint kept because the remainder was feasible
+	// stays necessary in every subset the pass goes on to keep.
 	cur := checked.Clone()
-	for {
-		removed := false
-		for i := 0; i < cur.Len(); i++ {
-			if ctx.Err() != nil {
-				return nil
-			}
-			cand := cur.Without(i)
-			if !CheckFeasible(cand).Feasible {
-				cur = cand
-				removed = true
-				i-- // same index now names the next constraint
-			}
+	for i := 0; i < cur.Len(); i++ {
+		if ctx.Err() != nil {
+			return nil
 		}
-		if !removed {
-			return cur
+		if cand := cur.Without(i); !CheckFeasible(cand).Feasible {
+			cur = cand
+			i-- // same index now names the next constraint
 		}
 	}
+	return cur
 }

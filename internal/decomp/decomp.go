@@ -8,9 +8,10 @@
 //
 //   - Split builds the symbol graph (union-find over each constraint's
 //     symbol set), extracts one local constraint.Set per connected
-//     component, runs a pre-solve simplification pass (duplicate and
-//     subsumed-constraint elimination) and computes a canonical
-//     per-component sub-hash with core.CanonicalHashSet, so
+//     component, runs a pre-solve simplification pass (subsumed-face and
+//     repeated-child elimination, then constraint.Set.Dedupe, which drops
+//     repeats under the canonical form the hash reads) and computes a
+//     canonical per-component sub-hash with core.CanonicalHashSet, so
 //     permuted-but-equal components share one cache identity.
 //   - Plan.Solve is the one component loop: a bounded fan-out of a
 //     caller-supplied ComponentSolver over the components (ExactEncodeCtx

@@ -80,6 +80,8 @@ func (r *Report) checkDecomposed(ctx context.Context, cs *constraint.Set, witnes
 			}
 			if core.CheckFeasible(ie.Conflict).Feasible {
 				r.fail("decomp-infeasible-conflict", "decomposed conflict subset is itself feasible:\n%s", ie.Conflict)
+			} else if i := redundantConstraint(ie.Conflict); i >= 0 {
+				r.fail("decomp-conflict-minimal", "decomposed conflict subset stays infeasible without its constraint %d:\n%s", i, ie.Conflict)
 			}
 		}
 	case budgetExhausted(err):

@@ -14,7 +14,8 @@
 //     of violated face constraints, and their encodings are injective;
 //   - parallel solves (Workers > 1) are bit-identical to sequential ones;
 //   - infeasibility is reported through the typed *core.InfeasibleError
-//     whose minimal conflict subset is itself infeasible;
+//     whose conflict subset is itself infeasible and minimal: dropping
+//     any one of its constraints leaves a feasible set;
 //   - the branch-and-bound and CNF/SAT covering backends agree: both
 //     encodings verify cleanly, both report the same feasibility verdict,
 //     and two optimality claims always name the same code length (the
@@ -201,6 +202,8 @@ func CheckSet(ctx context.Context, cs *constraint.Set, witness *core.Encoding, o
 		} else if ie.Conflict != nil {
 			if core.CheckFeasible(ie.Conflict).Feasible {
 				r.fail("infeasible-conflict", "reported conflict subset is itself feasible:\n%s", ie.Conflict)
+			} else if i := redundantConstraint(ie.Conflict); i >= 0 {
+				r.fail("conflict-minimal", "reported conflict subset stays infeasible without its constraint %d:\n%s", i, ie.Conflict)
 			}
 		}
 	case budgetExhausted(err):
@@ -254,6 +257,18 @@ func CheckSet(ctx context.Context, cs *constraint.Set, witness *core.Encoding, o
 		}
 	}
 	return r
+}
+
+// redundantConstraint returns the flat index (see constraint.Set.Without)
+// of the first constraint of an infeasible conflict whose removal leaves
+// it infeasible, or -1 when the conflict is minimal.
+func redundantConstraint(conflict *constraint.Set) int {
+	for i := 0; i < conflict.Len(); i++ {
+		if !core.CheckFeasible(conflict.Without(i)).Feasible {
+			return i
+		}
+	}
+	return -1
 }
 
 func (r *Report) checkHeuristic(ctx context.Context, cs, inputOnly *constraint.Set, exact *core.Encoding, res *core.ExactResult, opts Options) {

@@ -70,7 +70,7 @@ func TestSetOperationsDigest(t *testing.T) {
 			}
 		}
 	}
-	checkDigest(t, h, "51c35f658043d4dea9adef6f087ba6e4a5c21a1ed43e5595cf55140f10574510")
+	checkDigest(t, h, "2ccacc0b068a812cb2ada9146048e6285407ea3b2712f15aec8e1cb89e3ddc09")
 }
 
 func checkDigest(t *testing.T, h hash.Hash, want string) {

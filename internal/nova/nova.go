@@ -22,6 +22,7 @@ package nova
 import (
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -72,62 +73,31 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, error) {
 	}
 	sort.SliceStable(order, func(i, j int) bool { return weight[order[i]] > weight[order[j]] })
 
+	// Each candidate code is scored by the faces the placed symbols
+	// already violate: the face spanned by the placed members must exclude
+	// placed non-members.
 	codes := make([]hypercube.Code, n)
-	placedSet := make([]int, 0, n)
+	placed := bitset.New(n)
 	used := make([]bool, limit)
 	for _, s := range order {
+		placed.Add(s)
 		bestCode, bestScore := -1, 1<<30
 		for c := 0; c < limit; c++ {
 			if used[c] {
 				continue
 			}
 			codes[s] = hypercube.Code(c)
-			score := partialViolations(cs, bits, codes, append(placedSet, s))
+			score := cost.CountViolations(cs, cost.Assignment{Bits: bits, Subset: placed, Codes: codes})
 			if score < bestScore {
 				bestScore, bestCode = score, c
 			}
 		}
 		codes[s] = hypercube.Code(bestCode)
 		used[bestCode] = true
-		placedSet = append(placedSet, s)
 	}
 
 	improve(cs, bits, codes, used)
 	return core.NewEncoding(cs.Syms, bits, codes), nil
-}
-
-// partialViolations counts face constraints already violated by the placed
-// symbols: the face spanned by the placed members must exclude placed
-// non-members.
-func partialViolations(cs *constraint.Set, bits int, codes []hypercube.Code, placed []int) int {
-	placedMask := make(map[int]bool, len(placed))
-	for _, s := range placed {
-		placedMask[s] = true
-	}
-	violated := 0
-	for _, f := range cs.Faces {
-		var member []hypercube.Code
-		f.Members.ForEach(func(s int) bool {
-			if placedMask[s] {
-				member = append(member, codes[s])
-			}
-			return true
-		})
-		if len(member) < 2 {
-			continue
-		}
-		face := hypercube.Span(bits, member...)
-		for _, s := range placed {
-			if f.Members.Has(s) || f.DontCare.Has(s) {
-				continue
-			}
-			if face.Contains(codes[s]) {
-				violated++
-				break
-			}
-		}
-	}
-	return violated
 }
 
 // improve runs pairwise-swap and move-to-free passes, accepting strict

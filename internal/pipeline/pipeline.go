@@ -43,7 +43,6 @@ import (
 	"repro/internal/mv"
 	"repro/internal/nova"
 	"repro/internal/par"
-	"repro/internal/prime"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -93,9 +92,6 @@ type Options struct {
 	// incumbent is returned with Optimal=false, and such a truncated
 	// result may differ between worker counts and runs).
 	Parallelism par.Parallelism
-	// PrimeLimit caps maximal-compatible generation in exact mode;
-	// 0 means the engine default.
-	PrimeLimit int
 	// AnnealSeed seeds the annealing strategy; 0 means 1. Fixed seeds
 	// keep anneal rows reproducible.
 	AnnealSeed int64
@@ -281,10 +277,7 @@ func RunKISS(ctx context.Context, r io.Reader, name string, opts Options) (*Repo
 func encode(ctx context.Context, cs *constraint.Set, rep *Report, opts Options) (*core.Encoding, error) {
 	switch opts.Strategy {
 	case Exact:
-		res, err := core.ExactEncodeCtx(ctx, cs, core.ExactOptions{
-			Parallelism: opts.Parallelism,
-			Prime:       prime.Options{Limit: opts.PrimeLimit},
-		})
+		res, err := core.ExactEncodeCtx(ctx, cs, core.ExactOptions{Parallelism: opts.Parallelism})
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,7 @@ func Example() {
 			log.Fatal(err)
 		}
 	}
-	enc, err := tracey.Assign(ft, tracey.Options{})
+	enc, err := tracey.Assign(ft)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -119,16 +119,10 @@ func (ft *FlowTable) Dichotomies() []dichotomy.D {
 	return dichotomy.Rows(out)
 }
 
-// Options tunes the assignment search.
-type Options struct {
-	Prime prime.Options
-	Cover cover.Options
-}
-
 // Assign computes a minimum-length critical-race-free assignment: the
 // Tracey dichotomies plus uniqueness requirements are covered exactly by
 // prime encoding-dichotomies, each chosen column becoming one code bit.
-func Assign(ft *FlowTable, opts Options) (*core.Encoding, error) {
+func Assign(ft *FlowTable) (*core.Encoding, error) {
 	if err := ft.Validate(); err != nil {
 		return nil, err
 	}
@@ -160,16 +154,12 @@ func Assign(ft *FlowTable, opts Options) (*core.Encoding, error) {
 		}
 	}
 
-	primes, err := prime.GenerateCtx(context.Background(), seeds, opts.Prime)
+	primes, err := prime.GenerateCtx(context.Background(), seeds, prime.Options{})
 	if err != nil {
 		return nil, err
 	}
 	p := cover.Problem{NumCols: len(primes), RowCols: dichotomy.Coverage(dichotomy.Rows(seeds), primes)}
-	coverOpts := opts.Cover
-	if coverOpts.LowerBound == 0 {
-		coverOpts.LowerBound = hypercube.MinBits(n)
-	}
-	sol, err := p.SolveExactCtx(context.Background(), coverOpts)
+	sol, err := p.SolveExactCtx(context.Background(), cover.Options{LowerBound: hypercube.MinBits(n)})
 	if err != nil {
 		if errors.Is(err, cover.ErrInfeasible) {
 			return nil, fmt.Errorf("tracey: no race-free assignment exists for these constraints")

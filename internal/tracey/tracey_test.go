@@ -47,7 +47,7 @@ func TestDichotomies(t *testing.T) {
 
 func TestAssignRaceFree(t *testing.T) {
 	ft := fourRowTable(t)
-	enc, err := Assign(ft, Options{})
+	enc, err := Assign(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStableOnlyTableNeedsNoExtraBits(t *testing.T) {
 	mustAdd(t, ft, "b", "b")
 	mustAdd(t, ft, "c", "c")
 	mustAdd(t, ft, "d", "d")
-	enc, err := Assign(ft, Options{})
+	enc, err := Assign(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestUnspecifiedEntries(t *testing.T) {
 	ft := New("i0", "i1")
 	mustAdd(t, ft, "a", "a", "")
 	mustAdd(t, ft, "b", "a", "b")
-	enc, err := Assign(ft, Options{})
+	enc, err := Assign(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRandomTablesRaceFree(t *testing.T) {
 			}
 			mustAdd(t, ft, names[s], next...)
 		}
-		enc, err := Assign(ft, Options{})
+		enc, err := Assign(ft)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
