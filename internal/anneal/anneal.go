@@ -124,34 +124,35 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, Stats, error) {
 	if n < 2 {
 		temps = 0
 	}
+	// free lists the unused codes in increasing order for a relocation;
+	// it is rebuilt in place for each one.
+	free := make([]int, 0, limit-n)
 	for t := 0; t < temps; t++ {
 		for mv := 0; mv < movesPerTemp; mv++ {
 			stats.Moves++
-			// Pairwise swap, or relocation when free codes exist.
-			var undo func()
-			if rng.Intn(2) == 0 && limit > n {
-				s := rng.Intn(n)
-				var free []int
+			// Pairwise swap of a and b, or relocation of a to the unused
+			// code b when free codes exist; old is a's code before it.
+			var a, b int
+			var old hypercube.Code
+			relocate := rng.Intn(2) == 0 && limit > n
+			if relocate {
+				a = rng.Intn(n)
+				free = free[:0]
 				for c := 0; c < limit; c++ {
 					if !used[c] {
 						free = append(free, c)
 					}
 				}
-				c := free[rng.Intn(len(free))]
-				old := codes[s]
-				used[old], used[c] = false, true
-				codes[s] = hypercube.Code(c)
-				undo = func() {
-					used[c], used[old] = false, true
-					codes[s] = old
-				}
+				b = free[rng.Intn(len(free))]
+				old = codes[a]
+				used[old], used[b] = false, true
+				codes[a] = hypercube.Code(b)
 			} else {
-				a, b := rng.Intn(n), rng.Intn(n)
+				a, b = rng.Intn(n), rng.Intn(n)
 				for b == a {
 					b = rng.Intn(n)
 				}
 				codes[a], codes[b] = codes[b], codes[a]
-				undo = func() { codes[a], codes[b] = codes[b], codes[a] }
 			}
 			next := eval()
 			delta := float64(next - cur)
@@ -162,8 +163,11 @@ func Encode(cs *constraint.Set, opts Options) (*core.Encoding, Stats, error) {
 					bestCost = cur
 					copy(bestCodes, codes)
 				}
+			} else if relocate {
+				used[b], used[old] = false, true
+				codes[a] = old
 			} else {
-				undo()
+				codes[a], codes[b] = codes[b], codes[a]
 			}
 		}
 		temp *= cooling

@@ -42,7 +42,7 @@ type Table struct {
 func Parse(r io.Reader) (*Netlist, error) {
 	nl := &Netlist{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	lineNo := 0
 	sawModel := false
 	ended := false

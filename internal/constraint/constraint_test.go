@@ -1,6 +1,9 @@
 package constraint
 
 import (
+	"bufio"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,5 +219,48 @@ func TestPaperNotation(t *testing.T) {
 	}
 	if _, err := ParseString("(a,b\n"); err == nil {
 		t.Fatal("unterminated paren must fail")
+	}
+}
+
+// TestTokenize pins the tokenizer: punctuation splits from names whether
+// glued or spaced, commas and tabs separate, and ">=" stays one token.
+func TestTokenize(t *testing.T) {
+	cases := []struct {
+		line string
+		want []string
+	}{
+		{"face a b [ c ] d", []string{"face", "a", "b", "[", "c", "]", "d"}},
+		{"face a,b\t[c]d", []string{"face", "a", "b", "[", "c", "]", "d"}},
+		{"(a,b,c)", []string{"(", "a", "b", "c", ")"}},
+		{"extdisj (b&c)|(d & e)>=a", []string{"extdisj", "(", "b", "&", "c", ")", "|", "(", "d", "&", "e", ")", ">=", "a"}},
+		{"a=b|c", []string{"a", "=", "b", "|", "c"}},
+		{"dom a>b", []string{"dom", "a", ">", "b"}},
+		{"x>", []string{"x", ">"}},
+		{"  ", nil},
+	}
+	for _, tc := range cases {
+		if got := tokenize(nil, tc.line); !slices.Equal(got, tc.want) {
+			t.Errorf("tokenize(%q) = %q, want %q", tc.line, got, tc.want)
+		}
+	}
+}
+
+// TestParseLines: CRLF line ends parse as LF ones, errors name their line,
+// and a line may be up to 4 MB long but not longer.
+func TestParseLines(t *testing.T) {
+	lf := "symbols a b c\nface a b\n# note\nface b c [ a ]\n"
+	want := MustParse(lf).String()
+	if got, err := ParseString(strings.ReplaceAll(lf, "\n", "\r\n")); err != nil || got.String() != want {
+		t.Fatalf("CRLF text parses to %v, %v; want\n%s", got, err, want)
+	}
+	if _, err := ParseString("face a b\r\n\r\nface c\r\n"); err == nil || err.Error() != "constraint: line 3: face wants at least two required members" {
+		t.Fatalf("error %v, want line 3's", err)
+	}
+	long := "#" + strings.Repeat("x", maxLine-2) + "\n" + lf
+	if got, err := ParseString(long); err != nil || got.String() != want {
+		t.Fatalf("a %d-byte comment line: %v", maxLine-1, err)
+	}
+	if _, err := ParseString("#" + strings.Repeat("x", maxLine) + "\n" + lf); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a %d-byte line: error %v, want %v", maxLine+1, err, bufio.ErrTooLong)
 	}
 }

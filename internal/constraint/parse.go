@@ -27,15 +27,16 @@ import (
 func Parse(r io.Reader) (*Set, error) {
 	s := NewSet(sym.NewTable())
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, maxLine)
 	lineNo := 0
+	var toks []string
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		toks := tokenize(line)
+		toks = tokenize(toks[:0], line)
 		if len(toks) == 0 {
 			continue
 		}
@@ -66,38 +67,37 @@ func MustParse(text string) *Set {
 	return s
 }
 
-// tokenize splits a line into tokens, detaching the punctuation characters
-// the grammar uses from symbol names.
-func tokenize(line string) []string {
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
-		}
-	}
-	i := 0
-	for i < len(line) {
+// maxLine is the longest line Parse reads: the scanner's buffer starts
+// small and grows to it only for a line that needs it.
+const maxLine = 1 << 22
+
+// tokenize appends the tokens of line to toks, detaching the punctuation
+// characters the grammar uses from symbol names. Each token is a substring
+// of line.
+func tokenize(toks []string, line string) []string {
+	name := 0 // start of the name being scanned
+	for i := 0; i < len(line); i++ {
 		c := line[i]
+		sep := c == ' ' || c == '\t' || c == ','
+		if !sep && strings.IndexByte("[]()|&=>", c) < 0 {
+			continue
+		}
+		if name < i {
+			toks = append(toks, line[name:i])
+		}
 		switch {
-		case c == ' ' || c == '\t' || c == ',':
-			flush()
-			i++
+		case sep:
 		case c == '>' && i+1 < len(line) && line[i+1] == '=':
-			flush()
-			toks = append(toks, ">=")
-			i += 2
-		case strings.IndexByte("[]()|&=>", c) >= 0:
-			flush()
-			toks = append(toks, string(c))
+			toks = append(toks, line[i:i+2])
 			i++
 		default:
-			cur.WriteByte(c)
-			i++
+			toks = append(toks, line[i:i+1])
 		}
+		name = i + 1
 	}
-	flush()
+	if name < len(line) {
+		toks = append(toks, line[name:])
+	}
 	return toks
 }
 

@@ -85,25 +85,33 @@ func (e *Encoding) Code(name string) (hypercube.Code, bool) {
 // CodeString renders symbol i's code as a fixed-width binary string,
 // most-significant bit first.
 func (e *Encoding) CodeString(i int) string {
-	if e.Bits == 0 {
-		return ""
-	}
 	var b strings.Builder
-	for j := e.Bits - 1; j >= 0; j-- {
-		if e.Codes[i]&(1<<uint(j)) != 0 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
+	b.Grow(e.Bits)
+	e.writeCode(&b, i)
 	return b.String()
+}
+
+// writeCode writes symbol i's code as CodeString renders it.
+func (e *Encoding) writeCode(b *strings.Builder, i int) {
+	for j := e.Bits - 1; j >= 0; j-- {
+		b.WriteByte('0' + byte(e.Codes[i]>>uint(j)&1))
+	}
 }
 
 // String renders the encoding as "sym = code" lines in symbol order.
 func (e *Encoding) String() string {
+	n := e.Syms.Len()
+	size := n * (len(" = \n") + e.Bits)
+	for i := 0; i < n; i++ {
+		size += len(e.Syms.Name(i))
+	}
 	var b strings.Builder
-	for i := 0; i < e.Syms.Len(); i++ {
-		fmt.Fprintf(&b, "%s = %s\n", e.Syms.Name(i), e.CodeString(i))
+	b.Grow(size)
+	for i := 0; i < n; i++ {
+		b.WriteString(e.Syms.Name(i))
+		b.WriteString(" = ")
+		e.writeCode(&b, i)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -64,6 +64,18 @@ func TestEncodingAccessors(t *testing.T) {
 	}
 }
 
+// TestEncodingStringBytes pins String's exact bytes: one "name = code"
+// line per symbol, codes MSB first, zero-width codes empty.
+func TestEncodingStringBytes(t *testing.T) {
+	tab := table("x", "yy")
+	if got := NewEncoding(tab, 3, []hypercube.Code{0b101, 0b010}).String(); got != "x = 101\nyy = 010\n" {
+		t.Fatalf("String() = %q", got)
+	}
+	if got := NewEncoding(tab, 0, make([]hypercube.Code, 2)).String(); got != "x = \nyy = \n" {
+		t.Fatalf("zero-width String() = %q", got)
+	}
+}
+
 func TestVerifyArityMismatch(t *testing.T) {
 	cs := constraint.MustParse("symbols a b\nface a b\n")
 	enc := NewEncoding(cs.Syms, 1, []hypercube.Code{0})

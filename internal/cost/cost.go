@@ -10,11 +10,17 @@
 // is minimized with the espresso-lite engine; a satisfied constraint yields
 // exactly one product term.
 //
-// F_I is handed to espresso.MinimizeMinterms as on and off code lists. For
-// codes of at most 7 bits, as in every minimum-length encoding of up to
-// 128 symbols, espresso keeps the off- and don't-care sets as 128-bit
-// minterm masks instead of complementing a cube cover; the cover it returns
-// is the same.
+// F_I is handed to the espresso loop as on and off code lists, through a
+// reused espresso.Scratch that returns only the cube and literal counts.
+// For codes of at most 7 bits, as in every minimum-length encoding of up
+// to 128 symbols, espresso keeps the off- and don't-care sets as 128-bit
+// minterm masks instead of complementing a cube cover; the cover it
+// minimizes to is the same.
+//
+// The Evaluator memoizes each face's cost by its F_I and re-prices only
+// the faces a move changed: a face whose on, off and don't-care code
+// multisets a move kept reuses its last cost, which is the entry the memo
+// would return, so costs and hit and miss counts equal a full pass.
 package cost
 
 import (
@@ -150,16 +156,16 @@ func (r Result) Of(m Metric) int {
 // functions, as in Figure 9.
 func Evaluate(cs *constraint.Set, a Assignment) Result {
 	r := Result{Violations: CountViolations(cs, a)}
-	var members bitset.Set
 	var fn charFunc
+	var scratch espresso.Scratch
 	for _, f := range cs.Faces {
-		if members.IntersectPopcountInto(f.Members, a.Subset) < 2 {
+		if bitset.IntersectLenUpTo(f.Members, a.Subset, 2) < 2 {
 			continue
 		}
-		fn.split(f, members, a)
-		g := espresso.MinimizeMinterms(a.Bits, fn.on, fn.off)
-		r.Cubes += g.Size()
-		r.Literals += g.Literals()
+		fn.split(f, a)
+		cubes, literals := scratch.Count(a.Bits, fn.codes[onRole], fn.codes[offRole])
+		r.Cubes += cubes
+		r.Literals += literals
 	}
 	return r
 }
@@ -182,24 +188,41 @@ func Of(m Metric, cs *constraint.Set, a Assignment) int {
 // under an assignment: the codes of the subset's symbols by role, each
 // list in subset order.
 type charFunc struct {
-	on, off, dc []uint64
+	codes [3][]uint64 // indexed by role
 }
 
-// split builds fn for face f, whose members in the subset are members.
-// Members outside the subset join the constraint's encoding don't-cares.
-func (fn *charFunc) split(f constraint.Face, members bitset.Set, a Assignment) {
-	fn.on, fn.off, fn.dc = fn.on[:0], fn.off[:0], fn.dc[:0]
+// split builds fn for face f under a. Members outside the subset have no
+// code and take no part.
+func (fn *charFunc) split(f constraint.Face, a Assignment) {
+	for r := range fn.codes {
+		fn.codes[r] = fn.codes[r][:0]
+	}
 	for wi, wc := 0, a.Subset.WordCount(); wi < wc; wi++ {
 		for w := a.Subset.Word(wi); w != 0; w &= w - 1 {
 			s := wi*64 + bits.TrailingZeros64(w)
-			switch c := a.Codes[s]; {
-			case members.Has(s):
-				fn.on = append(fn.on, c)
-			case f.DontCare.Has(s) || f.Members.Has(s):
-				fn.dc = append(fn.dc, c)
-			default:
-				fn.off = append(fn.off, c)
-			}
+			r := roleIn(f, s)
+			fn.codes[r] = append(fn.codes[r], a.Codes[s])
 		}
+	}
+}
+
+// role is a subset symbol's part in a face's F_I: in its on-set, its
+// off-set, or neither, as one of the face's encoding don't-cares.
+type role uint8
+
+const (
+	onRole role = iota
+	offRole
+	dcRole
+)
+
+func roleIn(f constraint.Face, s int) role {
+	switch {
+	case f.Members.Has(s):
+		return onRole
+	case f.DontCare.Has(s):
+		return dcRole
+	default:
+		return offRole
 	}
 }

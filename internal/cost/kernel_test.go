@@ -51,7 +51,7 @@ func maskKeyed(cs *constraint.Set, a Assignment) (masked, total int) {
 			continue
 		}
 		total++
-		fn.split(f, members, a)
+		fn.split(f, a)
 		if _, ok := fn.maskKey(a.Bits); ok {
 			masked++
 		}

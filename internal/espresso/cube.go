@@ -4,7 +4,10 @@
 // and the encoded-PLA back-end. Functions are limited to 64 binary inputs,
 // far beyond any encoding produced here. Functions of at most 7 inputs
 // given by minterms (MinimizeMinterms) keep their off- and don't-care sets
-// as 128-bit masks; the loop, and so the result, is the same.
+// as 128-bit masks; the loop, and so the result, is the same. A Scratch
+// runs that loop on caller-owned buffers and returns only the cube and
+// literal counts, so a caller minimizing many small functions, as the
+// P-3 cost functions do, allocates nothing per function.
 package espresso
 
 import (
@@ -180,26 +183,37 @@ func (f *Cover) ContainsMinterm(m uint64) bool {
 	return false
 }
 
-// SCC performs single-cube containment: cubes contained in another single
-// cube are removed.
+// SCC performs single-cube containment: empty cubes and cubes contained in
+// another single cube are removed, and of equal cubes the first stays. The
+// survivors keep their order and are compacted in place, so f.Cubes'
+// backing array is overwritten.
+//
+// A cube is dropped when some other cube strictly contains it or equals
+// it at a lower index. That relation is transitive, so a dropped cube is
+// always dominated by a survivor: checking the survivors found so far,
+// which f.Cubes[:kept] holds, and every later cube decides each cube as
+// checking all cubes would.
 func (f *Cover) SCC() {
-	kept := make([]Cube, 0, len(f.Cubes))
+	kept := 0
 outer:
 	for i, c := range f.Cubes {
 		if c.IsEmpty(f.N) {
 			continue
 		}
-		for j, d := range f.Cubes {
-			if i == j || d.IsEmpty(f.N) {
-				continue
-			}
-			if d.Contains(c) && (!c.Contains(d) || j < i) {
+		for _, d := range f.Cubes[:kept] {
+			if d.Contains(c) {
 				continue outer
 			}
 		}
-		kept = append(kept, c)
+		for _, d := range f.Cubes[i+1:] {
+			if !d.IsEmpty(f.N) && d.Contains(c) && !c.Contains(d) {
+				continue outer
+			}
+		}
+		f.Cubes[kept] = c
+		kept++
 	}
-	f.Cubes = kept
+	f.Cubes = f.Cubes[:kept]
 }
 
 // String renders the cover one cube per line.

@@ -2,6 +2,7 @@ package espresso
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,60 @@ func TestContainmentTransitive(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sccPairwise is single-cube containment decided against every other
+// cube: a cube goes when another strictly contains it or equals it at a
+// lower index.
+func sccPairwise(f *Cover) []Cube {
+	var kept []Cube
+outer:
+	for i, c := range f.Cubes {
+		if c.IsEmpty(f.N) {
+			continue
+		}
+		for j, d := range f.Cubes {
+			if i != j && !d.IsEmpty(f.N) && d.Contains(c) && (!c.Contains(d) || j < i) {
+				continue outer
+			}
+		}
+		kept = append(kept, c)
+	}
+	return kept
+}
+
+// TestSCCInPlace: compacting in place keeps exactly the cubes, in the
+// order, that deciding each cube against all others keeps, on random
+// covers with repeats, nested cubes and empty cubes.
+func TestSCCInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + rng.Intn(5)
+		f := &Cover{N: n}
+		for k := rng.Intn(12); k > 0; k-- {
+			var c Cube
+			for v := 0; v < n; v++ {
+				b := uint64(1) << uint(v)
+				switch rng.Intn(13) {
+				case 0: // empty in v
+				case 1, 2, 3, 4:
+					c.Z |= b
+				case 5, 6, 7, 8:
+					c.O |= b
+				default:
+					c.Z, c.O = c.Z|b, c.O|b
+				}
+			}
+			if len(f.Cubes) > 0 && rng.Intn(4) == 0 {
+				c = f.Cubes[rng.Intn(len(f.Cubes))] // a repeat
+			}
+			f.Cubes = append(f.Cubes, c)
+		}
+		want := sccPairwise(f)
+		f.SCC()
+		if !slices.Equal(f.Cubes, want) {
+			t.Fatalf("trial %d: SCC keeps %v, pairwise %v", trial, f.Cubes, want)
+		}
 	}
 }

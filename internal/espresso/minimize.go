@@ -198,35 +198,36 @@ func (s *coverSets) reduced(c Cube, rest []Cube) Cube {
 }
 
 // loop is the espresso loop over one function: the sets it asks, and
-// scratch reused across its passes.
+// scratch reused across its passes and, through Scratch, across functions.
 type loop struct {
 	sets
 	rest    []Cube
 	order   []int
 	removed []bool
+	best    []Cube
 }
 
 // minimize runs the espresso loop — expand, irredundant, keep the best
 // cover by (cubes, literals), reduce — on the on-set cover g, which it
-// consumes, against the off-set and don't-care set s.
-func minimize(g *Cover, s sets) *Cover {
-	l := &loop{sets: s}
-	best := g.Clone()
-	cost := func(c *Cover) (int, int) { return c.Size(), c.Literals() }
-	bc, bl := cost(best)
+// consumes, against l's off-set and don't-care set. It returns the best
+// cover's cubes and literal count; the cubes live in l's buffer until the
+// next call.
+func (l *loop) minimize(g *Cover) ([]Cube, int) {
+	l.best = append(l.best[:0], g.Cubes...)
+	bc, bl := g.Size(), g.Literals()
 	for iter := 0; iter < 4; iter++ {
 		l.expand(g)
 		l.irredundant(g)
-		c, lits := cost(g)
+		c, lits := g.Size(), g.Literals()
 		if c < bc || (c == bc && lits < bl) {
-			best = g.Clone()
+			l.best = append(l.best[:0], g.Cubes...)
 			bc, bl = c, lits
 		} else if iter > 0 {
 			break
 		}
 		l.reduce(g)
 	}
-	return best
+	return l.best, bl
 }
 
 // expand enlarges each cube of f against the off-set. Two mechanisms are
@@ -361,7 +362,9 @@ func Minimize(f, dc, off *Cover) *Cover {
 		}
 		off = onDC.Complement()
 	}
-	return minimize(g, &coverSets{off: off, dc: dc})
+	l := &loop{sets: &coverSets{off: off, dc: dc}}
+	best, _ := l.minimize(g)
+	return &Cover{N: g.N, Cubes: best}
 }
 
 // FromMinterms builds a cover of the given minterms over n variables.

@@ -91,19 +91,31 @@ func (s *mintermSets) reduced(c Cube, rest []Cube) Cube {
 	if m.empty() {
 		return sc
 	}
-	full := mask(s.n)
 	for v := 0; v < s.n; v++ {
 		b := uint64(1) << uint(v)
-		one := s.minterms(Cube{Z: full &^ b, O: full})
-		if !m.and(one).empty() {
+		if !m.and(varOnes[v]).empty() {
 			sc.O |= b
 		}
-		if !m.andNot(one).empty() {
+		if !m.andNot(varOnes[v]).empty() {
 			sc.Z |= b
 		}
 	}
 	return sc
 }
+
+// varOnes[v] holds the minterms of the MaxMintermVars-variable space in
+// which variable v is 1; intersected with a set of minterms of a smaller
+// space, it keeps those of the same space with v = 1.
+var varOnes = func() (t [MaxMintermVars]Minterms) {
+	for v := range t {
+		for m := uint64(0); m < 1<<MaxMintermVars; m++ {
+			if m>>uint(v)&1 != 0 {
+				t[v].Add(m)
+			}
+		}
+	}
+	return t
+}()
 
 // MinimizeMinterms minimizes the function of n variables whose on-set is
 // the minterm list on, whose off-set is the minterm list off, and whose
@@ -114,16 +126,47 @@ func (s *mintermSets) reduced(c Cube, rest []Cube) Cube {
 // and no complement is computed; the loop's questions about them are set
 // questions, so repeated minterms change no answer.
 func MinimizeMinterms(n int, on, off []uint64) *Cover {
-	f := FromMinterms(n, on)
+	var s Scratch
+	cubes, _ := s.run(n, on, off)
+	return &Cover{N: n, Cubes: cubes}
+}
+
+// Scratch is caller-owned working memory for minimizing functions given by
+// minterm lists, reused from one function to the next: up to
+// MaxMintermVars variables, a call allocates nothing once the buffers have
+// grown to the largest function seen. A Scratch is not safe for concurrent
+// use; its zero value is ready.
+type Scratch struct {
+	loop
+	ms mintermSets
+	on Cover
+}
+
+// Count returns the number of cubes and of literals of the cover
+// MinimizeMinterms(n, on, off) returns.
+func (s *Scratch) Count(n int, on, off []uint64) (cubes, literals int) {
+	best, lits := s.run(n, on, off)
+	return len(best), lits
+}
+
+// run returns the cubes and the literal count of
+// MinimizeMinterms(n, on, off); the cubes live in s until the next call.
+func (s *Scratch) run(n int, on, off []uint64) ([]Cube, int) {
 	if n > MaxMintermVars {
-		offCover := FromMinterms(n, off)
+		f, offCover := FromMinterms(n, on), FromMinterms(n, off)
 		both := f.Clone()
 		both.Cubes = append(both.Cubes, offCover.Cubes...)
-		return Minimize(f, both.Complement(), offCover)
+		g := Minimize(f, both.Complement(), offCover)
+		return g.Cubes, g.Literals()
+	}
+	f := &s.on
+	f.N, f.Cubes = n, f.Cubes[:0]
+	for _, m := range on {
+		f.Add(MintermCube(n, m))
 	}
 	f.SCC()
 	if len(f.Cubes) == 0 {
-		return f
+		return f.Cubes, 0
 	}
 	var onSet, offSet Minterms
 	for _, m := range on {
@@ -133,5 +176,7 @@ func MinimizeMinterms(n int, on, off []uint64) *Cover {
 		offSet.Add(m & mask(n))
 	}
 	all := space(n)
-	return minimize(f, &mintermSets{n: n, all: all, off: offSet, dc: all.andNot(onSet.or(offSet))})
+	s.ms = mintermSets{n: n, all: all, off: offSet, dc: all.andNot(onSet.or(offSet))}
+	s.sets = &s.ms
+	return s.minimize(f)
 }

@@ -28,6 +28,18 @@ func checkRepresentations(t *testing.T, n int, on, off []uint64) {
 	}
 }
 
+// checkCounts fails unless the scratch entry point, reused across calls,
+// counts the cubes and literals of the cover the cube-cover reference
+// returns.
+func checkCounts(t *testing.T, s *Scratch, n int, on, off []uint64) {
+	t.Helper()
+	want := viaCubes(n, on, off)
+	if cubes, literals := s.Count(n, on, off); cubes != want.Size() || literals != want.Literals() {
+		t.Fatalf("n=%d on=%v off=%v: scratch counts %d cubes, %d literals; cover has %d, %d\n%s",
+			n, on, off, cubes, literals, want.Size(), want.Literals(), want)
+	}
+}
+
 // label splits the minterms of an n-variable space by one base-3 digit
 // each — on, off or don't-care — and returns the on- and off-sets in
 // ascending order.
@@ -113,6 +125,68 @@ func TestMintermsRepeated(t *testing.T) {
 	}
 }
 
+// TestScratchCountExhaustive counts every on/off/don't-care labelling of
+// the spaces of up to 3 variables through one scratch, with the on-set
+// ascending, descending and in one shuffled order.
+func TestScratchCountExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s Scratch
+	for n := 0; n <= 3; n++ {
+		total := 1
+		for i := 0; i < 1<<uint(n); i++ {
+			total *= 3
+		}
+		for code := 0; code < total; code++ {
+			on, off := label(n, func(m uint64) int {
+				d := code
+				for i := uint64(0); i < m; i++ {
+					d /= 3
+				}
+				return d % 3
+			})
+			checkCounts(t, &s, n, on, off)
+			slices.Reverse(on)
+			checkCounts(t, &s, n, on, off)
+			rng.Shuffle(len(on), func(i, j int) { on[i], on[j] = on[j], on[i] })
+			checkCounts(t, &s, n, on, off)
+		}
+	}
+}
+
+// TestScratchCountRandom counts random labellings of the spaces of 4 to 7
+// variables through one scratch, each under three on-list orders, and a
+// few 8-variable functions, which take the cube-cover path.
+func TestScratchCountRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var s Scratch
+	for n := 4; n <= MaxMintermVars+1; n++ {
+		trials := 500
+		if n > MaxMintermVars {
+			trials = 20
+		}
+		for trial := 0; trial < trials; trial++ {
+			pOn, pOff := rng.Intn(4), rng.Intn(4)
+			on, off := label(n, func(uint64) int {
+				switch r := rng.Intn(8); {
+				case r <= pOn:
+					return 0
+				case r <= pOn+1+pOff:
+					return 1
+				default:
+					return 2
+				}
+			})
+			if n > MaxMintermVars && len(on) > 24 {
+				on = on[:24]
+			}
+			for order := 0; order < 3; order++ {
+				rng.Shuffle(len(on), func(i, j int) { on[i], on[j] = on[j], on[i] })
+				checkCounts(t, &s, n, on, off)
+			}
+		}
+	}
+}
+
 func TestMintermsSpaceAndCube(t *testing.T) {
 	for n := 0; n <= MaxMintermVars; n++ {
 		s := &mintermSets{n: n, all: space(n)}
@@ -136,13 +210,22 @@ func TestMintermsSpaceAndCube(t *testing.T) {
 }
 
 // FuzzMintermMinimize compares the two representations on arbitrary
-// spaces of up to 7 variables: raw's bytes are the on-set in order
-// (repeats allowed), the bits of off0/off1 not in the on-set the off-set,
-// and every remaining minterm is a don't-care.
+// spaces of up to 7 variables, and the scratch entry point's counts with
+// the cover's: raw's bytes are the on-set in order (repeats allowed), the
+// bits of off0/off1 not in the on-set the off-set, and every remaining
+// minterm is a don't-care.
 func FuzzMintermMinimize(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 3, 7}, uint64(0x30), uint64(0))
 	f.Add(uint8(6), []byte{63, 0, 21, 42, 5}, uint64(0x0F0F0000F0F0), uint64(0))
 	f.Add(uint8(7), []byte{127, 64, 1, 65, 100}, uint64(0xAAAA5555), uint64(0x5555AAAA00))
+	// A checkerboard leaves stale cubes in every buffer of the scratch each
+	// input reuses, without sharing state between inputs.
+	var board []uint64
+	for m := uint64(0); m < 1<<MaxMintermVars; m++ {
+		if bits.OnesCount64(m)%2 == 1 {
+			board = append(board, m)
+		}
+	}
 	f.Fuzz(func(t *testing.T, nb uint8, raw []byte, off0, off1 uint64) {
 		if len(raw) > 128 {
 			return
@@ -162,5 +245,8 @@ func FuzzMintermMinimize(f *testing.F) {
 			}
 		}
 		checkRepresentations(t, n, on, off)
+		var s Scratch
+		s.Count(MaxMintermVars, board, nil)
+		checkCounts(t, &s, n, on, off)
 	})
 }

@@ -26,7 +26,7 @@ import (
 func Parse(r io.Reader) (*fsm.FSM, error) {
 	m := fsm.New("", 0, 0)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	lineNo := 0
 	declaredStates, declaredTerms := -1, -1
 	resetName := ""
