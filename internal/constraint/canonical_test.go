@@ -79,7 +79,7 @@ func unrestrictedSets(t *testing.T, fn func(seed int64, cs *constraint.Set)) {
 // TestCanonicalIgnoresSpelling: re-interning the symbols, shuffling every
 // list and unordered group and swapping distance-2 pairs leaves the
 // canonical form unchanged, and Dedupe drops such a respelled copy of
-// every constraint.
+// every constraint and returns the canonical form of what it keeps.
 func TestCanonicalIgnoresSpelling(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	unrestrictedSets(t, func(seed int64, cs *constraint.Set) {
@@ -91,10 +91,14 @@ func TestCanonicalIgnoresSpelling(t *testing.T) {
 		}
 
 		deduped := cs.Clone()
-		deduped.Dedupe()
+		if form := deduped.Dedupe(); form != deduped.Canonical() {
+			t.Fatalf("seed %d: Dedupe returned\n%s\nfor a set whose canonical form is\n%s", seed, form, deduped.Canonical())
+		}
 		doubled := deduped.Clone()
 		respell(r, deduped).MapInto(nil, func(int) *constraint.Set { return doubled })
-		doubled.Dedupe()
+		if form := doubled.Dedupe(); form != deduped.Canonical() {
+			t.Fatalf("seed %d: Dedupe of a respelled double returned\n%s\nwant\n%s", seed, form, deduped.Canonical())
+		}
 		if doubled.String() != deduped.String() {
 			t.Fatalf("seed %d: Dedupe kept a respelled repeat:\n%s\nwant\n%s", seed, doubled, deduped)
 		}

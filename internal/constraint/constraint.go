@@ -334,10 +334,20 @@ func (s *Set) String() string {
 // meaning and stay as written, and repeated constraints stay significant.
 func (s *Set) Canonical() string {
 	names := s.Syms.SortedNames()
-	text, lines := s.render(names)
+	_, lines := s.render(names)
+	return assemble(names, lines)
+}
+
+// assemble returns the canonical form of the set whose sorted symbol names
+// and canonical lines are given; it sorts lines in place.
+func assemble(names []string, lines [][]byte) string {
 	slices.SortFunc(lines, bytes.Compare)
+	size := 12*len(names) + 8
+	for _, l := range lines {
+		size += len(l)
+	}
 	var b strings.Builder
-	b.Grow(len(text) + 12*len(names) + 8)
+	b.Grow(size)
 	b.WriteString("symbols")
 	for _, name := range names {
 		b.WriteByte(' ')

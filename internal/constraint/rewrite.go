@@ -133,14 +133,21 @@ func cut[T any](xs []T, i int) ([]T, int) {
 
 // Dedupe drops, in place, every constraint whose canonical line (see
 // Canonical) an earlier constraint already has, so a repeated constraint
-// goes however its unordered groups are spelled.
-func (s *Set) Dedupe() {
-	_, lines := s.render(s.Syms.SortedNames())
+// goes however its unordered groups are spelled. It returns the canonical
+// form of the set it leaves, assembled from the same lines, so a caller
+// that hashes the deduplicated set renders it once.
+func (s *Set) Dedupe() (canonical string) {
+	names := s.Syms.SortedNames()
+	_, lines := s.render(names)
 	seen := make(map[string]bool, len(lines))
 	dup := make([]bool, len(lines))
+	kept := lines[:0]
 	for i, l := range lines {
 		dup[i] = seen[string(l)]
-		seen[string(l)] = true
+		if !dup[i] {
+			seen[string(l)] = true
+			kept = append(kept, l)
+		}
 	}
 	s.Faces, dup = keep(s.Faces, dup)
 	s.Dominances, dup = keep(s.Dominances, dup)
@@ -149,6 +156,7 @@ func (s *Set) Dedupe() {
 	s.Distance2s, dup = keep(s.Distance2s, dup)
 	s.NonFaces, dup = keep(s.NonFaces, dup)
 	s.Chains, _ = keep(s.Chains, dup)
+	return assemble(names, kept)
 }
 
 // keep filters xs in place to the elements whose dup flag is clear and

@@ -17,7 +17,14 @@ import "repro/internal/constraint"
 // correct optimal answer", not "the answer a particular ordering would
 // have produced".
 func CanonicalHashSet(cs *constraint.Set) Hash128 {
+	return CanonicalHash(cs.Canonical())
+}
+
+// CanonicalHash returns the hash CanonicalHashSet gives the sets whose
+// canonical form is canonical, for a caller that already holds that form
+// (constraint.Set.Dedupe returns it).
+func CanonicalHash(canonical string) Hash128 {
 	// A seed distinct from HashBytes's: a constraint-set key and a
 	// byte-string key share the server's maps without aliasing.
-	return hashString(0x2ffd72dbd01adfb7, 0xb8e1afed6a267e96, cs.Canonical())
+	return hashString(0x2ffd72dbd01adfb7, 0xb8e1afed6a267e96, canonical)
 }

@@ -17,10 +17,15 @@
 // minterm masks instead of complementing a cube cover; the cover it
 // minimizes to is the same.
 //
-// The Evaluator memoizes each face's cost by its F_I and re-prices only
-// the faces a move changed: a face whose on, off and don't-care code
-// multisets a move kept reuses its last cost, which is the entry the memo
-// would return, so costs and hit and miss counts equal a full pass.
+// The Evaluator memoizes each face's cost by its F_I and re-keys only the
+// faces a move touched, through an index from each symbol to the faces
+// that hold it as a member or an encoding don't-care: a face whose key a
+// move kept reuses its last cost, which is the entry the memo would
+// return, so costs and hit and miss counts equal a full pass. While the
+// codes are distinct and of at most 7 bits it keeps each face's on- and
+// don't-care code sets as masks, updated by the moved codes, and hands a
+// miss's off-set to espresso as a mask. A single pricing, with nothing to
+// reuse, goes through Evaluate or Of directly.
 package cost
 
 import (

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -58,7 +59,7 @@ func (t *trajectory) move() {
 		codes[x], codes[y], codes[z] = codes[y], codes[z], codes[x]
 		t.undo = func() { codes[x], codes[y], codes[z] = codes[z], codes[x], codes[y] }
 	case k < 14: // k symbols redraw codes from the set of their old codes
-		p := t.rng.Perm(n)[:2+t.rng.Intn(min(n-1, maxMoved+1))]
+		p := t.rng.Perm(n)[:2+t.rng.Intn(min(n-1, 9))]
 		var pool []hypercube.Code
 		for _, s := range p {
 			pool = append(pool, codes[s])
@@ -67,7 +68,7 @@ func (t *trajectory) move() {
 			codes[s] = pool[t.rng.Intn(len(pool))]
 		}
 	case k < 16: // k symbols draw arbitrary codes, repeats allowed
-		for i := 1 + t.rng.Intn(maxMoved+3); i > 0; i-- {
+		for i := 1 + t.rng.Intn(11); i > 0; i-- {
 			codes[t.rng.Intn(n)] = hypercube.Code(t.rng.Intn(1 << uint(t.a.Bits)))
 		}
 	case k < 17: // a symbol joins or leaves the subset
@@ -95,13 +96,57 @@ func (t *trajectory) move() {
 	}
 }
 
+// stepMatches evaluates a with ev and ref and fails unless Result, Hits and
+// Misses agree. It reports whether the evaluation was incremental, whether
+// the last one keyed by masks, and how many symbols moved.
+func stepMatches(t *testing.T, ev *Evaluator, ref *refEvaluator, a Assignment, where string) (incremental, wasMasked bool, moved int) {
+	t.Helper()
+	want := ref.Evaluate(a)
+	incremental, wasMasked = ev.diff(a), ev.masked
+	moved = len(ev.moved)
+	got := ev.Evaluate(a)
+	if got != want || ev.Hits != ref.Hits || ev.Misses != ref.Misses {
+		t.Fatalf("%s (%d bits, %d moved): got %+v with %d hits, %d misses; reference %+v with %d hits, %d misses",
+			where, a.Bits, moved, got, ev.Hits, ev.Misses, want, ref.Hits, ref.Misses)
+	}
+	return incremental, wasMasked, moved
+}
+
+// localMove swaps the codes of two subset symbols of a, or moves one to a
+// code of a.Bits bits that no subset symbol holds, as the annealer does.
+func localMove(rng *rand.Rand, a Assignment) {
+	syms := a.Subset.Elems()
+	x, y := syms[rng.Intn(len(syms))], syms[rng.Intn(len(syms))]
+	if rng.Intn(2) == 0 {
+		a.Codes[x], a.Codes[y] = a.Codes[y], a.Codes[x]
+		return
+	}
+	used := map[hypercube.Code]bool{}
+	for _, s := range syms {
+		used[a.Codes[s]] = true
+	}
+	for c := hypercube.Code(rng.Intn(1 << uint(a.Bits))); ; c = (c + 1) % (1 << uint(a.Bits)) {
+		if !used[c] {
+			a.Codes[x] = c
+			return
+		}
+		if len(used) >= 1<<uint(a.Bits) {
+			return
+		}
+	}
+}
+
 // TestIncrementalMatchesReference walks random trajectories over random
 // face sets with encoding don't-cares and requires the incremental
 // evaluator's Result, Hits and Misses to equal the full-pass reference's
 // at every step. The walks cover anneal-style swaps and relocations with
 // rejected moves undone, polish-style 3-cycles, partial and changing
 // subsets, changing code lengths, codes wider than 7 bits and repeated
-// codes, and moves of more symbols than the incremental check takes.
+// codes, and redraws of up to 11 symbols' codes. Two more kinds of walk
+// follow: one evaluator leaves the mask path and re-enters it (a repeated
+// code, a code wider than the length, an 8-bit length, then back), and
+// selection-style walks over a fixed subset swap, flip and redraw whole
+// code columns, moving more than 8 symbols at a time.
 func TestIncrementalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	incremental := 0
@@ -138,5 +183,126 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	}
 	if incremental < 10000 {
 		t.Fatalf("only %d evaluations took the incremental path", incremental)
+	}
+
+	// Leave the mask path and re-enter it on one evaluator.
+	reentered := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(12)
+		cs := randomFaces(rng, n)
+		bits := hypercube.MinBits(n) + 1
+		codes := make([]hypercube.Code, n)
+		for i, c := range rng.Perm(1 << uint(bits))[:n] {
+			codes[i] = hypercube.Code(c)
+		}
+		a := FullAssignment(bits, codes)
+		if trial%2 == 0 {
+			a.Subset.Remove(rng.Intn(n))
+		}
+		syms := a.Subset.Elems()
+		ev, ref := NewEvaluator(cs), newRefEvaluator(cs)
+		phase := func(name string, change func()) {
+			change()
+			for step := 0; step < 12; step++ {
+				if step > 0 {
+					localMove(rng, a)
+				}
+				incremental, wasMasked, _ := stepMatches(t, ev, ref, a, fmt.Sprintf("trial %d, %s, step %d", trial, name, step))
+				if incremental && !wasMasked && ev.masked {
+					reentered++
+				}
+			}
+		}
+		// distinct clears the codes' bits past the length and moves each
+		// repeat to a code no subset symbol holds.
+		distinct := func() {
+			held := map[hypercube.Code]bool{}
+			for _, s := range syms {
+				a.Codes[s] &= 1<<uint(a.Bits) - 1
+				held[a.Codes[s]] = true
+			}
+			seen := map[hypercube.Code]bool{}
+			for _, s := range syms {
+				if seen[a.Codes[s]] {
+					for held[a.Codes[s]] {
+						a.Codes[s] = (a.Codes[s] + 1) % (1 << uint(a.Bits))
+					}
+					held[a.Codes[s]] = true
+				}
+				seen[a.Codes[s]] = true
+			}
+		}
+		x, y := syms[0], syms[len(syms)-1]
+		phase("distinct codes", func() {})
+		phase("a repeated code", func() { a.Codes[x] = a.Codes[y] })
+		phase("distinct again", distinct)
+		phase("a code wider than the length", func() { a.Codes[x] |= 1 << uint(a.Bits) })
+		phase("narrow again", distinct)
+		phase("8-bit codes", func() {
+			a.Bits = 8
+			for i := range codes {
+				codes[i] |= 0x80
+			}
+		})
+		phase("back to the short length", func() {
+			a.Bits = bits
+			for i := range codes {
+				codes[i] &= 1<<uint(bits) - 1
+			}
+		})
+	}
+	if reentered < 2*40 {
+		t.Fatalf("the mask path was re-entered incrementally only %d times", reentered)
+	}
+
+	// Selection-style walks: codes are columns over a fixed subset, and a
+	// move swaps two columns, flips one, redraws one (which may repeat
+	// codes) or returns to the last codes that were distinct.
+	wide := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 16 + rng.Intn(24)
+		cs := randomFaces(rng, n)
+		bits := hypercube.MinBits(n) + rng.Intn(8-hypercube.MinBits(n))
+		codes := make([]hypercube.Code, n)
+		for i, c := range rng.Perm(1 << uint(bits))[:n] {
+			codes[i] = hypercube.Code(c)
+		}
+		a := FullAssignment(bits, codes)
+		for i := rng.Intn(4); i > 0; i-- {
+			a.Subset.Remove(rng.Intn(n))
+		}
+		ev, ref := NewEvaluator(cs), newRefEvaluator(cs)
+		distinct := append([]hypercube.Code(nil), codes...)
+		for step := 0; step < 60; step++ {
+			if _, ok := maskable(a); ok {
+				copy(distinct, codes)
+			}
+			i, j := rng.Intn(bits), rng.Intn(bits)
+			switch k := rng.Intn(8); {
+			case step == 0:
+			case k == 7:
+				copy(codes, distinct)
+			case k < 4: // swap columns i and j
+				for s, c := range codes {
+					bi, bj := c>>uint(i)&1, c>>uint(j)&1
+					codes[s] = c&^(1<<uint(i)|1<<uint(j)) | bi<<uint(j) | bj<<uint(i)
+				}
+			case k < 6: // flip column i
+				for s := range codes {
+					codes[s] ^= 1 << uint(i)
+				}
+			default: // redraw column i
+				for s := range codes {
+					codes[s] = codes[s]&^(1<<uint(i)) | hypercube.Code(rng.Intn(2))<<uint(i)
+				}
+			}
+			incremental, wasMasked, moved := stepMatches(t, ev, ref, a, fmt.Sprintf("selection trial %d step %d", trial, step))
+			if incremental && wasMasked && ev.masked && moved > 8 {
+				wide++
+			}
+		}
+	}
+	if wide < 500 {
+		t.Fatalf("only %d mask-path evaluations moved more than 8 symbols", wide)
 	}
 }

@@ -42,19 +42,14 @@ func viaCubes(cs *constraint.Set, a Assignment) Result {
 }
 
 // maskKeyed reports how many of the faces that reach the minimizer key the
-// memo by code-set masks.
+// memo by code-set masks: after one evaluation each such face holds one
+// memo entry, under a mask key or a code-list key.
 func maskKeyed(cs *constraint.Set, a Assignment) (masked, total int) {
-	var fn charFunc
-	for _, f := range cs.Faces {
-		members := bitset.Intersect(f.Members, a.Subset)
-		if members.Len() < 2 {
-			continue
-		}
-		total++
-		fn.split(f, a)
-		if _, ok := fn.maskKey(a.Bits); ok {
-			masked++
-		}
+	ev := NewEvaluator(cs)
+	ev.Evaluate(a)
+	for fi := range cs.Faces {
+		masked += len(ev.memo[fi])
+		total += len(ev.memo[fi]) + len(ev.codeMemo[fi])
 	}
 	return masked, total
 }

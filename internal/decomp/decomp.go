@@ -10,8 +10,9 @@
 //     symbol set), extracts one local constraint.Set per connected
 //     component, runs a pre-solve simplification pass (subsumed-face and
 //     repeated-child elimination, then constraint.Set.Dedupe, which drops
-//     repeats under the canonical form the hash reads) and computes a
-//     canonical per-component sub-hash with core.CanonicalHashSet, so
+//     repeats under the canonical form the hash reads and returns that
+//     form) and hashes it into a canonical per-component sub-hash (the
+//     value core.CanonicalHashSet gives the component), so
 //     permuted-but-equal components share one cache identity.
 //   - Plan.Solve is the one component loop: a bounded fan-out of a
 //     caller-supplied ComponentSolver over the components (ExactEncodeCtx
@@ -120,8 +121,7 @@ func Split(cs *constraint.Set) (*Plan, error) {
 	// so two requests differing only in redundant repetition must converge
 	// on the same sub-hash to share a cache entry.
 	for _, c := range comps {
-		simplify(c.Set)
-		c.Hash = core.CanonicalHashSet(c.Set)
+		c.Hash = core.CanonicalHash(simplify(c.Set))
 	}
 	return &Plan{Source: cs, Components: comps}, nil
 }

@@ -21,7 +21,10 @@ import (
 //   - duplicate elimination across every class by Set.Dedupe, which
 //     compares constraints in the canonical form the component hash is
 //     taken over, so two spellings of one constraint count as repeats.
-func simplify(s *constraint.Set) {
+//
+// It returns the canonical form of the simplified set, which Dedupe
+// assembles from the lines it compared.
+func simplify(s *constraint.Set) string {
 	for i, d := range s.Disjunctives {
 		seen := make(map[int]bool, len(d.Children))
 		children := d.Children[:0]
@@ -34,7 +37,7 @@ func simplify(s *constraint.Set) {
 		s.Disjunctives[i].Children = children
 	}
 	simplifyFaces(s)
-	s.Dedupe()
+	return s.Dedupe()
 }
 
 // simplifyFaces drops don't-care-subsumed faces: Verify accepts a face

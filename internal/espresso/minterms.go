@@ -10,6 +10,9 @@ type Minterms [2]uint64
 // Add inserts minterm m, which must be below 128.
 func (s *Minterms) Add(m uint64) { s[m>>6] |= 1 << (m & 63) }
 
+// Remove deletes minterm m, which must be below 128.
+func (s *Minterms) Remove(m uint64) { s[m>>6] &^= 1 << (m & 63) }
+
 // Has reports whether minterm m is in the set.
 func (s Minterms) Has(m uint64) bool { return s[m>>6]>>(m&63)&1 != 0 }
 
@@ -149,6 +152,14 @@ func (s *Scratch) Count(n int, on, off []uint64) (cubes, literals int) {
 	return len(best), lits
 }
 
+// CountMasked is Count with the off-set given as a mask of minterms, for
+// n at most MaxMintermVars: a caller that keeps its off-sets as masks
+// hands them over without listing them.
+func (s *Scratch) CountMasked(n int, on []uint64, off Minterms) (cubes, literals int) {
+	best, lits := s.runMasked(n, on, off)
+	return len(best), lits
+}
+
 // run returns the cubes and the literal count of
 // MinimizeMinterms(n, on, off); the cubes live in s until the next call.
 func (s *Scratch) run(n int, on, off []uint64) ([]Cube, int) {
@@ -159,6 +170,16 @@ func (s *Scratch) run(n int, on, off []uint64) ([]Cube, int) {
 		g := Minimize(f, both.Complement(), offCover)
 		return g.Cubes, g.Literals()
 	}
+	var offSet Minterms
+	for _, m := range off {
+		offSet.Add(m & mask(n))
+	}
+	return s.runMasked(n, on, offSet)
+}
+
+// runMasked is run for n at most MaxMintermVars with the off-set as a
+// mask.
+func (s *Scratch) runMasked(n int, on []uint64, off Minterms) ([]Cube, int) {
 	f := &s.on
 	f.N, f.Cubes = n, f.Cubes[:0]
 	for _, m := range on {
@@ -168,15 +189,12 @@ func (s *Scratch) run(n int, on, off []uint64) ([]Cube, int) {
 	if len(f.Cubes) == 0 {
 		return f.Cubes, 0
 	}
-	var onSet, offSet Minterms
+	var onSet Minterms
 	for _, m := range on {
 		onSet.Add(m & mask(n))
 	}
-	for _, m := range off {
-		offSet.Add(m & mask(n))
-	}
 	all := space(n)
-	s.ms = mintermSets{n: n, all: all, off: offSet, dc: all.andNot(onSet.or(offSet))}
+	s.ms = mintermSets{n: n, all: all, off: off, dc: all.andNot(onSet.or(off))}
 	s.sets = &s.ms
 	return s.minimize(f)
 }

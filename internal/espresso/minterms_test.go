@@ -28,14 +28,26 @@ func checkRepresentations(t *testing.T, n int, on, off []uint64) {
 	}
 }
 
-// checkCounts fails unless the scratch entry point, reused across calls,
-// counts the cubes and literals of the cover the cube-cover reference
-// returns.
+// checkCounts fails unless the scratch entry points, reused across calls,
+// count the cubes and literals of the cover the cube-cover reference
+// returns: Count from the off-list and, up to MaxMintermVars variables,
+// CountMasked from its mask.
 func checkCounts(t *testing.T, s *Scratch, n int, on, off []uint64) {
 	t.Helper()
 	want := viaCubes(n, on, off)
 	if cubes, literals := s.Count(n, on, off); cubes != want.Size() || literals != want.Literals() {
 		t.Fatalf("n=%d on=%v off=%v: scratch counts %d cubes, %d literals; cover has %d, %d\n%s",
+			n, on, off, cubes, literals, want.Size(), want.Literals(), want)
+	}
+	if n > MaxMintermVars {
+		return
+	}
+	var offSet Minterms
+	for _, m := range off {
+		offSet.Add(m)
+	}
+	if cubes, literals := s.CountMasked(n, on, offSet); cubes != want.Size() || literals != want.Literals() {
+		t.Fatalf("n=%d on=%v off=%v: masked scratch counts %d cubes, %d literals; cover has %d, %d\n%s",
 			n, on, off, cubes, literals, want.Size(), want.Literals(), want)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/cost"
 	"repro/internal/dichotomy"
+	"repro/internal/fsm"
+	"repro/internal/mv"
 	"repro/internal/par"
 )
 
@@ -76,6 +78,27 @@ func BenchmarkHeuristicEncodeKernel(b *testing.B) {
 	if _, err := EncodeCtx(context.Background(), cs, opts); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeCtx(context.Background(), cs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTable3ENCKernel runs one Table-3 ENC encoding of dk16 (27
+// states, its input constraints with encoding don't-cares) under the
+// literal metric with the Table-3 restarts and polish budget on one
+// worker: the heuristic half of perfbench synth, whose every selection
+// step and polish move prices face costs through the memoizing evaluator.
+func BenchmarkTable3ENCKernel(b *testing.B) {
+	m, err := fsm.GenerateByName("dk16")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := mv.InputConstraintsDC(m)
+	opts := Options{Metric: cost.Literals, Parallelism: par.Workers(1), Restarts: 6, PolishBudget: 15000}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

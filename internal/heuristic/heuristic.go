@@ -148,7 +148,7 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 	}
 
 	// Restarts are fully independent, so they fan out over the worker pool;
-	// each scores its encoding with a private evaluator. The fold below
+	// each prices its encoding once, directly. The fold below
 	// walks the results in restart order with strict improvement, which is
 	// exactly the sequential loop's incumbent rule, so the winner does not
 	// depend on the worker count.
@@ -167,8 +167,7 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 		cols := e.solve(all, c)
 		enc := core.FromColumns(cs.Syms, cols)
 		ensureUnique(enc, c)
-		ev := cost.NewEvaluator(cs)
-		runs[r] = &run{enc, ev.Of(opts.Metric, cost.FullAssignment(enc.Bits, enc.Codes))}
+		runs[r] = &run{enc, cost.Of(opts.Metric, cs, cost.FullAssignment(enc.Bits, enc.Codes))}
 	})
 
 	var best *core.Encoding
@@ -196,11 +195,12 @@ func EncodeCtx(ctx context.Context, cs *constraint.Set, opts Options) (*Result, 
 	}
 
 	psp := trace.StartSpan(ctx, "heuristic.polish")
-	polish(ctx, cs, best, opts, cost.NewEvaluator(cs))
+	ev := cost.NewEvaluator(cs)
+	polish(ctx, cs, best, opts, ev)
 	a := cost.FullAssignment(best.Bits, best.Codes)
 	res := &Result{Encoding: best, Cost: cost.Evaluate(cs, a)}
 	if psp != nil {
-		psp.Set("cost", res.Cost.Of(opts.Metric)).End()
+		psp.Set("cost", res.Cost.Of(opts.Metric)).Set("hits", ev.Hits).Set("misses", ev.Misses).End()
 	}
 	return res, nil
 }

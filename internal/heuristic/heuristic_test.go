@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/hypercube"
+	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 func distinct(codes []hypercube.Code) bool {
@@ -173,5 +175,29 @@ func TestEncodeRejectsBitsAboveLimit(t *testing.T) {
 	}
 	if _, err := EncodeCtx(context.Background(), cs, Options{Bits: MaxBits}); err != nil {
 		t.Fatalf("Bits: MaxBits: %v", err)
+	}
+}
+
+// TestPolishSpanCounters: the heuristic.polish span reports the final cost
+// next to the polish evaluator's memo hits and misses, both of which a
+// literal-metric polish of a few hundred moves has.
+func TestPolishSpanCounters(t *testing.T) {
+	cs := constraint.MustParse("face a b\nface c d\nface a c e\nface b f\n")
+	ctx, rec := trace.Start(context.Background())
+	res, err := EncodeCtx(ctx, cs, Options{Metric: cost.Literals, Parallelism: par.Workers(1), Restarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, ok := rec.Snapshot().Find("heuristic.polish")
+	if !ok {
+		t.Fatal("no heuristic.polish span")
+	}
+	if v, _ := sp.Attr("cost"); v != int64(res.Cost.Literals) {
+		t.Fatalf("polish span cost %d, encoding has %d literals", v, res.Cost.Literals)
+	}
+	hits, okHits := sp.Attr("hits")
+	misses, okMisses := sp.Attr("misses")
+	if !okHits || !okMisses || hits <= 0 || misses <= 0 {
+		t.Fatalf("polish span hits %d (%v), misses %d (%v); want both reported and positive", hits, okHits, misses, okMisses)
 	}
 }
