@@ -12,10 +12,10 @@ const (
 	BackendBranchBound Backend = iota
 	// BackendSAT reduces the covering problem with the branch-and-bound's
 	// root reductions (cover.Problem.Reduce), compiles the cyclic core to
-	// CNF (one selection variable per core column, sequential-counter/
-	// commander at-most-k cardinality) and solves it with the embedded
-	// DPLL solver (internal/sat), recovering minimality by an outer search
-	// over the cover cost. Results agree with BackendBranchBound on
+	// CNF (one selection variable per core column, a sequential-counter
+	// at-most-k layer) and solves it with the embedded DPLL solver
+	// (internal/sat), recovering minimality by the k-search over the cover
+	// cost that binate covering also uses. Results agree with BackendBranchBound on
 	// feasibility, code length and optimality; the selected columns (and
 	// therefore the concrete codes) may legitimately differ when several
 	// minimum covers exist.

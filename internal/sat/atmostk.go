@@ -1,38 +1,16 @@
 package sat
 
-// At-most-k cardinality encodings. The encoder's outer loop over the cover
-// cardinality k rests on these: completeness (every assignment of the
-// original literals with ≤ k true extends to the auxiliaries) is what makes
-// "first satisfiable k" equal the true minimum, and soundness (> k true is
-// unsatisfiable) is what makes each UNSAT step a proof. Both properties are
-// enumerated exhaustively for n ≤ 8 in the property tests.
-
-// CommanderThreshold is the literal count above which AddAtMostK switches
-// from the flat sequential counter to the commander decomposition, whose
-// grouped structure keeps clause lengths short on wide constraints.
-const CommanderThreshold = 128
-
-// commanderBinomialClauses caps the clause count below which a group
-// constraint uses the direct binomial encoding instead of a nested
-// sequential counter.
-const commanderBinomialClauses = 64
-
-// AddAtMostK constrains at most k of lits to be true, choosing the
-// encoding by width: sequential counter up to CommanderThreshold,
-// commander above it.
+// AddAtMostK constrains at most k of lits to be true with Sinz's
+// sequential counter LT_{n,k}: auxiliary registers s[i][j] ("at least j of
+// the first i+1 literals are true") chained left to right, k·n auxiliaries
+// and O(k·n) ternary clauses.
+//
+// The k-search rests on two properties of the encoding: completeness
+// (every assignment of lits with ≤ k true extends to the auxiliaries)
+// makes "first satisfiable k" the true minimum, and soundness (> k true is
+// unsatisfiable) makes each UNSAT step a proof. Both are enumerated
+// exhaustively for n ≤ 8 in the property tests.
 func (f *CNF) AddAtMostK(lits []Lit, k int) {
-	if len(lits) >= CommanderThreshold {
-		f.AddAtMostKCommander(lits, k)
-		return
-	}
-	f.AddAtMostKSeq(lits, k)
-}
-
-// AddAtMostKSeq encodes at-most-k over lits with Sinz's sequential
-// counter LT_{n,k}: auxiliary registers s[i][j] ("at least j of the first
-// i+1 literals are true") chained left to right, k·n auxiliaries and
-// O(k·n) ternary clauses.
-func (f *CNF) AddAtMostKSeq(lits []Lit, k int) {
 	n := len(lits)
 	if k >= n {
 		return
@@ -67,106 +45,4 @@ func (f *CNF) AddAtMostKSeq(lits []Lit, k int) {
 		reg, next = next, reg
 	}
 	f.AddClause(lits[n-1].Not(), reg[k-1].Not())
-}
-
-// AddAtMostKCommander encodes at-most-k over lits with the commander
-// decomposition (Frisch & Giannaros): literals are split into groups of
-// 2(k+1); each group gets k commander variables and a local constraint
-// that the group's true count never exceeds its commanders' true count
-// (at-most-k over group ∪ negated commanders), and the commanders recurse.
-// Group constraints use the binomial encoding when small enough and fall
-// back to the sequential counter otherwise.
-func (f *CNF) AddAtMostKCommander(lits []Lit, k int) {
-	if k >= len(lits) {
-		return
-	}
-	if k <= 0 {
-		for _, l := range lits {
-			f.AddClause(l.Not())
-		}
-		return
-	}
-	group := 2 * (k + 1)
-	if len(lits) <= group {
-		f.addAtMostKBase(lits, k)
-		return
-	}
-	var commanders []Lit
-	for i := 0; i < len(lits); i += group {
-		end := i + group
-		if end > len(lits) {
-			end = len(lits)
-		}
-		cmds := make([]Lit, k)
-		for j := range cmds {
-			cmds[j] = Pos(f.NewVar())
-		}
-		// Order the commanders (c_j → c_{j-1}): symmetry breaking that
-		// costs k-1 binary clauses and sharpens propagation.
-		for j := 1; j < k; j++ {
-			f.AddClause(cmds[j].Not(), cmds[j-1])
-		}
-		// #true(group) ≤ #true(commanders): at most k of the group plus
-		// the k negated commanders.
-		aug := make([]Lit, 0, end-i+k)
-		aug = append(aug, lits[i:end]...)
-		for _, c := range cmds {
-			aug = append(aug, c.Not())
-		}
-		f.addAtMostKBase(aug, k)
-		commanders = append(commanders, cmds...)
-	}
-	// Each group contributes at most as many trues as its commanders, so
-	// bounding the commanders bounds the total.
-	f.AddAtMostKCommander(commanders, k)
-}
-
-// addAtMostKBase encodes a narrow at-most-k: binomial when the clause
-// count stays tiny, sequential counter otherwise.
-func (f *CNF) addAtMostKBase(lits []Lit, k int) {
-	n := len(lits)
-	if k >= n {
-		return
-	}
-	if c := binomial(n, k+1); c > 0 && c <= commanderBinomialClauses {
-		f.addAtMostKBinomial(lits, k)
-		return
-	}
-	f.AddAtMostKSeq(lits, k)
-}
-
-// addAtMostKBinomial adds one clause of negations per (k+1)-subset.
-func (f *CNF) addAtMostKBinomial(lits []Lit, k int) {
-	subset := make([]Lit, k+1)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k+1 {
-			f.AddClause(subset...)
-			return
-		}
-		for i := start; i < len(lits); i++ {
-			subset[depth] = lits[i].Not()
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-}
-
-// binomial returns C(n, k), or -1 on overflow past 1<<40 (treated as
-// "too many" by the caller).
-func binomial(n, k int) int64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	var c int64 = 1
-	for i := 0; i < k; i++ {
-		c = c * int64(n-i) / int64(i+1)
-		if c > 1<<40 {
-			return -1
-		}
-	}
-	return c
 }

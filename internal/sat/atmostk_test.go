@@ -53,57 +53,15 @@ func checkAtMostK(t *testing.T, name string, encode func(f *CNF, lits []Lit, k i
 func TestSeqCounterExhaustive(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		for k := 0; k <= n; k++ {
-			checkAtMostK(t, "seq", (*CNF).AddAtMostKSeq, n, k)
+			checkAtMostK(t, "seq", (*CNF).AddAtMostK, n, k)
 		}
 	}
 }
 
-// TestCommanderExhaustive: the commander decomposition admits exactly the
-// ≤ k assignments for every n ≤ 8, k ≤ n. Small n exercises the base
-// encodings; the recursion itself is separately covered by
-// TestCommanderWide.
-func TestCommanderExhaustive(t *testing.T) {
-	for n := 1; n <= 8; n++ {
-		for k := 0; k <= n; k++ {
-			checkAtMostK(t, "commander", (*CNF).AddAtMostKCommander, n, k)
-		}
-	}
-}
-
-// TestCommanderWide drives the grouped recursion: n well above the group
-// size 2(k+1), checked at the boundary counts k-1, k and k+1 (full 2^n
-// enumeration is out of reach, and the boundary is where an off-by-one
-// would land).
-func TestCommanderWide(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{20, 1}, {20, 2}, {30, 3}, {40, 2}} {
-		f := NewCNF(tc.n)
-		lits := make([]Lit, tc.n)
-		for i := range lits {
-			lits[i] = Pos(i)
-		}
-		f.AddAtMostKCommander(lits, tc.k)
-		for count := tc.k - 1; count <= tc.k+1; count++ {
-			if count < 0 {
-				continue
-			}
-			// First `count` variables true, the rest false.
-			var m uint
-			for i := 0; i < count; i++ {
-				m |= 1 << i
-			}
-			want := count <= tc.k
-			if got := extendable(t, f, tc.n, m); got != want {
-				t.Fatalf("commander(n=%d, k=%d): %d true extendable=%v, want %v",
-					tc.n, tc.k, count, got, want)
-			}
-		}
-	}
-}
-
-// TestAddAtMostKDispatch: the width dispatcher uses the commander form
-// above the threshold and stays correct at the boundary count.
-func TestAddAtMostKDispatch(t *testing.T) {
-	n := CommanderThreshold + 10
+// TestAddAtMostKWide: the counter stays correct at the boundary count on
+// 138 literals, far past the widths the exhaustive test can enumerate.
+func TestAddAtMostKWide(t *testing.T) {
+	n := 138
 	f := NewCNF(n)
 	lits := make([]Lit, n)
 	for i := range lits {
@@ -112,9 +70,9 @@ func TestAddAtMostKDispatch(t *testing.T) {
 	f.AddAtMostK(lits, 2)
 	var m uint = 1 | 2 | 4 // three true
 	if extendable(t, f, n, m) {
-		t.Fatalf("dispatcher admitted 3 true under k=2")
+		t.Fatalf("counter admitted 3 true under k=2")
 	}
 	if !extendable(t, f, n, 1|2) {
-		t.Fatalf("dispatcher rejected 2 true under k=2")
+		t.Fatalf("counter rejected 2 true under k=2")
 	}
 }

@@ -43,67 +43,44 @@ var ErrBinateInfeasible = errors.New("sat: binate problem infeasible")
 // context exhaustion returns the best one with Optimal=false; before that
 // it returns the context error, or ErrBudget when the conflict budget ran
 // out. A "sat.binate" trace span records the column and clause counts, the
-// number of cardinality-bounded SAT calls (k_steps) and the verdict.
+// number of cardinality-bounded SAT calls (k_steps), the conflicts of every
+// SAT call, the feasibility solve's included, and the verdict.
 func SolveBinateCtx(ctx context.Context, p *BinateProblem, opts CoverOptions) (BinateSolution, error) {
 	ctx, cancel := opts.contextFor(ctx)
 	defer cancel()
 	sp := trace.StartSpan(ctx, "sat.binate")
-	sol, steps, err := solveBinate(ctx, p, opts)
-	sp.Set("cols", p.NumCols).Set("clauses", len(p.Clauses)).Set("k_steps", steps).
+	var search kSearch
+	sol, err := solveBinate(ctx, p, opts, &search)
+	sp.Set("cols", p.NumCols).Set("clauses", len(p.Clauses)).
+		Set("k_steps", search.steps).Set64("conflicts", search.conflicts).
 		SetBool("optimal", sol.Optimal).SetBool("failed", err != nil)
 	sp.End()
 	return sol, err
 }
 
-// solveBinate is SolveBinateCtx's search; steps counts the SAT calls made
-// under a cardinality bound.
-func solveBinate(ctx context.Context, p *BinateProblem, opts CoverOptions) (BinateSolution, int, error) {
-	weight := costFunc(p.Cost)
-	base := func() *CNF {
-		f := NewCNF(p.NumCols)
-		for _, cl := range p.Clauses {
-			f.AddClause(cl...)
-		}
-		return f
-	}
-	var solver DPLL
-
+// solveBinate is SolveBinateCtx's search; search counts its work.
+func solveBinate(ctx context.Context, p *BinateProblem, opts CoverOptions, search *kSearch) (BinateSolution, error) {
 	// Feasibility first: any model bounds the search from above.
-	res := solver.Solve(ctx, base())
+	res := search.solve(ctx, clauseCNF(p.NumCols, p.Clauses))
 	switch res.Status {
 	case Unsat:
-		return BinateSolution{}, 0, ErrBinateInfeasible
+		return BinateSolution{}, ErrBinateInfeasible
 	case Unknown:
 		if err := ctx.Err(); err != nil {
-			return BinateSolution{}, 0, err
+			return BinateSolution{}, err
 		}
-		return BinateSolution{}, 0, fmt.Errorf("sat: binate feasibility undecided: %w", ErrBudget)
+		return BinateSolution{}, fmt.Errorf("sat: binate feasibility undecided: %w", ErrBudget)
 	}
+	weight := costFunc(p.Cost)
 	selected := modelCols(res.Model, p.NumCols)
 	incumbent := BinateSolution{Selected: selected, Cost: costOf(selected, weight)}
-	steps := 0
-	lb := opts.LowerBound
-	if lb < 0 {
-		lb = 0
+	res = search.minimize(ctx, p.NumCols, p.Clauses, weightedLits(p.NumCols, weight), opts.LowerBound, incumbent.Cost)
+	switch res.Status {
+	case Sat:
+		sel := modelCols(res.Model, p.NumCols)
+		return BinateSolution{Selected: sel, Cost: costOf(sel, weight), Optimal: true}, nil
+	case Unsat:
+		incumbent.Optimal = true
 	}
-	for k := lb; k < incumbent.Cost; k++ {
-		if ctx.Err() != nil {
-			return incumbent, steps, nil
-		}
-		f := base()
-		f.AddAtMostK(weightedLits(p.NumCols, weight), k)
-		steps++
-		res := solver.Solve(ctx, f)
-		switch res.Status {
-		case Sat:
-			sel := modelCols(res.Model, p.NumCols)
-			return BinateSolution{Selected: sel, Cost: costOf(sel, weight), Optimal: true}, steps, nil
-		case Unsat:
-			continue
-		default:
-			return incumbent, steps, nil
-		}
-	}
-	incumbent.Optimal = true
-	return incumbent, steps, nil
+	return incumbent, nil
 }

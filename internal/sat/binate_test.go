@@ -251,4 +251,7 @@ func TestSolveBinateSpan(t *testing.T) {
 			t.Errorf("%s = %d, want %d", key, got, want)
 		}
 	}
+	if _, ok := sp.Attr("conflicts"); !ok {
+		t.Error("no conflicts attribute")
+	}
 }

@@ -63,7 +63,7 @@ func SolveCoverCtx(ctx context.Context, p *cover.Problem, opts CoverOptions) (co
 	sol, st, err := solveCover(ctx, p, opts)
 	sp.Set("rows", len(p.RowCols)).Set("cols", p.NumCols).
 		Set("core_rows", st.coreRows).Set("core_cols", st.coreCols).Set("essentials", st.essentials).
-		Set("k_steps", st.steps).Set64("conflicts", st.conflicts).
+		Set("k_steps", st.search.steps).Set64("conflicts", st.search.conflicts).
 		SetBool("optimal", sol.Optimal).SetBool("failed", err != nil)
 	sp.End()
 	return sol, err
@@ -72,8 +72,7 @@ func SolveCoverCtx(ctx context.Context, p *cover.Problem, opts CoverOptions) (co
 // coverStats is the work of one SolveCoverCtx call, for its trace span.
 type coverStats struct {
 	coreRows, coreCols, essentials int
-	steps                          int // SAT calls
-	conflicts                      int64
+	search                         kSearch
 }
 
 // solveCover is SolveCoverCtx's search on the reduced core.
@@ -100,34 +99,73 @@ func solveCover(ctx context.Context, p *cover.Problem, opts CoverOptions) (cover
 	}
 
 	weight := costFunc(core.Cost)
-	var solver DPLL
-	for k := max(opts.LowerBound-essCost, 0); ctx.Err() == nil; k++ {
-		if essCost+k >= incumbent.Cost {
-			// Every cost below the incumbent's is unsatisfiable.
-			incumbent.Optimal = true
-			return incumbent, st, nil
-		}
-		f := NewCNF(core.NumCols)
-		for _, row := range core.RowCols {
-			lits := make([]Lit, len(row))
-			for i, c := range row {
-				lits[i] = Pos(c)
-			}
-			f.AddClause(lits...)
-		}
-		f.AddAtMostK(weightedLits(core.NumCols, weight), k)
-		st.steps++
-		res := solver.Solve(ctx, f)
-		st.conflicts += res.Conflicts
-		switch res.Status {
-		case Sat:
-			sel := modelCols(res.Model, core.NumCols)
-			return cover.Solution{Cols: red.Lift(sel), Cost: essCost + costOf(sel, weight), Optimal: true}, st, nil
-		case Unknown: // budget or cancellation: fall back to the incumbent
-			return incumbent, st, nil
+	rows := make([][]Lit, len(core.RowCols))
+	for r, row := range core.RowCols {
+		rows[r] = make([]Lit, len(row))
+		for i, c := range row {
+			rows[r][i] = Pos(c)
 		}
 	}
+	res := st.search.minimize(ctx, core.NumCols, rows, weightedLits(core.NumCols, weight),
+		opts.LowerBound-essCost, incumbent.Cost-essCost)
+	switch res.Status {
+	case Sat:
+		sel := modelCols(res.Model, core.NumCols)
+		return cover.Solution{Cols: red.Lift(sel), Cost: essCost + costOf(sel, weight), Optimal: true}, st, nil
+	case Unsat:
+		incumbent.Optimal = true
+	}
 	return incumbent, st, nil
+}
+
+// kSearch is the minimality search both solves share, with its work
+// counters for their trace spans.
+type kSearch struct {
+	solver    DPLL
+	steps     int   // SAT calls under a cardinality bound
+	conflicts int64 // over every call, bounded or not
+}
+
+// solve decides f and counts its conflicts.
+func (s *kSearch) solve(ctx context.Context, f *CNF) Result {
+	res := s.solver.Solve(ctx, f)
+	s.conflicts += res.Conflicts
+	return res
+}
+
+// minimize asks, for each k from max(lb, 0) up to ub-1, whether the
+// clauses over numVars column variables have a model with at most k of
+// lits true, and returns the first model: the at-most-k layer is complete,
+// so a cheaper model would have satisfied an earlier step, and the model
+// is proven minimal. Status Unsat means every k below ub is
+// unsatisfiable, which proves a caller's incumbent of cost ub optimal;
+// Unknown means the conflict budget or the context ran out. The context is
+// polled before every step and before that proof, so a canceled search
+// never returns Unsat.
+func (s *kSearch) minimize(ctx context.Context, numVars int, clauses [][]Lit, lits []Lit, lb, ub int) Result {
+	for k := max(lb, 0); ; k++ {
+		if ctx.Err() != nil {
+			return Result{Status: Unknown}
+		}
+		if k >= ub {
+			return Result{Status: Unsat}
+		}
+		f := clauseCNF(numVars, clauses)
+		f.AddAtMostK(lits, k)
+		s.steps++
+		if res := s.solve(ctx, f); res.Status != Unsat {
+			return res
+		}
+	}
+}
+
+// clauseCNF returns the formula of clauses over numVars variables.
+func clauseCNF(numVars int, clauses [][]Lit) *CNF {
+	f := NewCNF(numVars)
+	for _, cl := range clauses {
+		f.AddClause(cl...)
+	}
+	return f
 }
 
 // costFunc returns the column weight function of a cost vector; nil means

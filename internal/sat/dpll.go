@@ -40,8 +40,15 @@ type dpllState struct {
 	res     Result
 }
 
-// Solve decides f. The context is polled periodically; cancellation (like
-// conflict-budget exhaustion) yields Status Unknown.
+// decisionPollStride is how many decisions Solve makes between context
+// polls when no conflict intervenes. Conflicts poll every time: on the
+// widest covering cores one conflict costs milliseconds and a poll
+// nanoseconds, so a strided poll would overrun a deadline by seconds.
+const decisionPollStride = 64
+
+// Solve decides f. The context is polled at every conflict and every
+// decisionPollStride decisions; cancellation (like conflict-budget
+// exhaustion) yields Status Unknown.
 func (d *DPLL) Solve(ctx context.Context, f *CNF) Result {
 	if f.Unsat() {
 		return Result{Status: Unsat}
@@ -92,11 +99,7 @@ func (d *DPLL) Solve(ctx context.Context, f *CNF) Result {
 				s.enqueue(learnt[0], c)
 			}
 			s.decayActivity()
-			if s.res.Conflicts >= maxConfl {
-				s.res.Status = Unknown
-				return s.res
-			}
-			if s.res.Conflicts&255 == 0 && ctx.Err() != nil {
+			if s.res.Conflicts >= maxConfl || ctx.Err() != nil {
 				s.res.Status = Unknown
 				return s.res
 			}
@@ -112,7 +115,7 @@ func (d *DPLL) Solve(ctx context.Context, f *CNF) Result {
 			return s.res
 		}
 		s.res.Decisions++
-		if s.res.Decisions&1023 == 0 && ctx.Err() != nil {
+		if s.res.Decisions%decisionPollStride == 0 && ctx.Err() != nil {
 			s.res.Status = Unknown
 			return s.res
 		}

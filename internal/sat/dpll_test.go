@@ -131,6 +131,28 @@ func TestDPLLCancelled(t *testing.T) {
 	if res.Status == Sat {
 		checkModel(t, f, res.Model)
 	}
+
+	// Pigeonhole PHP(9,8) needs far more than one conflict to refute, so
+	// a solve that polls at every conflict stops at its first.
+	php := NewCNF(72) // var p*8+h: pigeon p in hole h
+	for p := 0; p < 9; p++ {
+		lits := make([]Lit, 8)
+		for h := range lits {
+			lits[h] = Pos(p*8 + h)
+		}
+		php.AddClause(lits...)
+	}
+	for h := 0; h < 8; h++ {
+		for p1 := 0; p1 < 9; p1++ {
+			for p2 := p1 + 1; p2 < 9; p2++ {
+				php.AddClause(Neg(p1*8+h), Neg(p2*8+h))
+			}
+		}
+	}
+	res = (&DPLL{}).Solve(ctx, php)
+	if res.Status != Unknown || res.Conflicts > 1 {
+		t.Fatalf("canceled PHP(9,8): %v after %d conflicts, want Unknown after at most 1", res.Status, res.Conflicts)
+	}
 }
 
 // TestDPLLConflictBudget: a tiny conflict budget degrades to Unknown.

@@ -7,12 +7,12 @@
 // The package lowers the prime-dichotomy covering problems of the paper's
 // P-2 pipeline to CNF: one selection variable per candidate column, one
 // clause per covering row (and per Section-8 binate clause), and an
-// at-most-k cardinality layer (sequential-counter, with a commander
-// decomposition above a size threshold) searched over k to recover
-// minimality. A unate problem is lowered after internal/cover's root
-// reductions (cover.Problem.Reduce), so only its cyclic core reaches the
-// solver. Each step's CNF goes to the solver as built: there is no
-// clause-level simplifier.
+// at-most-k cardinality layer (Sinz's sequential counter). Both solves
+// recover minimality through one k-search that adds the counter for each
+// k upward from a lower bound. A unate problem is lowered after
+// internal/cover's root reductions (cover.Problem.Reduce), so only its
+// cyclic core reaches the solver. Each step's CNF goes to the solver as
+// built: there is no clause-level simplifier.
 package sat
 
 import (
