@@ -10,7 +10,7 @@ GO ?= go
 # CPU count compares like with like on any machine.
 BENCH_SNAPSHOT ?= BENCH.json
 
-.PHONY: all build loc fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
+.PHONY: all build loc fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz fuzz-smoke serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
 
 all: build
 
@@ -100,6 +100,13 @@ fuzz:
 	$(GO) test ./internal/dichotomy/ -run '^FuzzRaise$$' -fuzz '^FuzzRaise$$' -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^FuzzServe$$' -fuzz '^FuzzServe$$' -fuzztime 30s
 
+# FuzzMintermMinimize for 10 seconds from its committed seed corpus: the
+# minterm-mask espresso loop against the cube-cover one on arbitrary
+# functions of up to 7 variables. It adds about 19 s to `make ci` on a
+# 2-CPU VM: the fuzz time plus building the instrumented test binary.
+fuzz-smoke:
+	$(GO) test ./internal/espresso/ -run '^FuzzMintermMinimize$$' -fuzz '^FuzzMintermMinimize$$' -fuzztime 10s
+
 # Run the encoding service locally (POST /v1/encode, GET /v1/stats).
 serve:
 	$(GO) run ./cmd/served -addr :8080
@@ -167,4 +174,4 @@ perfbench-test:
 
 # bench-gate subsumes bench-json-smoke: it runs the same pipeline and then
 # holds the result against the committed snapshot.
-ci: fmt-check vet staticcheck build race test-server test-diff test-sat cover-sat bench-smoke bench-gate paper-tables-check perfbench-test
+ci: fmt-check vet staticcheck build race test-server test-diff test-sat cover-sat fuzz-smoke bench-smoke bench-gate paper-tables-check perfbench-test

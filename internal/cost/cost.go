@@ -23,9 +23,11 @@
 // move kept reuses its last cost, which is the entry the memo would
 // return, so costs and hit and miss counts equal a full pass. While the
 // codes are distinct and of at most 7 bits it keeps each face's on- and
-// don't-care code sets as masks, updated by the moved codes, and hands a
-// miss's off-set to espresso as a mask. A single pricing, with nothing to
-// reuse, goes through Evaluate or Of directly.
+// don't-care code sets as masks, updated by the moved codes, hands a
+// miss's off-set to espresso as a mask, and memoizes those faces' costs
+// in one flat open-addressing table, which holds each entry inline so
+// that a miss allocates nothing but the table's doubling. A single
+// pricing, with nothing to reuse, goes through Evaluate or Of directly.
 package cost
 
 import (

@@ -37,13 +37,15 @@ import (
 // faces indexed under them and puts the new ones in, and a face's off-set
 // is the codes the subset holds minus its on- and don't-care sets. A miss
 // lists only the face's member codes, in symbol order, and hands the
-// minimizer the off-set mask. Other assignments key by the code lists,
-// sorted and serialized (codeKey), and re-split the subset for each face
-// they re-key.
+// minimizer the off-set mask; its cost goes into the mask table (memo),
+// one for every face. Other assignments key by the code lists, sorted and
+// serialized (codeKey), in a map per face, and re-split the subset for
+// each face they re-key.
 type Evaluator struct {
 	cs *constraint.Set
-	// Each face's memo, by code-set masks and by sorted code lists.
-	memo     []map[maskKey]faceCost
+	// The memo: one table of every face's costs by code-set masks, and
+	// each face's map by sorted code lists.
+	memo     memoTable
 	codeMemo []map[string]faceCost
 	// Hits and Misses expose cache behavior for the ablation bench. A
 	// face whose key a move kept counts as a hit: the memo would have
@@ -95,24 +97,14 @@ type faceState struct {
 	touched bool
 }
 
-// maskKey is a face's memo key when the subset's codes are of at most
-// espresso.MaxMintermVars bits and all distinct: the on, off and
-// don't-care code sets as masks. Other assignments key by the code lists
-// sorted and serialized (codeKey), which count a repeated code as often as
-// it occurs. With distinct codes both forms have the same classes.
-type maskKey struct {
-	bits int
-	sets [3]espresso.Minterms
-}
-
 type faceCost struct {
 	cubes, literals int
 	satisfied       bool
 }
 
 // NewEvaluator returns an evaluator for the given constraint set. Its
-// per-face tables are made on the first full pass, so an evaluator that
-// only counts violations allocates none.
+// tables are made when first needed, so an evaluator that only counts
+// violations allocates none.
 func NewEvaluator(cs *constraint.Set) *Evaluator {
 	return &Evaluator{cs: cs}
 }
@@ -170,8 +162,6 @@ func (e *Evaluator) diff(a Assignment) bool {
 // faces and keys every one.
 func (e *Evaluator) rebuild(a Assignment) {
 	if !e.primed {
-		e.memo = make([]map[maskKey]faceCost, len(e.cs.Faces))
-		e.codeMemo = make([]map[string]faceCost, len(e.cs.Faces))
 		e.faces = make([]faceState, len(e.cs.Faces))
 	}
 	e.primed, e.bits = true, a.Bits
@@ -398,13 +388,13 @@ func (e *Evaluator) price(fi int, a Assignment) {
 func (e *Evaluator) priceMasked(fi int, a Assignment) {
 	fs := &e.faces[fi]
 	off := espresso.Minterms{e.used[0] &^ (fs.on[0] | fs.dc[0]), e.used[1] &^ (fs.on[1] | fs.dc[1])}
-	key := maskKey{bits: a.Bits, sets: [3]espresso.Minterms{onRole: fs.on, offRole: off, dcRole: fs.dc}}
+	key := newMaskKey(a.Bits, fs.on, off, fs.dc)
 	if key == fs.key {
 		e.Hits++
 		return
 	}
 	fs.key = key
-	fc, ok := e.memo[fi][key]
+	fc, ok := e.memo.get(fi, &key)
 	if ok {
 		e.Hits++
 	} else {
@@ -417,10 +407,7 @@ func (e *Evaluator) priceMasked(fi int, a Assignment) {
 		}
 		cubes, literals := e.scratch.CountMasked(a.Bits, e.onList, off)
 		fc = e.miss(f, a, cubes, literals)
-		if e.memo[fi] == nil {
-			e.memo[fi] = make(map[maskKey]faceCost)
-		}
-		e.memo[fi][key] = fc
+		e.memo.put(fi, &key, fc)
 	}
 	e.set(fi, fc)
 }
@@ -432,6 +419,9 @@ func (e *Evaluator) priceCodes(fi int, a Assignment) {
 	f := e.cs.Faces[fi]
 	e.fn.split(f, a)
 	key := e.codeKey(a.Bits)
+	if e.codeMemo == nil {
+		e.codeMemo = make([]map[string]faceCost, len(e.cs.Faces))
+	}
 	fc, ok := e.codeMemo[fi][string(key)]
 	if ok {
 		e.Hits++

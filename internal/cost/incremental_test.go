@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/constraint"
 	"repro/internal/hypercube"
 )
 
@@ -304,5 +305,63 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	}
 	if wide < 500 {
 		t.Fatalf("only %d mask-path evaluations moved more than 8 symbols", wide)
+	}
+}
+
+// TestMemoTableGrows walks one evaluator through swaps and relocations of
+// 7-bit codes over 24 faces until its mask table holds more than 10,000
+// entries, which doubles its index ten times, from 32 slots to 32,768. At
+// every step its Result, Hits and Misses equal the reference's, and every
+// miss files one entry; at the end the filled index slots number the
+// entries and each points at a distinct one.
+func TestMemoTableGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n, bits = 16, 7
+	spec := "symbols"
+	for s := 0; s < n; s++ {
+		spec += fmt.Sprintf(" s%d", s)
+	}
+	spec += "\n"
+	for f := 0; f < 24; f++ {
+		perm := rng.Perm(n)
+		spec += "face"
+		for _, s := range perm[:2+rng.Intn(5)] {
+			spec += fmt.Sprintf(" s%d", s)
+		}
+		if f%4 == 0 {
+			spec += fmt.Sprintf(" [ s%d ]", perm[n-1])
+		}
+		spec += "\n"
+	}
+	cs := constraint.MustParse(spec)
+	codes := make([]hypercube.Code, n)
+	for i, c := range rng.Perm(1 << bits)[:n] {
+		codes[i] = hypercube.Code(c)
+	}
+	a := FullAssignment(bits, codes)
+	ev, ref := NewEvaluator(cs), newRefEvaluator(cs)
+	sizes := map[int]bool{}
+	for step := 0; len(ev.memo.entries) <= 10_000; step++ {
+		if step == 5_000 {
+			t.Fatalf("%d entries after %d steps", len(ev.memo.entries), step)
+		}
+		if step > 0 {
+			localMove(rng, a)
+		}
+		stepMatches(t, ev, ref, a, fmt.Sprintf("step %d", step))
+		if len(ev.memo.entries) != ev.Misses {
+			t.Fatalf("step %d: %d entries after %d misses", step, len(ev.memo.entries), ev.Misses)
+		}
+		sizes[len(ev.memo.index)] = true
+	}
+	seen := map[uint32]bool{}
+	for _, x := range ev.memo.index {
+		if x != 0 {
+			seen[uint32(x)] = true
+		}
+	}
+	if len(seen) != len(ev.memo.entries) || len(sizes) != 10 || len(ev.memo.index) != 1<<15 {
+		t.Fatalf("index files %d distinct entries of %d; %d index sizes, the last %d slots",
+			len(seen), len(ev.memo.entries), len(sizes), len(ev.memo.index))
 	}
 }

@@ -43,13 +43,18 @@ func viaCubes(cs *constraint.Set, a Assignment) Result {
 
 // maskKeyed reports how many of the faces that reach the minimizer key the
 // memo by code-set masks: after one evaluation each such face holds one
-// memo entry, under a mask key or a code-list key.
+// memo entry, filed in the mask table's index or under a code-list key.
 func maskKeyed(cs *constraint.Set, a Assignment) (masked, total int) {
 	ev := NewEvaluator(cs)
 	ev.Evaluate(a)
-	for fi := range cs.Faces {
-		masked += len(ev.memo[fi])
-		total += len(ev.memo[fi]) + len(ev.codeMemo[fi])
+	for _, x := range ev.memo.index {
+		if x != 0 {
+			masked++
+		}
+	}
+	total = masked
+	for _, m := range ev.codeMemo {
+		total += len(m)
 	}
 	return masked, total
 }

@@ -134,6 +134,41 @@ func TestGreedyFeasible(t *testing.T) {
 	}
 }
 
+// TestGreedyVariantsRepeat: on random states of random problems, unit and
+// weighted, greedy variant v builds variant v mod 3's cover, which is why
+// the upper bound builds variants 0–2 only.
+func TestGreedyVariantsRepeat(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 300; trial++ {
+		p := randomSizedProblem(rng, 2+rng.Intn(40), 2+rng.Intn(40))
+		if trial%2 == 1 {
+			p = withCosts(p, 1, 4, int64(trial))
+		}
+		for r := range p.RowCols {
+			if len(p.RowCols[r]) == 0 {
+				p.RowCols[r] = []int{rng.Intn(p.NumCols)}
+			}
+		}
+		m, err := newMatrix(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, cols := randomState(m, rng)
+		var plain [3][]int
+		for variant := 0; variant < 8; variant++ {
+			sel, ok := m.greedyCover(&ubScratch{}, rows, cols, nil, variant)
+			if !ok {
+				t.Fatalf("trial %d: variant %d found no cover", trial, variant)
+			}
+			if variant < 3 {
+				plain[variant] = sel
+			} else if !slices.Equal(sel, plain[variant%3]) {
+				t.Fatalf("trial %d: variant %d built %v, variant %d %v", trial, variant, sel, variant%3, plain[variant%3])
+			}
+		}
+	}
+}
+
 // TestLowerBoundEarlyExit: 4 disjoint rows each with one column, so the
 // optimum 4 is the lower bound. The first greedy cover meets it, so the
 // upper bound builds no other cover and the search enters no node.

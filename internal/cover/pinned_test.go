@@ -170,8 +170,8 @@ func TestEntryPrunedSpan(t *testing.T) {
 			(tc.workers == 1 && terminal > pruned) {
 			t.Fatalf("%s, %d workers: entry_pruned %d, terminal %d of %d nodes", tc.name, tc.workers, pruned, terminal, nodes)
 		}
-		if greedy := spanAttr(t, sp, "greedy"); greedy != 32 {
-			t.Fatalf("%s, %d workers: %d greedy covers, want 8 variants + 24 weighted rounds", tc.name, tc.workers, greedy)
+		if greedy := spanAttr(t, sp, "greedy"); greedy != 27 {
+			t.Fatalf("%s, %d workers: %d greedy covers, want 3 variants + 24 weighted rounds", tc.name, tc.workers, greedy)
 		}
 	}
 }

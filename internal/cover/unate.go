@@ -781,14 +781,18 @@ type ubScratch struct {
 	covers    int // greedy covers built, for the cover.solve span
 }
 
-// upperBound builds the incumbent the search starts from: eight
-// diversified greedy covers, then 24 multiplicative-weights rounds. It
+// upperBound builds the incumbent the search starts from: the three
+// distinct plain greedy covers, then 24 multiplicative-weights rounds. It
 // stops after any cover once the incumbent meets a positive lb, where the
 // search would not run, or once ctx is done; the first cover always
 // completes. ErrInfeasible means plain greedy met a row no column covers.
+//
+// greedyCover's variants repeat with period 3 (see there), so variants 0–2
+// are every plain cover it builds: further variants would rebuild one of
+// them, which consider never takes, since it keeps strict improvements only.
 func (m *matrix) upperBound(ctx context.Context, ub *ubScratch, rows, cols bitset.Set, lb int) error {
 	ub.cost, ub.found, ub.covers = -1, false, 0
-	for variant := 0; variant < 8; variant++ {
+	for variant := 0; variant < 3; variant++ {
 		g, ok := m.greedyCover(ub, rows, cols, nil, variant)
 		if !ok {
 			// Every variant completes once plain greedy (variant 0) does.
@@ -821,10 +825,12 @@ func (m *matrix) consider(ub *ubScratch, rows bitset.Set, g []int, lb int) bool 
 // the most uncovered rows per unit cost, counting each row once, or by its
 // weight when weights is non-nil. Columns rank by score, ties by index.
 // Variant 0 picks the best column at every step; variant v > 0 picks the
-// (v mod 3)-th best on every (step+v)-th step, or the last-ranked when
-// fewer columns cover an uncovered row, giving the restart loop distinct
-// feasible covers. The returned selection lives in ub.gsel and is valid
-// until the next greedy pass; ok=false means some row is uncoverable.
+// (v mod 3)-th best at the steps where (step+v) mod 3 is 0, or the
+// last-ranked when fewer columns cover an uncovered row, giving the upper
+// bound distinct feasible covers. Both the rank and the steps depend on
+// v mod 3 only, so variants v and v+3 build the same cover. The returned
+// selection lives in ub.gsel and is valid until the next greedy pass;
+// ok=false means some row is uncoverable.
 //
 // A step re-scores a column only when its last score in this cover beats
 // the running score at the rank the step picks. The uncovered rows only

@@ -4,10 +4,14 @@
 // and the encoded-PLA back-end. Functions are limited to 64 binary inputs,
 // far beyond any encoding produced here. Functions of at most 7 inputs
 // given by minterms (MinimizeMinterms) keep their off- and don't-care sets
-// as 128-bit masks; the loop, and so the result, is the same. A Scratch
-// runs that loop on caller-owned buffers and returns only the cube and
-// literal counts, so a caller minimizing many small functions, as the
-// P-3 cost functions do, allocates nothing per function.
+// as 128-bit masks; the loop, and so the result, is the same. The loop is
+// written once, over the questions each of its steps asks, and the masks
+// answer them natively: a raise is tested against the off-set mirrored
+// across the raised variable, and an irredundant or reduce pass takes
+// each cube's minterms once. A Scratch runs that loop on caller-owned
+// buffers and returns only the cube and literal counts, so a caller
+// minimizing many small functions, as the P-3 cost functions do,
+// allocates nothing per function.
 package espresso
 
 import (

@@ -130,27 +130,39 @@ func complRec(n int, cubes []Cube, space Cube) []Cube {
 	return append(complRec(n, half(true), sp0), complRec(n, half(false), sp1)...)
 }
 
-// sets answers the three questions the espresso loop asks of the off-set
-// and the don't-care set of the function it minimizes. A cube cover
-// (coverSets) and a minterm mask (mintermSets) answer them identically,
-// so the loop below makes the same merges, raises, removals and
-// iterations over either representation.
+// sets answers the questions the espresso loop asks of the off-set and
+// the don't-care set of the function it minimizes, one step at a time. A
+// cube cover (coverSets) and a minterm mask (mintermSets) answer them
+// identically, so the loop below makes the same merges, raises, removals
+// and iterations over either representation.
 type sets interface {
 	// meetsOff reports whether c intersects the off-set.
 	meetsOff(c Cube) bool
-	// covered reports whether c lies in the union of rest and the
-	// don't-care set.
-	covered(c Cube, rest []Cube) bool
-	// reduced returns the smallest cube containing the minterms of c
-	// outside rest and the don't-care set; the empty cube when there are
+	// expandCube raises the literals of c, which is not empty, in
+	// variable order, keeping each raise that leaves c disjoint from the
+	// off-set. Raising only grows c, so a raise that meets the off-set
+	// from c meets it from every later c: one pass tries every raise that
+	// can succeed.
+	expandCube(c Cube) Cube
+	// load starts an irredundant or reduce pass over cubes, which the two
+	// questions below name by index.
+	load(cubes []Cube)
+	// covered reports whether loaded cube i lies in the union of the
+	// don't-care set and the loaded cubes j ≠ i with !removed[j].
+	covered(i int, removed []bool) bool
+	// reduceCube replaces loaded cube i, in the slice load was given, by
+	// the smallest cube containing its minterms outside the don't-care
+	// set and the other loaded cubes; by the empty cube when there are
 	// none.
-	reduced(c Cube, rest []Cube) Cube
+	reduceCube(i int)
 }
 
 // coverSets holds the off-set and the don't-care set (nil allowed) as cube
 // covers.
 type coverSets struct {
 	off, dc *Cover
+	cubes   []Cube // the loaded pass
+	rest    []Cube // others' buffer
 }
 
 func (s *coverSets) meetsOff(c Cube) bool {
@@ -162,46 +174,66 @@ func (s *coverSets) meetsOff(c Cube) bool {
 	return false
 }
 
-// withDC returns rest followed by the don't-care cubes as a cover.
-func (s *coverSets) withDC(rest []Cube) *Cover {
-	all := &Cover{N: s.off.N, Cubes: rest}
-	if s.dc != nil {
-		all.Cubes = append(all.Cubes, s.dc.Cubes...)
+func (s *coverSets) expandCube(c Cube) Cube {
+	for v := 0; v < s.off.N; v++ {
+		b := uint64(1) << uint(v)
+		if c.Z&b == 0 || c.O&b == 0 {
+			if raised := (Cube{Z: c.Z | b, O: c.O | b}); !s.meetsOff(raised) {
+				c = raised
+			}
+		}
 	}
-	return all
+	return c
 }
 
-func (s *coverSets) covered(c Cube, rest []Cube) bool {
-	return s.withDC(rest).CoversCube(c)
+func (s *coverSets) load(cubes []Cube) { s.cubes = cubes }
+
+// others returns the loaded cubes other than cube i and, when removed is
+// not nil, those it marks, followed by the don't-care cubes, as a cover.
+func (s *coverSets) others(i int, removed []bool) *Cover {
+	s.rest = s.rest[:0]
+	for j, c := range s.cubes {
+		if j != i && (removed == nil || !removed[j]) {
+			s.rest = append(s.rest, c)
+		}
+	}
+	if s.dc != nil {
+		s.rest = append(s.rest, s.dc.Cubes...)
+	}
+	return &Cover{N: s.off.N, Cubes: s.rest}
 }
 
-// reduced intersects c with the supercube of the complement of the rest
-// cofactored against c: that complement is free in the variables c fixes,
-// so the intersection is the supercube of c ∖ rest.
-func (s *coverSets) reduced(c Cube, rest []Cube) Cube {
-	n := s.off.N
+func (s *coverSets) covered(i int, removed []bool) bool {
+	return s.others(i, removed).CoversCube(s.cubes[i])
+}
+
+// reduceCube intersects cube i with the supercube of the complement of the
+// others cofactored against it: that complement is free in the variables
+// cube i fixes, so the intersection is the supercube of cube i ∖ others.
+func (s *coverSets) reduceCube(i int) {
+	n, c := s.off.N, s.cubes[i]
 	var cof []Cube
-	for _, d := range s.withDC(rest).Cubes {
+	for _, d := range s.others(i, nil).Cubes {
 		if r, ok := d.Cofactor(n, c); ok {
 			cof = append(cof, r)
 		}
 	}
 	remainder := complRec(n, cof, Universe(n))
 	if len(remainder) == 0 {
-		return Cube{} // fully covered by the rest
+		s.cubes[i] = Cube{} // fully covered by the others
+		return
 	}
 	sc := remainder[0]
 	for _, r := range remainder[1:] {
 		sc = sc.Supercube(r)
 	}
-	return c.Intersect(sc)
+	s.cubes[i] = c.Intersect(sc)
 }
 
 // loop is the espresso loop over one function: the sets it asks, and
 // scratch reused across its passes and, through Scratch, across functions.
 type loop struct {
 	sets
-	rest    []Cube
 	order   []int
 	removed []bool
 	best    []Cube
@@ -239,54 +271,29 @@ func (l *loop) minimize(g *Cover) ([]Cube, int) {
 func (l *loop) expand(f *Cover) {
 	l.mergeSupercubes(f)
 	for i := range f.Cubes {
-		f.Cubes[i] = l.expandCube(f.N, f.Cubes[i])
+		f.Cubes[i] = l.expandCube(f.Cubes[i])
 	}
 	f.SCC()
 }
 
-// mergeSupercubes repeatedly replaces pairs of cubes by their supercube
-// whenever the supercube does not intersect the off-set.
+// mergeSupercubes replaces the first pair of cubes, in scan order, whose
+// supercube does not intersect the off-set by that supercube, until no
+// pair merges. A merge only grows cube i, and a supercube that meets the
+// off-set keeps meeting it as its cubes grow: every pair the scan passed
+// still fails, so the scan resumes where the merge happened instead of
+// starting over.
 func (l *loop) mergeSupercubes(f *Cover) {
-	for {
-		merged := false
-		for i := 0; i < len(f.Cubes) && !merged; i++ {
-			for j := i + 1; j < len(f.Cubes); j++ {
-				sc := f.Cubes[i].Supercube(f.Cubes[j])
-				if !l.meetsOff(sc) {
-					f.Cubes[i] = sc
-					f.Cubes = append(f.Cubes[:j], f.Cubes[j+1:]...)
-					merged = true
-					break
-				}
+	for i := 0; i < len(f.Cubes); i++ {
+		for j := i + 1; j < len(f.Cubes); {
+			sc := f.Cubes[i].Supercube(f.Cubes[j])
+			if l.meetsOff(sc) {
+				j++
+				continue
 			}
-		}
-		if !merged {
-			return
-		}
-	}
-}
-
-// expandCube raises the literals of c greedily, keeping every raise that
-// leaves c disjoint from the off-set. Raising only grows c, so a raise that
-// meets the off-set from c meets it from every later c: only the raises
-// clear of it at the start can succeed, and they are tried in variable
-// order. (Ordering all raises by the number of off cubes each meets, ties
-// by variable, tries exactly these first and in this order.)
-func (l *loop) expandCube(n int, c Cube) Cube {
-	var raisable uint64
-	for v := 0; v < n; v++ {
-		b := uint64(1) << uint(v)
-		if (c.Z&b == 0 || c.O&b == 0) && !l.meetsOff(Cube{Z: c.Z | b, O: c.O | b}) {
-			raisable |= b
+			f.Cubes[i] = sc
+			f.Cubes = append(f.Cubes[:j], f.Cubes[j+1:]...)
 		}
 	}
-	for ; raisable != 0; raisable &= raisable - 1 {
-		b := raisable & -raisable
-		if raised := (Cube{Z: c.Z | b, O: c.O | b}); !l.meetsOff(raised) {
-			c = raised
-		}
-	}
-	return c
 }
 
 // irredundant removes cubes covered by the union of the remaining cubes
@@ -304,14 +311,9 @@ func (l *loop) irredundant(f *Cover) {
 	})
 	removed := append(l.removed[:0], make([]bool, len(f.Cubes))...)
 	l.order, l.removed = order, removed
+	l.load(f.Cubes)
 	for _, i := range order {
-		l.rest = l.rest[:0]
-		for j, c := range f.Cubes {
-			if j != i && !removed[j] {
-				l.rest = append(l.rest, c)
-			}
-		}
-		if l.covered(f.Cubes[i], l.rest) {
+		if l.covered(i, removed) {
 			removed[i] = true
 		}
 	}
@@ -328,14 +330,9 @@ func (l *loop) irredundant(f *Cover) {
 // alone covers (relative to the rest of the cover plus the don't-care
 // set), enabling the next expansion to escape local minima.
 func (l *loop) reduce(f *Cover) {
+	l.load(f.Cubes)
 	for i := range f.Cubes {
-		l.rest = l.rest[:0]
-		for j, c := range f.Cubes {
-			if j != i {
-				l.rest = append(l.rest, c)
-			}
-		}
-		f.Cubes[i] = l.reduced(f.Cubes[i], l.rest)
+		l.reduceCube(i)
 	}
 	kept := f.Cubes[:0]
 	for _, c := range f.Cubes {

@@ -21,6 +21,16 @@ func (s Minterms) and(t Minterms) Minterms    { return Minterms{s[0] & t[0], s[1
 func (s Minterms) andNot(t Minterms) Minterms { return Minterms{s[0] &^ t[0], s[1] &^ t[1]} }
 func (s Minterms) empty() bool                { return s[0]|s[1] == 0 }
 
+// flip returns the minterms of s with variable v's value flipped: within
+// a word for v below 6, across the two words for v = 6.
+func (s Minterms) flip(v int) Minterms {
+	if v == 6 {
+		return Minterms{s[1], s[0]}
+	}
+	d, zero := uint(1)<<uint(v), ^varOnes[v][0]
+	return Minterms{s[0]&zero<<d | s[0]>>d&zero, s[1]&zero<<d | s[1]>>d&zero}
+}
+
 // A cube's minterms are assembled from two tables indexed by its Z and O
 // bits over three variables: lowMinterms[z][o] is the byte of minterms of
 // variables 0–2 inside the cube, and byteSelect[z][o] has 0xFF in each
@@ -52,10 +62,28 @@ func space(n int) Minterms {
 
 // mintermSets holds the off-set and the don't-care set of a function of
 // at most MaxMintermVars variables as minterm masks, answering the loop's
-// questions with word operations instead of cube-cover recursion.
+// questions with word operations instead of cube-cover recursion. A pass
+// takes each loaded cube's minterms once, and a raise tests and grows the
+// raised cube's minterms without rebuilding them.
 type mintermSets struct {
 	n            int
 	all, off, dc Minterms
+	// reach[v] is the off-set and its mirror across variable v: raising v
+	// keeps a cube disjoint from the off-set exactly when the cube's
+	// minterms miss reach[v].
+	reach [MaxMintermVars]Minterms
+	// The loaded pass's cubes and their minterms.
+	cubes []Cube
+	masks []Minterms
+}
+
+// reset makes s the sets of the function of n variables with off-set off
+// and don't-care set dc.
+func (s *mintermSets) reset(n int, off, dc Minterms) {
+	s.n, s.all, s.off, s.dc = n, space(n), off, dc
+	for v := 0; v < n; v++ {
+		s.reach[v] = off.or(off.flip(v))
+	}
 }
 
 // minterms returns the minterms of cube c. Variables from n on count as
@@ -75,35 +103,59 @@ func (s *mintermSets) minterms(c Cube) Minterms {
 
 func (s *mintermSets) meetsOff(c Cube) bool { return !s.minterms(c).and(s.off).empty() }
 
-// uncovered returns the minterms of c outside rest and the don't-care set.
-func (s *mintermSets) uncovered(c Cube, rest []Cube) Minterms {
-	u := s.dc
-	for _, d := range rest {
-		u = u.or(s.minterms(d))
-	}
-	return s.minterms(c).andNot(u)
-}
-
-func (s *mintermSets) covered(c Cube, rest []Cube) bool {
-	return s.uncovered(c, rest).empty()
-}
-
-func (s *mintermSets) reduced(c Cube, rest []Cube) Cube {
-	m := s.uncovered(c, rest)
-	var sc Cube
-	if m.empty() {
-		return sc
-	}
+// expandCube raises c through its minterms: a raise of v that c's
+// minterms let through adds their mirror across v.
+func (s *mintermSets) expandCube(c Cube) Cube {
+	m := s.minterms(c)
 	for v := 0; v < s.n; v++ {
 		b := uint64(1) << uint(v)
-		if !m.and(varOnes[v]).empty() {
-			sc.O |= b
-		}
-		if !m.andNot(varOnes[v]).empty() {
-			sc.Z |= b
+		if (c.Z&b == 0 || c.O&b == 0) && m.and(s.reach[v]).empty() {
+			c.Z, c.O = c.Z|b, c.O|b
+			m = m.or(m.flip(v))
 		}
 	}
-	return sc
+	return c
+}
+
+func (s *mintermSets) load(cubes []Cube) {
+	s.cubes, s.masks = cubes, s.masks[:0]
+	for _, c := range cubes {
+		s.masks = append(s.masks, s.minterms(c))
+	}
+}
+
+// alone returns the minterms of loaded cube i outside the don't-care set
+// and the other loaded cubes, skipping those removed marks when it is not
+// nil.
+func (s *mintermSets) alone(i int, removed []bool) Minterms {
+	u := s.dc
+	for j, m := range s.masks {
+		if j != i && (removed == nil || !removed[j]) {
+			u = u.or(m)
+		}
+	}
+	return s.masks[i].andNot(u)
+}
+
+func (s *mintermSets) covered(i int, removed []bool) bool {
+	return s.alone(i, removed).empty()
+}
+
+func (s *mintermSets) reduceCube(i int) {
+	m := s.alone(i, nil)
+	var sc Cube
+	if !m.empty() {
+		for v := 0; v < s.n; v++ {
+			b := uint64(1) << uint(v)
+			if !m.and(varOnes[v]).empty() {
+				sc.O |= b
+			}
+			if !m.andNot(varOnes[v]).empty() {
+				sc.Z |= b
+			}
+		}
+	}
+	s.cubes[i], s.masks[i] = sc, s.minterms(sc)
 }
 
 // varOnes[v] holds the minterms of the MaxMintermVars-variable space in
@@ -193,8 +245,7 @@ func (s *Scratch) runMasked(n int, on []uint64, off Minterms) ([]Cube, int) {
 	for _, m := range on {
 		onSet.Add(m & mask(n))
 	}
-	all := space(n)
-	s.ms = mintermSets{n: n, all: all, off: off, dc: all.andNot(onSet.or(off))}
+	s.ms.reset(n, off, space(n).andNot(onSet.or(off)))
 	s.sets = &s.ms
 	return s.minimize(f)
 }
