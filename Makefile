@@ -10,7 +10,7 @@ GO ?= go
 # CPU count compares like with like on any machine.
 BENCH_SNAPSHOT ?= BENCH.json
 
-.PHONY: all build loc fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz fuzz-smoke serve trace-demo bench-smoke bench bench-json bench-json-smoke bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
+.PHONY: all build loc fmt-check vet staticcheck test race test-server test-diff test-sat cover-sat difftest fuzz fuzz-smoke serve trace-demo bench-smoke bench bench-json bench-gate bench-gate-strict paper-tables paper-tables-check perfbench-test ci
 
 all: build
 
@@ -131,11 +131,6 @@ bench:
 bench-json:
 	$(GO) test -run '^$$' -bench 'Kernel' -benchmem -cpu 1 ./... | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
 
-# One iteration of each kernel benchmark through the JSON pipeline: proves
-# harness and parser still work without paying for a full measurement.
-bench-json-smoke:
-	$(GO) test -run '^$$' -bench 'Kernel' -benchtime=1x -benchmem ./... | $(GO) run ./cmd/benchjson > /dev/null
-
 # Perf gate, CI flavor: a cheap 20-iteration kernel run diffed against the
 # committed snapshot in smoke mode — allocs/op inside a small warm-up band,
 # timing ignored (CI machines are too noisy for ns/op at -benchtime=20x).
@@ -155,16 +150,18 @@ bench-gate-strict:
 		$(GO) run ./cmd/benchjson | \
 		$(GO) run ./cmd/benchdiff -baseline $(BENCH_SNAPSHOT) -current - -mode strict
 
-# Regenerate the corpus comparison tables embedded in EXPERIMENTS.md: the
-# full pipeline over testdata/corpus for every strategy. Deterministic, so
-# the result is byte-identical across runs and machines.
+# Regenerate every generated block of EXPERIMENTS.md: the corpus tables
+# (the full pipeline over testdata/corpus for every strategy) and the
+# deterministic columns of Tables 1–3. Deterministic, so the result is
+# byte-identical across runs and machines.
 paper-tables:
-	$(GO) run ./cmd/paperbench -write
+	$(GO) run ./cmd/paper -write
 
 # Fail when EXPERIMENTS.md's generated blocks are stale relative to the
-# code and corpus. Part of `make ci`.
+# code and corpus. Part of `make ci`; about 20 s on a 2-CPU VM (37 s at
+# GOMAXPROCS=1), nearly all of it Tables 1 and 3.
 paper-tables-check:
-	$(GO) run ./cmd/paperbench -check
+	$(GO) run ./cmd/paper -check
 
 # The end-to-end benchmark (perfbench/) is its own module, so `go test
 # ./...` from the root never reaches its tests: vet and test it here.
@@ -172,6 +169,4 @@ perfbench-test:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-# bench-gate subsumes bench-json-smoke: it runs the same pipeline and then
-# holds the result against the committed snapshot.
 ci: fmt-check vet staticcheck build race test-server test-diff test-sat cover-sat fuzz-smoke bench-smoke bench-gate paper-tables-check perfbench-test

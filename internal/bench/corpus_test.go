@@ -1,4 +1,4 @@
-package paperbench
+package bench
 
 import (
 	"context"
@@ -50,14 +50,14 @@ func TestMatrixAndTables(t *testing.T) {
 	}
 	machines = machines[:2]
 	strategies := []pipeline.Strategy{pipeline.Nova}
-	results, err := RunMatrix(context.Background(), machines, Options{Strategies: strategies, Workers: 2})
+	results, err := RunMatrix(context.Background(), machines, MatrixOptions{Strategies: strategies, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 2 || results[0].Machine.Name != machines[0].Name {
 		t.Fatalf("results out of order: %+v", results)
 	}
-	blocks := Blocks(machines, results, strategies)
+	blocks := corpusBlocks(machines, results, strategies)
 	for _, name := range []string{"corpus", "encoding", "cubes", "literals", "replay"} {
 		tbl, ok := blocks[name]
 		if !ok {
@@ -88,16 +88,16 @@ func TestMatrixWorkerInvariance(t *testing.T) {
 	}
 	machines = machines[:3]
 	strategies := []pipeline.Strategy{pipeline.Heuristic, pipeline.Nova}
-	r1, err := RunMatrix(context.Background(), machines, Options{Strategies: strategies, Workers: 1})
+	r1, err := RunMatrix(context.Background(), machines, MatrixOptions{Strategies: strategies, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := RunMatrix(context.Background(), machines, Options{Strategies: strategies, Workers: 8})
+	r8, err := RunMatrix(context.Background(), machines, MatrixOptions{Strategies: strategies, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1 := Blocks(machines, r1, strategies)
-	b8 := Blocks(machines, r8, strategies)
+	b1 := corpusBlocks(machines, r1, strategies)
+	b8 := corpusBlocks(machines, r8, strategies)
 	for name := range b1 {
 		if b1[name] != b8[name] {
 			t.Fatalf("block %q differs between 1 and 8 workers:\n%s\n----\n%s", name, b1[name], b8[name])
@@ -106,8 +106,8 @@ func TestMatrixWorkerInvariance(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunMatrix(ctx, machines, Options{Strategies: strategies, Workers: 8})
-	want := "paperbench: " + machines[0].Name + "/" + string(strategies[0]) + ": "
+	_, err = RunMatrix(ctx, machines, MatrixOptions{Strategies: strategies, Workers: 8})
+	want := "bench: " + machines[0].Name + "/" + string(strategies[0]) + ": "
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("canceled matrix: error %v, want one starting %q", err, want)
 	}
@@ -123,7 +123,7 @@ func TestSATBackendMatchesExactColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	results, err := RunMatrix(ctx, machines, Options{Strategies: []pipeline.Strategy{pipeline.Exact}})
+	results, err := RunMatrix(ctx, machines, MatrixOptions{Strategies: []pipeline.Strategy{pipeline.Exact}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +137,35 @@ func TestSATBackendMatchesExactColumn(t *testing.T) {
 		if res.Encoding.Bits != exact.Bits || res.Optimal != exact.Optimal {
 			t.Errorf("%s: sat backend %d bits (optimal=%v), exact column %d bits (optimal=%v)",
 				r.Machine.Name, res.Encoding.Bits, res.Optimal, exact.Bits, exact.Optimal)
+		}
+	}
+}
+
+// Blocks must refuse to render from a failed run: a corpus cell whose
+// replay failed or did not run, or a table row with an error.
+func TestFailuresRefuseBrokenRuns(t *testing.T) {
+	ok := func() Result {
+		r := Result{Machine: corpus.Machine{Entry: corpus.Entry{Name: "m"}}, Reports: map[pipeline.Strategy]*pipeline.Report{}}
+		for _, s := range pipeline.Strategies {
+			r.Reports[s] = &pipeline.Report{Replay: &pipeline.ReplayResult{OK: true}}
+		}
+		return r
+	}
+	if err := failures([]Result{ok()}, []Table1Row{{Name: "a"}}, []Table2Row{{Name: "b"}}, []Table3Row{{Name: "c"}}); err != nil {
+		t.Fatalf("clean runs refused: %v", err)
+	}
+	failed, skipped := ok(), ok()
+	failed.Reports[pipeline.Nova].Replay = &pipeline.ReplayResult{Error: "diverged"}
+	skipped.Reports[pipeline.Exact].Replay = nil
+	err := failures([]Result{failed, skipped},
+		[]Table1Row{{Name: "a", Err: "boom"}}, []Table2Row{{Name: "b", Err: "nope"}}, []Table3Row{{Name: "c", Err: "sa: x"}})
+	if err == nil {
+		t.Fatal("failed runs accepted")
+	}
+	for _, want := range []string{"m/nova: netlist replay failed: diverged", "m/exact: pipeline skipped the replay check",
+		"table 1 a: boom", "table 2 b: nope", "table 3 c: sa: x"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
 		}
 	}
 }

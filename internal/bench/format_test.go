@@ -13,17 +13,20 @@ func TestFormatTable1Rows(t *testing.T) {
 		{Name: "blown", States: 48, Aborted: true},
 		{Name: "broken", States: 3, Err: "boom"},
 	}
-	out := FormatTable1(rows)
-	for _, want := range []string{"good", "42", "1.5s", "> limit", "*", "! boom", "Proved"} {
+	out := FormatTable1(rows, true)
+	for _, want := range []string{"good", "42", "1.5s", "> limit", "*", "! boom", "| proved |"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
 	lines := strings.Split(out, "\n")
-	for i, want := range map[int]string{1: "yes", 2: "budget"} {
-		if f := strings.Fields(lines[i]); f[len(f)-1] != want {
+	for i, want := range map[int]string{2: "yes", 3: "budget"} {
+		if f := strings.Split(lines[i], " | "); f[4] != want {
 			t.Fatalf("line %q: Proved column is not %q", lines[i], want)
 		}
+	}
+	if block := FormatTable1(rows, false); strings.Contains(block, "1.5s") {
+		t.Fatalf("the block form holds a wall time:\n%s", block)
 	}
 }
 
@@ -48,11 +51,14 @@ func TestFormatTable3Rows(t *testing.T) {
 			SATime: 2 * time.Second, EncTime: 3 * time.Second},
 		{Name: "bad", States: 2, Err: "nope"},
 	}
-	out := FormatTable3(rows)
+	out := FormatTable3(rows, true)
 	for _, want := range []string{"10.0", "+hard", "! nope"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+	if block := FormatTable3(rows, false); strings.Contains(block, "time") {
+		t.Fatalf("the block form holds a wall time:\n%s", block)
 	}
 }
 

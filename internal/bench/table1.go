@@ -1,16 +1,18 @@
 // Package bench drives the paper's experiments: Table 1 (exact input and
 // output encoding on the benchmark suite), Table 2 (heuristic minimum-length
 // input encoding vs the NOVA baseline), Table 3 (heuristic vs simulated
-// annealing on multi-level literal counts), and the figure walk-throughs.
-// Each Run function returns structured rows; each Format function renders
-// them in the paper's layout for side-by-side comparison.
+// annealing on multi-level literal counts), the figure walk-throughs, and
+// the corpus matrix (the synthesis pipeline over testdata/corpus for every
+// strategy). Each Run function returns structured rows and each Format
+// function renders them as one markdown table. Blocks renders the
+// deterministic cells EXPERIMENTS.md embeds, and Splice writes them between
+// the document's marker pairs.
 package bench
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -63,11 +65,11 @@ type Table1Row struct {
 	Err     string
 }
 
+// table1PrimeLimit is the paper's maximal-compatible cut-off.
+const table1PrimeLimit = 50000
+
 // Table1Options tunes the run.
 type Table1Options struct {
-	// PrimeLimit is the maximal-compatible cut-off; 0 means the paper's
-	// 50 000.
-	PrimeLimit int
 	// PrimeTimeout bounds prime generation per benchmark; 0 means 60s.
 	PrimeTimeout time.Duration
 	// CoverTimeout bounds the covering search per benchmark; 0 means 30s.
@@ -78,10 +80,9 @@ type Table1Options struct {
 
 // RunTable1 executes the exact mixed-constraint encoding flow per
 // benchmark and reports states, valid prime count, code length and time.
+// The covering search runs at one worker: cut short by its node budget,
+// it then returns the same cover on any CPU count.
 func RunTable1(opts Table1Options) []Table1Row {
-	if opts.PrimeLimit == 0 {
-		opts.PrimeLimit = 50000
-	}
 	if opts.PrimeTimeout == 0 {
 		opts.PrimeTimeout = 60 * time.Second
 	}
@@ -101,8 +102,8 @@ func RunTable1(opts Table1Options) []Table1Row {
 		start := time.Now()
 		cs := mv.GenerateConstraints(m, cfg.Out)
 		res, err := core.ExactEncodeCtx(context.Background(), cs, core.ExactOptions{
-			Prime: prime.Options{Limit: opts.PrimeLimit, Parallelism: par.Budget(opts.PrimeTimeout)},
-			Cover: cover.Options{Parallelism: par.Budget(opts.CoverTimeout)},
+			Prime: prime.Options{Limit: table1PrimeLimit, Parallelism: par.Budget(opts.PrimeTimeout)},
+			Cover: cover.Options{Parallelism: par.Parallelism{Workers: 1, TimeLimit: opts.CoverTimeout}},
 		})
 		row := Table1Row{Name: cfg.Name, States: m.NumStates(), Time: time.Since(start)}
 		switch {
@@ -123,30 +124,35 @@ func RunTable1(opts Table1Options) []Table1Row {
 	return rows
 }
 
-// FormatTable1 renders the rows in the paper's Table-1 layout, plus a
-// Proved column: yes when the covering search proved the code length
-// minimal, budget when a node or time budget stopped it first.
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %8s %8s %6s %10s  %s\n", "Name", "# States", "# Primes", "# Bits", "Time", "Proved")
-	for _, r := range rows {
-		if r.Err != "" {
-			fmt.Fprintf(&b, "%-9s %8d %8s %6s %10s  %-6s  ! %s\n", r.Name, r.States, "-", "-", "-", "-", r.Err)
-			continue
-		}
-		if r.Aborted {
-			fmt.Fprintf(&b, "%-9s %8d %8s %6s %10s  %s\n", r.Name, r.States, "> limit", "*", "*", "*")
-			continue
-		}
-		proved := "budget"
-		if r.Optimal {
-			proved = "yes"
-		}
-		fmt.Fprintf(&b, "%-9s %8d %8d %6d %10s  %s\n", r.Name, r.States, r.Primes, r.Bits, r.Time.Round(time.Millisecond), proved)
+// FormatTable1 renders the rows as a markdown table in the paper's Table-1
+// layout, plus a Proved column: yes when the covering search proved the
+// code length minimal, budget when a node or time budget stopped it first.
+// With times, each row also gets its wall time, an aborted row the time it
+// took to reach its budget.
+func FormatTable1(rows []Table1Row, times bool) string {
+	var t mdTable
+	cols := []any{"machine", "states", "primes", "bits", "proved", "time"}
+	if !times {
+		cols = cols[:5]
 	}
-	b.WriteString("* indicates the prime-count or time budget was exceeded (paper: planet, vmecont)\n")
-	b.WriteString("Proved: budget marks a cover the search returned when its node or time budget ran out\n")
-	return b.String()
+	t.header("lrrrl", cols...)
+	for _, r := range rows {
+		cells := []any{r.Name, r.States, "> limit", "*", "*", r.Time.Round(time.Millisecond)}
+		switch {
+		case r.Err != "":
+			cells = []any{r.Name, r.States, "! " + r.Err, "-", "-", "-"}
+		case !r.Aborted:
+			proved := "budget"
+			if r.Optimal {
+				proved = "yes"
+			}
+			cells = []any{r.Name, r.States, r.Primes, r.Bits, proved, r.Time.Round(time.Millisecond)}
+		}
+		t.row(cells[:len(cols)]...)
+	}
+	t.WriteString("\n`*`: the prime-count or time budget was exceeded (paper: planet, vmecont). " +
+		"`budget`: the search returned its best cover when its node or time budget ran out.\n")
+	return t.String()
 }
 
 func containsName(names []string, n string) bool {

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -37,8 +36,6 @@ type Table2Row struct {
 type Table2Options struct {
 	// Names restricts the run; nil means the full Table-2 list.
 	Names []string
-	// MaxEvaluations bounds the heuristic's selection search per subset.
-	MaxEvaluations int
 }
 
 // RunTable2 generates minimum-length encodings with both programs and
@@ -69,10 +66,9 @@ func RunTable2(opts Table2Options) []Table2Row {
 		row.NovaCubes = novaCost.Cubes
 
 		encRes, err := heuristic.EncodeCtx(context.Background(), cs, heuristic.Options{
-			Metric:         cost.Cubes,
-			MaxEvaluations: opts.MaxEvaluations,
-			Restarts:       6,
-			PolishBudget:   20000,
+			Metric:       cost.Cubes,
+			Restarts:     6,
+			PolishBudget: 20000,
 		})
 		if err != nil {
 			row.Err = "enc: " + err.Error()
@@ -100,25 +96,27 @@ func duplicateCodes(e *core.Encoding) bool {
 	return false
 }
 
-// FormatTable2 renders the rows in the paper's Table-2 layout.
+// FormatTable2 renders the rows as a markdown table in the paper's Table-2
+// layout, with a totals row and the ENC/NOVA ratio of the total cubes.
 func FormatTable2(rows []Table2Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %7s %13s %12s %12s\n", "Name", "States", "# Constraints", "Constraints", "Cubes")
-	fmt.Fprintf(&b, "%-9s %7s %13s %6s %5s %6s %5s\n", "", "", "", "NOVA", "ENC", "NOVA", "ENC")
-	totalNova, totalEnc := 0, 0
+	var t mdTable
+	t.header("l", "machine", "states", "constraints", "NOVA sat", "ENC sat", "NOVA cubes", "ENC cubes")
+	var sum Table2Row
 	for _, r := range rows {
 		if r.Err != "" {
-			fmt.Fprintf(&b, "%-9s %7d %13d  ! %s\n", r.Name, r.States, r.Constraints, r.Err)
+			t.row(r.Name, r.States, r.Constraints, "! "+r.Err, "-", "-", "-")
 			continue
 		}
-		fmt.Fprintf(&b, "%-9s %7d %13d %6d %5d %6d %5d\n",
-			r.Name, r.States, r.Constraints, r.NovaSat, r.EncSat, r.NovaCubes, r.EncCubes)
-		totalNova += r.NovaCubes
-		totalEnc += r.EncCubes
+		t.row(r.Name, r.States, r.Constraints, r.NovaSat, r.EncSat, r.NovaCubes, r.EncCubes)
+		sum.Constraints += r.Constraints
+		sum.NovaSat += r.NovaSat
+		sum.EncSat += r.EncSat
+		sum.NovaCubes += r.NovaCubes
+		sum.EncCubes += r.EncCubes
 	}
-	if totalNova > 0 {
-		fmt.Fprintf(&b, "total cubes: NOVA %d, ENC %d (ENC/NOVA = %.2f)\n",
-			totalNova, totalEnc, float64(totalEnc)/float64(totalNova))
+	t.row("**total**", "", bold(sum.Constraints), bold(sum.NovaSat), bold(sum.EncSat), bold(sum.NovaCubes), bold(sum.EncCubes))
+	if sum.NovaCubes > 0 {
+		fmt.Fprintf(&t, "\nTotal cubes ENC/NOVA = %.2f.\n", float64(sum.EncCubes)/float64(sum.NovaCubes))
 	}
-	return b.String()
+	return t.String()
 }

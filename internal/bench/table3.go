@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/anneal"
@@ -25,6 +24,10 @@ var Table3Names = []string{
 // Table3Dagger marks the large examples annealed with the reduced budget.
 var Table3Dagger = map[string]bool{"sand": true, "tbk": true, "viterbi": true, "vmecont": true}
 
+// daggerTemps is the shortened annealing schedule of the dagger examples,
+// in temperature points.
+const daggerTemps = 30
+
 // Table3Row compares heuristic encoding (ENC) against simulated annealing
 // (SA) on the literal count of the encoded constraints, with the six-call
 // MIS-MV script protocol timed for both.
@@ -44,9 +47,6 @@ type Table3Row struct {
 type Table3Options struct {
 	// Names restricts the run; nil means the full Table-3 list.
 	Names []string
-	// Temps shortens the annealing schedule for quick runs; 0 means the
-	// annealer's default.
-	Temps int
 }
 
 // RunTable3 mirrors the MIS-MV script: the constraint-satisfaction routine
@@ -74,13 +74,9 @@ func RunTable3(opts Table3Options) []Table3Row {
 		// complete" at full strength; following the paper it is limited to
 		// 4 swaps per temperature point and, in this reproduction, a
 		// shortened schedule.
-		finalSwaps := 10
-		temps := opts.Temps
+		finalSwaps, temps := 10, 0
 		if row.Dagger {
-			finalSwaps = 4
-			if temps == 0 {
-				temps = 30
-			}
+			finalSwaps, temps = 4, daggerTemps
 		}
 		saStart := time.Now()
 		var saLits int
@@ -131,28 +127,32 @@ func RunTable3(opts Table3Options) []Table3Row {
 	return rows
 }
 
-// FormatTable3 renders the rows in the paper's Table-3 layout.
-func FormatTable3(rows []Table3Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %7s %9s %9s %12s %12s %8s\n",
-		"Name", "States", "SA lits", "ENC lits", "SA time", "ENC time", "SA/ENC")
+// FormatTable3 renders the rows as a markdown table in the paper's Table-3
+// layout, marking the dagger examples with a leading +. With times, each
+// row also gets both sides' wall times and their ratio.
+func FormatTable3(rows []Table3Row, times bool) string {
+	var t mdTable
+	cols := []any{"machine", "states", "SA lits", "ENC lits", "SA time", "ENC time", "SA/ENC"}
+	if !times {
+		cols = cols[:4]
+	}
+	t.header("l", cols...)
 	for _, r := range rows {
 		name := r.Name
 		if r.Dagger {
 			name = "+" + name
 		}
-		if r.Err != "" {
-			fmt.Fprintf(&b, "%-10s %7d  ! %s\n", name, r.States, r.Err)
-			continue
+		cells := []any{name, r.States, "! " + r.Err, "-", "-", "-", "-"}
+		if r.Err == "" {
+			ratio := 0.0
+			if r.EncTime > 0 {
+				ratio = float64(r.SATime) / float64(r.EncTime)
+			}
+			cells = []any{name, r.States, r.SALits, r.EncLits,
+				r.SATime.Round(time.Millisecond), r.EncTime.Round(time.Millisecond), fmt.Sprintf("%.1f", ratio)}
 		}
-		ratio := 0.0
-		if r.EncTime > 0 {
-			ratio = float64(r.SATime) / float64(r.EncTime)
-		}
-		fmt.Fprintf(&b, "%-10s %7d %9d %9d %12s %12s %8.1f\n",
-			name, r.States, r.SALits, r.EncLits,
-			r.SATime.Round(time.Millisecond), r.EncTime.Round(time.Millisecond), ratio)
+		t.row(cells[:len(cols)]...)
 	}
-	b.WriteString("+ indicates SA limited to 4 swaps per temperature point (paper's dagger)\n")
-	return b.String()
+	t.WriteString("\n`+`: SA limited to 4 swaps per temperature point (the paper's dagger).\n")
+	return t.String()
 }

@@ -244,7 +244,7 @@ func Verify(cs *constraint.Set, e *Encoding) []Violation {
 }
 
 // SatisfiedFaces returns which face constraints (by index) an encoding
-// satisfies; used by the P-3 cost functions.
+// satisfies; diffcheck's face oracle uses it.
 func SatisfiedFaces(cs *constraint.Set, e *Encoding) []bool {
 	out := make([]bool, len(cs.Faces))
 	n := cs.N()

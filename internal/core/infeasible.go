@@ -10,9 +10,9 @@ import (
 )
 
 // conflictMinimizeLimit bounds the constraint count above which the greedy
-// conflict minimization is skipped: each candidate removal re-runs the
-// polynomial feasibility check, so the loop is O(constraints²·check) and a
-// pathological set should not stall the error path.
+// conflict minimization is skipped: its one deletion pass re-runs the
+// polynomial feasibility check per constraint, so it is O(constraints·check),
+// and a pathological set should not stall the error path.
 const conflictMinimizeLimit = 256
 
 // InfeasibleError is the typed form of ErrInfeasible: it satisfies
@@ -52,8 +52,8 @@ func (e *InfeasibleError) Error() string {
 func (e *InfeasibleError) Unwrap() error { return ErrInfeasible }
 
 // newInfeasibleError builds the typed error, minimizing the conflict
-// subset when the set is small enough for the quadratic greedy pass and
-// the solve's context leaves time for it.
+// subset when the set is small enough for the one deletion pass and the
+// solve's context leaves time for it.
 func newInfeasibleError(ctx context.Context, cs *constraint.Set, uncovered []dichotomy.D) *InfeasibleError {
 	return &InfeasibleError{Uncovered: uncovered, Conflict: MinimizeInfeasible(ctx, cs)}
 }

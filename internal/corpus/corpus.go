@@ -1,7 +1,7 @@
 // Package corpus loads the committed benchmark corpus under
 // testdata/corpus/: a manifest (name, file, sizes, provenance) plus one
 // KISS2 file per machine. The manifest is the single source of truth that
-// both the docs tables (cmd/paperbench regenerating EXPERIMENTS.md) and the
+// both the docs tables (cmd/paper regenerating EXPERIMENTS.md) and the
 // test suites read, and Load cross-checks every manifest entry against the
 // parsed machine so the two cannot drift silently.
 package corpus

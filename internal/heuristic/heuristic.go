@@ -409,11 +409,7 @@ func (e *encoder) selectBest(p bitset.Set, c int, cands []dichotomy.D) []dichoto
 			return 1 << 30, false
 		}
 		evalBudget--
-		a := sc.assignment(e.cs.N(), p, cands, sel)
-		if e.opts.Metric == cost.Violations {
-			return cost.CountViolations(restricted, a), true
-		}
-		return evaluator.Of(e.opts.Metric, a), true
+		return evaluator.Of(e.opts.Metric, sc.assignment(e.cs.N(), p, cands, sel)), true
 	}
 
 	// Exhaustive when feasible within budget. The enumeration is scored in
@@ -455,13 +451,7 @@ func (e *encoder) selectBest(p bitset.Set, c int, cands []dichotomy.D) []dichoto
 					if !wsc.uniqueCodes(p, cands, sel) {
 						continue
 					}
-					var v int
-					if e.opts.Metric == cost.Violations {
-						v = cost.CountViolations(restricted, wsc.assignment(e.cs.N(), p, cands, sel))
-					} else {
-						v = ev.Of(e.opts.Metric, wsc.assignment(e.cs.N(), p, cands, sel))
-					}
-					if v < win.v {
+					if v := ev.Of(e.opts.Metric, wsc.assignment(e.cs.N(), p, cands, sel)); v < win.v {
 						win = scored{i, v}
 					}
 				}

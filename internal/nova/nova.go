@@ -15,7 +15,7 @@
 // is best-effort on faces — callers needing the violation count evaluate
 // it with internal/cost. Encode is deterministic and single-threaded: the
 // same set and options always produce the identical encoding, which is
-// what lets pipeline reports and paperbench tables regenerate
+// what lets pipeline reports and the EXPERIMENTS.md tables regenerate
 // byte-identically.
 package nova
 

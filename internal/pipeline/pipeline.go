@@ -18,7 +18,7 @@
 // are identical for any worker count and across runs whenever the encode
 // stage's search completes: the strategies are deterministic by
 // construction (the annealer is seeded), which is what lets
-// cmd/paperbench regenerate the EXPERIMENTS.md tables byte-identically
+// cmd/paper regenerate the EXPERIMENTS.md tables byte-identically
 // from the committed corpus. An exact encode that a node or time budget
 // cut short (not optimal) may differ between worker counts and runs.
 package pipeline
